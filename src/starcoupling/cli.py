@@ -1,9 +1,10 @@
 """Command-line interface: constants, spectrum, converge, oracle.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure (quadrature, solvers, grids), 4 oracle tolerance failure. The
-output directory resolves as --out flag > STARCOUPLING_OUT environment
-variable > config "output.dir" > ./results.
+failure (quadrature, solvers, grids), 4 oracle tolerance failure; an
+error's code is the ``exit_code`` of its class. The output directory
+resolves as --out flag > STARCOUPLING_OUT environment variable > config
+"output.dir" > ./results.
 """
 
 from __future__ import annotations
@@ -14,40 +15,10 @@ import os
 import sys
 
 from .config import load_config
-from .errors import (
-    AtPole,
-    ConfigError,
-    DegenerateTheta,
-    FredholmSingular,
-    GridTooCoarse,
-    MeanViolation,
-    MultipleSignChanges,
-    QuadratureNotConverged,
-    ResonantWithZeroA,
-    SingularSystem,
-    SupportViolation,
-    ZeroB,
-)
+from .errors import StarCouplingError
 from .experiments import cmd_constants, cmd_converge, cmd_oracle, cmd_spectrum, write_report
 
 ENV_OUT = "STARCOUPLING_OUT"
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    MeanViolation,
-    SupportViolation,
-    DegenerateTheta,
-    ResonantWithZeroA,
-)
-_NUMERICAL_ERRORS = (
-    QuadratureNotConverged,
-    FredholmSingular,
-    SingularSystem,
-    AtPole,
-    GridTooCoarse,
-    MultipleSignChanges,
-    ZeroB,
-)
 
 
 def build_parser():
@@ -89,11 +60,6 @@ def run(argv=None):
         config = load_config(args.config)
         if args.quad_order is not None:
             config = dataclasses.replace(config, quad_order=args.quad_order)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "constants":
             report = cmd_constants(config)
         elif args.command == "spectrum":
@@ -102,12 +68,10 @@ def run(argv=None):
             report = cmd_converge(config, parallel=args.parallel)
         else:
             report = cmd_oracle(config)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except StarCouplingError as exc:
+        label = "error" if exc.exit_code == 2 else "numerical failure"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     out_dir = _resolve_out(args, config)
     csv_path, json_path = write_report(report, out_dir)

@@ -11,11 +11,24 @@ rank-one correction of the free kernel,
 
     zeta_eps = (eps^3/lambda(eps) + <R0 V_eps, V_eps>)^{-1},
 
-where R0 is the free resolvent. Everything in this module is computed from
-the exact finite-eps integrals after the substitution x -> eps x, which
-maps all integrals onto [0,1]^2 and keeps the quadrature nodes independent
-of eps. The small-eps expansions appear only as predictors used to seed
-brackets and to cross-check rates, never as the computation itself.
+where R0 is the free resolvent. The resolvent (k = i kappa) and stationary
+scattering (real k, see ``scattering``) share one rank-one algebra of the
+complex momentum k, Im k >= 0, kept here as three verified routines:
+
+    m_j(k)   = int V_j e^{i k eps v} dv                       (edge moments)
+    P(k)     = <R0(k) V_eps, V_eps>
+             = (i eps^2/2k) [ sum_j II V_j V_j e^{i k eps |u-v|}
+                              - sum_j m_j^2 + (2/n) (sum_j m_j)^2 ]
+    f_i(x;k) = (R0(k) V_eps)_i(x)
+             = (i eps/2k) [ int V_i e^{i k |x - eps v|} dv
+                            + e^{ikx} sum_j (2/n - delta_ij) m_j ]
+
+so that inner_RV_V(kappa) = P(i kappa) and rank_one_factor = f(.; i kappa).
+Everything is computed from the exact finite-eps integrals after the
+substitution x -> eps x, which maps all integrals onto [0,1]^2 and keeps the
+quadrature nodes independent of eps. The small-eps expansions appear only
+as predictors used to seed brackets and to cross-check rates, never as the
+computation itself.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AtPole, MultipleSignChanges, QuadratureNotConverged, ZeroB
+from .errors import AtPole, MultipleSignChanges, ZeroB
 from .graph import ScalingFunction, StarPotential, coupling_constants, validate_potential
 from .limit import TOL_POLE, TOL_ZERO_B, KernelEvaluator, Momentum, _free_kernel_grid
 from .quadrature import QuadratureRule, converged_value, merge_breaks
@@ -83,28 +96,52 @@ class PoleResult:
             raise ValueError("pole momentum must be positive")
 
 
-def _exp_moments(op, kappa, rule):
-    """Per-edge integrals of V_i against exp(-+ eps kappa v) on [0,1]."""
-    c = op.eps * kappa
-    minus = np.zeros(op.n)
-    plus = np.zeros(op.n)
-    for i, p in enumerate(op.potential.profiles):
-        if p.is_zero():
-            continue
-        bp = p.breakpoints
-        minus[i] = rule.integrate(lambda v: p.evaluate(v) * np.exp(-c * v), bp)
-        plus[i] = rule.integrate(lambda v: p.evaluate(v) * np.exp(c * v), bp)
-    return minus, plus
+def _decay_rate(k):
+    # a = -ik, so that e^{ikx} = e^{-ax}; at k = +-i kappa it is real and the
+    # resolvent side stays in real arithmetic
+    a = -1j * k
+    return a.real if a.imag == 0 else a
 
 
-def _inner_raw(kappa, op, rule):
-    # cancellation-free arrangement of the bracketed sum: the same-edge
-    # difference of exponentials is e^{-c(x+y)} expm1(2c min(x,y)), and the
-    # zero-mean moment sum is written through expm1 plus the exact total
-    # mean, so the value keeps full relative precision down to c -> 0
-    c = op.eps * kappa
+def _moment_residuals(op, a, rule):
+    # int V_j (e^{-a eps v} - 1) dv per edge: the moment less its exact mean,
+    # through expm1 so that it keeps full relative precision as a eps -> 0
+    c = a * op.eps
+    out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
+    for j, p in enumerate(op.potential.profiles):
+        if not p.is_zero():
+            out[j] = rule.integrate(
+                lambda v: p.evaluate(v) * np.expm1(-c * v), p.breakpoints
+            )
+    return out
+
+
+def _edge_moments(op, k, rule):
+    """Edge moments m_j(k) = int V_j e^{ik eps v} dv, verified by doubling.
+
+    Returned as the residuals r_j(k) = m_j(k) - int V_j, computed through
+    expm1 and checked relative to themselves, never to a small moment: the
+    moments are the exact edge means plus these, and sums or differences
+    in which the means cancel are formed from the residuals alone.
+    """
+    a = _decay_rate(k)
+    return converged_value(
+        lambda r: _moment_residuals(op, a, r), rule, rtol=1e-10, context="edge moments"
+    )
+
+
+def _moment_sum(op, residuals):
+    # sum_j m_j: the exact total mean plus the residuals, free of cancellation
+    return sum(residuals) + op.potential.total_mean()
+
+
+def _pairing_raw(op, a, rule):
+    # cancellation-free arrangement of the bracket: the same-edge difference
+    # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
+    # moment sum is the exact total mean plus the expm1 residuals, so the
+    # value keeps full relative precision down to c -> 0
+    c = a * op.eps
     diag = 0.0
-    moment_residual = 0.0
     for p in op.potential.profiles:
         if p.is_zero():
             continue
@@ -118,16 +155,65 @@ def _inner_raw(kappa, op, rule):
             )
 
         diag += rule.double_integral(f, p.breakpoints)
-        moment_residual += rule.integrate(
-            lambda v: p.evaluate(v) * np.expm1(-c * v), p.breakpoints
+    smoment = _moment_sum(op, _moment_residuals(op, a, rule))
+    return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
+
+
+def _pairing(op, k, rule):
+    """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling."""
+    a = _decay_rate(k)
+    return converged_value(
+        lambda r: _pairing_raw(op, a, r), rule, rtol=1e-10, context="<R0 V, V>"
+    )
+
+
+def _direct_raw(profile, a, eps, xs, rule):
+    # int V_i e^{-a |x - eps v|} dv at each x, the crease split at v = x/eps
+    lo, hi = profile.support
+    out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
+    for idx, x in enumerate(xs):
+        bp = merge_breaks(lo, hi, profile.breakpoints, [x / eps])
+        out[idx] = rule.integrate(
+            lambda v: profile.evaluate(v) * np.exp(-a * np.abs(x - eps * v)), bp
         )
-    smoment = moment_residual + op.potential.total_mean()
-    bracket = diag + (2.0 / op.n) * smoment**2
-    return (op.eps**2 / (2.0 * kappa)) * bracket
+    return out
+
+
+def _factor(op, k, edge, xs, rule):
+    """The factor f_i(x; k) = (R0(k) V_eps)_i(x) on one edge at the points xs.
+
+    The moments and the crease-split direct integrals are verified apart
+    and only then summed, so no check is relative to their sum, which the
+    zero total mean cancels at the vertex. Beyond the scaled support the
+    direct integral is exactly e^{ikx} m_i(-k), and f_i = (i eps/2k) b_i e^{ikx}
+    with b_i = m_i(-k) - m_i(k) + (2/n) sum_j m_j(k) formed from residuals.
+    """
+    a = _decay_rate(k)
+    eps = op.eps
+    i = edge - 1
+    profile = op.potential.profiles[i]
+    r = _edge_moments(op, k, rule)
+    shared = (2.0 / op.n) * _moment_sum(op, r)
+    decay = np.exp(-a * xs)
+    bracket = decay * (shared - profile.integral() - r[i])
+    if not profile.is_zero():
+        outside = xs >= eps * profile.support[1]
+        if outside.any():
+            b = _edge_moments(op, -k, rule)[i] - r[i] + shared
+            bracket[outside] = b * decay[outside]
+        inside = xs[~outside]
+        if inside.size:
+            bracket[~outside] += converged_value(
+                lambda q: _direct_raw(profile, a, eps, inside, q),
+                rule,
+                rtol=1e-10,
+                context=f"direct integrals of the factor on edge {edge}",
+            )
+    return (eps / (2.0 * a)) * bracket
 
 
 def inner_RV_V(kappa, op, rule=None):
-    """The pairing <(free resolvent at -kappa^2) V_eps, V_eps>, exactly.
+    """The pairing <(free resolvent at -kappa^2) V_eps, V_eps> = P(i kappa).
 
     Rescaled to [0,1]^2 this is
 
@@ -135,17 +221,12 @@ def inner_RV_V(kappa, op, rule=None):
                          - sum_i (int V_i e^{-eps kappa x})^2
                          + (2/n) (sum_i int V_i e^{-eps kappa x})^2 ],
 
-    evaluated with the diagonal-split rule and verified by order doubling.
-    The implementation groups the first two sums per edge and pulls the
-    total mean out of the third, which is algebraically identical but free
-    of the O(eps kappa) float cancellation.
+    evaluated with the diagonal-split rule and verified by order doubling,
+    in the cancellation-free arrangement of the shared pairing routine.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    rule = rule if rule is not None else op.quad
-    return converged_value(
-        lambda r: _inner_raw(kappa, op, r), rule, rtol=1e-10, context="<R0 V, V>"
-    )
+    return _pairing(op, 1j * kappa, rule if rule is not None else op.quad)
 
 
 def zeta(op, kappa, rule=None):
@@ -157,7 +238,7 @@ def zeta(op, kappa, rule=None):
 
 
 def rank_one_factor(op, kappa, edge, xs, rule=None):
-    """(R0 V_eps) on an edge at the points xs (vectorized, verified).
+    """(R0 V_eps) on an edge at the points xs: the factor f(x; i kappa).
 
     For x beyond the scaled support this is exactly
     (eps/2kappa) e^{-kappa x} [int V_i e^{eps kappa v} dv
@@ -168,56 +249,17 @@ def rank_one_factor(op, kappa, edge, xs, rule=None):
     if not 1 <= edge <= op.n:
         raise ValueError(f"edge index {edge} outside 1..{op.n}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    coarse, _ = _rank_one_raw(op, kappa, edge, xs, rule)
-    fine, magnitude = _rank_one_raw(op, kappa, edge, xs, rule.doubled())
-    # relative to the summed parts, not to their sum: at the vertex the
-    # zero total mean cancels the sum down to O(eps^2) or exactly zero
-    scale = max(np.max(magnitude), 1e-300)
-    if np.max(np.abs(fine - coarse)) > 1e-10 * scale:
-        raise QuadratureNotConverged(
-            f"rank-one factor on edge {edge} changed by "
-            f"{np.max(np.abs(fine - coarse)):.3e} under order doubling"
-        )
-    return fine
-
-
-def _rank_one_raw(op, kappa, edge, xs, rule):
-    # returns the factor and the magnitude of the parts it is summed from
-    eps = op.eps
-    profile = op.potential.profiles[edge - 1]
-    minus, plus = _exp_moments(op, kappa, rule)
-    terms = [
-        (2.0 / op.n - (1.0 if j == edge - 1 else 0.0)) * minus[j] for j in range(op.n)
-    ]
-    reflected = sum(terms)
-    hi = profile.support[1]
-    direct = np.zeros_like(xs)
-    if not profile.is_zero():
-        outside = xs >= eps * hi
-        direct[outside] = plus[edge - 1] * np.exp(-kappa * xs[outside])
-        for idx in np.nonzero(~outside)[0]:
-            x = xs[idx]
-            bp = merge_breaks(profile.support[0], hi, profile.breakpoints, [x / eps])
-            direct[idx] = rule.integrate(
-                lambda v: profile.evaluate(v) * np.exp(-kappa * np.abs(x - eps * v)), bp
-            )
-    decay = np.exp(-kappa * xs)
-    prefactor = eps / (2.0 * kappa)
-    magnitude = prefactor * (np.abs(direct) + decay * sum(abs(t) for t in terms))
-    return prefactor * (direct + decay * reflected), magnitude
+    return _factor(op, 1j * kappa, edge, xs, rule)
 
 
 def smeared_factor_coefficients(op, kappa, rule=None):
     """Per-edge numbers b_i with (R0 V_eps)(x) = (eps/2kappa) b_i e^{-kappa x}
-    exactly for x beyond the scaled support."""
+    exactly for x beyond the scaled support:
+    b_i = m_i(-i kappa) + sum_j (2/n - delta_ij) m_j(i kappa)."""
     rule = rule if rule is not None else op.quad
-    minus, plus = _exp_moments(op, kappa, rule.doubled())
-    b = np.empty(op.n)
-    for i in range(op.n):
-        b[i] = plus[i] + sum(
-            (2.0 / op.n - (1.0 if j == i else 0.0)) * minus[j] for j in range(op.n)
-        )
-    return b
+    r = _edge_moments(op, 1j * kappa, rule)
+    shared = (2.0 / op.n) * _moment_sum(op, r)
+    return _edge_moments(op, -1j * kappa, rule) - r + shared
 
 
 class EpsKernel(KernelEvaluator):

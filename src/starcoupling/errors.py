@@ -2,15 +2,23 @@
 
 
 class StarCouplingError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Each subclass sets ``exit_code``, the CLI's exit status for it: 2 for a
+    configuration or validation error, 3 for a numerical failure.
+    """
 
 
 class ConfigError(StarCouplingError):
     """Experiment configuration is malformed or violates the schema."""
 
+    exit_code = 2
+
 
 class SupportViolation(StarCouplingError):
     """A potential profile extends beyond the unit interval."""
+
+    exit_code = 2
 
 
 class MeanViolation(StarCouplingError):
@@ -18,6 +26,8 @@ class MeanViolation(StarCouplingError):
 
     Carries the offending residual in ``residual``.
     """
+
+    exit_code = 2
 
     def __init__(self, residual: float):
         self.residual = residual
@@ -27,29 +37,43 @@ class MeanViolation(StarCouplingError):
 class ResonantWithZeroA(StarCouplingError):
     """Resonant scaling requested but the coupling integral A vanishes."""
 
+    exit_code = 2
+
 
 class DegenerateTheta(StarCouplingError):
     """Two first moments coincide; the boundary matrices are not defined."""
+
+    exit_code = 2
 
 
 class ZeroB(StarCouplingError):
     """Second-moment combination B vanishes while the coupling is nontrivial."""
 
+    exit_code = 3
+
 
 class AtPole(StarCouplingError):
     """Evaluation requested at (or too close to) a resolvent pole."""
+
+    exit_code = 3
 
 
 class SingularSystem(StarCouplingError):
     """A dense or sparse linear solve hit a numerically singular matrix."""
 
+    exit_code = 3
+
 
 class QuadratureNotConverged(StarCouplingError):
     """Doubling the quadrature order changed the result beyond tolerance."""
 
+    exit_code = 3
+
 
 class MultipleSignChanges(StarCouplingError):
     """Root bracketing found more than one sign change; pole not unique."""
+
+    exit_code = 3
 
 
 class FredholmSingular(StarCouplingError):
@@ -57,6 +81,8 @@ class FredholmSingular(StarCouplingError):
 
     Carries the offending momentum in ``k``.
     """
+
+    exit_code = 3
 
     def __init__(self, k: float, denominator: complex):
         self.k = k
@@ -68,3 +94,5 @@ class FredholmSingular(StarCouplingError):
 
 class GridTooCoarse(StarCouplingError):
     """Finite-difference grid rejected (admissibility or Richardson guard)."""
+
+    exit_code = 3

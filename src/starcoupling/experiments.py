@@ -10,6 +10,7 @@ numbers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -269,11 +270,6 @@ def _spectrum_one_eps(config, eps):
     return predictor, pole, fd
 
 
-def _spectrum_worker(payload):
-    config, eps = payload
-    return _spectrum_one_eps(config, eps)
-
-
 def cmd_spectrum(config, parallel=1):
     """Limit eigenvalue, per-eps root-found pole, predictor, and FD oracle."""
     potential = config.build_potential()
@@ -284,7 +280,7 @@ def cmd_spectrum(config, parallel=1):
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(
-                pool.map(_spectrum_worker, [(config, e) for e in config.epsilons])
+                pool.map(_spectrum_one_eps, itertools.repeat(config), config.epsilons)
             )
     else:
         results = [_spectrum_one_eps(config, e) for e in config.epsilons]
@@ -358,7 +354,9 @@ def cmd_converge(config, parallel=1):
         raise ValueError("convergence study needs at least 4 eps values")
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(pool.map(_converge_worker, [(config, e) for e in config.epsilons]))
+            chunks = list(
+                pool.map(_converge_one_eps, itertools.repeat(config), config.epsilons)
+            )
     else:
         chunks = [_converge_one_eps(config, e) for e in config.epsilons]
 
@@ -393,11 +391,6 @@ def cmd_converge(config, parallel=1):
         ),
     }
     return report
-
-
-def _converge_worker(payload):
-    config, eps = payload
-    return _converge_one_eps(config, eps)
 
 
 def cmd_oracle(config):

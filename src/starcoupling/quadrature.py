@@ -107,15 +107,17 @@ class QuadratureRule:
 def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
     """Evaluate ``compute(rule)`` and verify against the doubled order.
 
-    Returns the doubled-order value; raises QuadratureNotConverged when the
-    two disagree beyond ``rtol`` (relative) plus ``atol``.
+    Returns the doubled-order value, a scalar or an array; raises
+    QuadratureNotConverged when the two disagree beyond ``rtol`` (relative
+    to the largest magnitude) plus ``atol``, in the max-norm for arrays.
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    if abs(fine - coarse) > rtol * abs(fine) + atol:
+    gap = np.max(np.abs(fine - coarse))
+    size = np.max(np.abs(fine))
+    if gap > rtol * size + atol:
         raise QuadratureNotConverged(
             f"order {rule.order}->{2 * rule.order} changed "
-            f"{context or 'integral'} by {abs(fine - coarse):.3e} "
-            f"(value {abs(fine):.3e})"
+            f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"
         )
     return fine

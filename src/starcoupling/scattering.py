@@ -9,12 +9,20 @@ so the single scalar unknown is <psi, V_eps> = N / (1 - D) with
 
     N = sum_j int_0^eps F V_eps,   D = sum_j int_0^eps W V_eps.
 
-From it the scattering amplitudes follow by substituting the solution into
-the Kirchhoff conditions. All integrals are evaluated exactly at finite
-eps after rescaling to [0,1]; the small-eps forms of N and D serve only as
-test predictors. The interior integrals are written with upper limit eps,
-which equals the infinite upper limit because the scaled potential is
-supported in [0, eps].
+W is the rank-one factor of ``epsilon`` at real momentum and D its pairing
+with the potential, so both come from the moment, pairing and factor
+routines the finite-eps resolvent uses at k = i kappa:
+
+    W(x; k) = -(lambda/eps^3) f(x; k),     D(k) = -(lambda/eps^3) P(k),
+    N_i(k)  = -2i eps ( Im m_i(k) + (i/n) sum_j m_j(k) ).
+
+Substituting the solution into the Kirchhoff conditions gives the
+scattering amplitudes S_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j
++ 2/n - delta_ij. All integrals are evaluated exactly at finite eps after
+rescaling to [0,1]; the small-eps forms of N and D serve only as test
+predictors. The interior integrals are written with upper limit eps, which
+equals the infinite upper limit because the scaled potential is supported
+in [0, eps].
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .epsilon import _edge_moments, _factor, _moment_sum, _pairing
 from .errors import FredholmSingular
 from .graph import EdgeCoordinate
 from .limit import SMatrix
@@ -63,20 +72,6 @@ class ScatteringSolution:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def _osc_moments(op, k, rule):
-    """Per-edge h_j = int V_j e^{i k eps v} dv and s_j = int V_j sin(k eps v) dv."""
-    ke = k * op.eps
-    h = np.zeros(op.n, dtype=complex)
-    s = np.zeros(op.n, dtype=complex)
-    for j, p in enumerate(op.potential.profiles):
-        if p.is_zero():
-            continue
-        bp = p.breakpoints
-        h[j] = rule.integrate(lambda v: p.evaluate(v) * np.exp(1j * ke * v), bp)
-        s[j] = rule.integrate(lambda v: p.evaluate(v) * np.sin(ke * v), bp)
-    return h, s
-
-
 def assemble_F(i, k, x: EdgeCoordinate, n):
     """Inhomogeneity of the Fredholm equation at a graph point.
 
@@ -88,116 +83,66 @@ def assemble_F(i, k, x: EdgeCoordinate, n):
     return -2j * delta * np.sin(k * x.x) + (2.0 / n) * np.exp(1j * k * x.x)
 
 
-def _W_raw(op, k, j, x, rule):
-    eps = op.eps
-    profile = op.potential.profiles[j - 1]
-    h, _ = _osc_moments(op, k, rule)
-    reflected = sum(
-        (2.0 / op.n - (1.0 if ell == j - 1 else 0.0)) * h[ell] for ell in range(op.n)
-    )
-    u = x / eps
-    direct = 0.0 + 0.0j
-    if not profile.is_zero():
-        lo, hi = profile.support
-        if u < hi:
-            bp = merge_breaks(max(lo, u), hi, profile.breakpoints)
-            direct += rule.integrate(
-                lambda v: profile.evaluate(v) * np.exp(1j * k * (eps * v - x)), bp
-            )
-        if u > lo:
-            bp = merge_breaks(lo, min(hi, u), profile.breakpoints)
-            direct += rule.integrate(
-                lambda v: profile.evaluate(v) * np.exp(1j * k * (x - eps * v)), bp
-            )
-    total = direct + np.exp(1j * k * x) * reflected
-    return op.lambda_value / (2j * k * eps**3) * eps * total
-
-
 def assemble_W(op, k, j, x, rule=None):
     """Degenerate-kernel column W on edge j at arc length x in [0, eps].
 
     W(x_j) = (lambda(eps)/(2ik eps^3)) [ int_x^eps V_eps(y) e^{ik(y-x)} dy
              + int_0^x V_eps(y) e^{ik(x-y)} dy
-             + sum_l (2/n - delta_lj) int_0^eps V_eps(y_l) e^{ik(x+y_l)} dy ].
+             + sum_l (2/n - delta_lj) int_0^eps V_eps(y_l) e^{ik(x+y_l)} dy ],
+
+    which is -(lambda/eps^3) times the rank-one factor f_j(x; k).
     """
     if not 1 <= j <= op.n:
         raise ValueError(f"edge index {j} outside 1..{op.n}")
     if not 0 <= x <= op.eps:
         raise ValueError("W is defined on [0, eps]")
     rule = rule if rule is not None else op.quad
-    return converged_value(
-        lambda r: _W_raw(op, k, j, x, r), rule, rtol=1e-10, context="W column"
-    )
-
-
-def _N_raw(op, i, k, rule):
-    h, s = _osc_moments(op, k, rule)
-    return -2j * op.eps * (s[i - 1] + (1j / op.n) * h.sum())
-
-
-def _D_raw(op, k, rule):
-    # D = sum_j int_0^eps W(x_j) V_eps(x_j) dx_j, outer integral rescaled
-    total = 0.0 + 0.0j
-    for j, p in enumerate(op.potential.profiles):
-        if p.is_zero():
-            continue
-
-        def f(u, j=j, p=p):
-            return np.array(
-                [_W_raw(op, k, j + 1, op.eps * uu, rule) * p.evaluate(uu) for uu in u]
-            )
-
-        total += op.eps * rule.integrate(f, p.breakpoints)
-    return total
+    return -(op.lambda_value / op.eps**3) * _factor(op, k, j, np.array([x]), rule)[0]
 
 
 def fredholm_D_direct(op, k, rule=None):
-    """D evaluated from its closed bilinear form (cross-check route).
+    """The Fredholm denominator D of every solve, from its closed bilinear form.
 
     D = (lambda/(2ik eps)) [ sum_j II V_j V_j e^{ik eps |u-v|}
-        + (2/n)(sum_j h_j)^2 - sum_j h_j^2 ],  h_j = int V_j e^{ik eps v} dv.
+        + (2/n)(sum_j h_j)^2 - sum_j h_j^2 ],  h_j = int V_j e^{ik eps v} dv,
+
+    that is -(lambda/eps^3) P(k); k may be complex with Im k >= 0.
     """
     rule = rule if rule is not None else op.quad
+    return -(op.lambda_value / op.eps**3) * _pairing(op, k, rule)
 
-    def compute(r):
-        ke = k * op.eps
-        diag = 0.0 + 0.0j
-        for p in op.potential.profiles:
-            if p.is_zero():
-                continue
 
-            def f(x, y, p=p):
-                return p.evaluate(x) * p.evaluate(y) * np.exp(1j * ke * np.abs(x - y))
+def _fredholm(op, k, rule):
+    # numerators N_i of every incoming edge and D
+    if k <= 0:
+        raise ValueError("scattering momentum must be positive")
+    rule = rule if rule is not None else op.quad
+    r = _edge_moments(op, k, rule)
+    N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r))
+    return N, fredholm_D_direct(op, k, rule)
 
-            diag += r.double_integral(f, p.breakpoints)
-        h, _ = _osc_moments(op, k, r)
-        bilinear = diag + (2.0 / op.n) * h.sum() ** 2 - np.sum(h**2)
-        return op.lambda_value / (2j * k * op.eps) * bilinear
 
-    return converged_value(compute, rule, rtol=1e-10, context="D bilinear")
+def _solve(N, D, k):
+    denom = 1.0 - D
+    if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
+        raise FredholmSingular(k, denom)
+    return N / denom
 
 
 def compute_ND(op, i, k, rule=None):
     """Numerator and denominator moments of the Fredholm solve.
 
-    N = sum_j int_0^eps F V_eps and D = sum_j int_0^eps W V_eps, both from
-    the exact rescaled quadrature with order-doubling verification.
+    N = sum_j int_0^eps F V_eps from the verified edge moments and
+    D = sum_j int_0^eps W V_eps from the verified pairing.
     """
-    if k <= 0:
-        raise ValueError("scattering momentum must be positive")
-    rule = rule if rule is not None else op.quad
-    N = converged_value(lambda r: _N_raw(op, i, k, r), rule, rtol=1e-10, context="N")
-    D = converged_value(lambda r: _D_raw(op, k, r), rule, rtol=1e-10, context="D")
-    return N, D
+    N, D = _fredholm(op, k, rule)
+    return N[i - 1], D
 
 
 def solve_inner(op, i, k, rule=None):
     """The scalar unknown <psi, V_eps> = N/(1 - D) of the Fredholm equation."""
     N, D = compute_ND(op, i, k, rule)
-    denom = 1.0 - D
-    if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
-        raise FredholmSingular(k, denom)
-    return N / denom
+    return _solve(N, D, k)
 
 
 def fredholm_pieces(op, i, k, rule=None):
@@ -213,11 +158,11 @@ def fredholm_pieces(op, i, k, rule=None):
     return FredholmPieces(W=W, F=F, N=N, D=D)
 
 
-def _amplitude_row(op, k, inner, h, s):
-    shared = -(1j / op.n) * h.sum()
-    factor = op.lambda_value * inner / (k * op.eps**2)
-    row = factor * (-s + shared)
-    return row + (2.0 / op.n) * np.ones(op.n) - 0.0j
+def _amplitudes(op, k, inner, N):
+    # S_ij + delta_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j + 2/n, one row
+    # per entry of inner
+    factor = op.lambda_value * inner / (2j * k * op.eps**3)
+    return np.multiply.outer(factor, N) + 2.0 / op.n
 
 
 def smatrix_eps(op, k, rule=None):
@@ -226,41 +171,21 @@ def smatrix_eps(op, k, rule=None):
     Row i uses the exact amplitude formula
 
         S_ij = (lambda <psi_i, V_eps>/(k eps^3)) [ -int V_eps(y_j) sin k y_j dy
-               + (1/(i n)) sum_l int V_eps(y_l) e^{i k y_l} dy ] + 2/n - delta_ij;
+               + (1/(i n)) sum_l int V_eps(y_l) e^{i k y_l} dy ] + 2/n - delta_ij,
 
-    the O(eps) expansion of this formula is never used here.
+    whose bracket is N_j/2i; the O(eps) expansion of this formula is never
+    used here.
     """
-    if k <= 0:
-        raise ValueError("scattering momentum must be positive")
-    rule = rule if rule is not None else op.quad
-    fine = rule.doubled()
-    h, s = _osc_moments(op, k, fine)
-    D = converged_value(lambda r: _D_raw(op, k, r), rule, rtol=1e-10, context="D")
-    denom = 1.0 - D
-    if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
-        raise FredholmSingular(k, denom)
-    entries = np.empty((op.n, op.n), dtype=complex)
-    for i in range(1, op.n + 1):
-        N = converged_value(
-            lambda r: _N_raw(op, i, k, r), rule, rtol=1e-10, context="N"
-        )
-        inner = N / denom
-        entries[i - 1, :] = _amplitude_row(op, k, inner, h, s)
-    entries -= np.eye(op.n)
+    N, D = _fredholm(op, k, rule)
+    entries = _amplitudes(op, k, _solve(N, D, k), N) - np.eye(op.n)
     return SMatrix(k=float(k), entries=entries)
 
 
 def scattering_solution(op, i, k, rule=None):
     """Solve the scattering problem for one incoming edge."""
-    rule = rule if rule is not None else op.quad
-    N, D = compute_ND(op, i, k, rule)
-    denom = 1.0 - D
-    if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
-        raise FredholmSingular(k, denom)
-    inner = N / denom
-    h, s = _osc_moments(op, k, rule.doubled())
-    amplitudes = _amplitude_row(op, k, inner, h, s)
-    amplitudes = amplitudes - np.eye(op.n)[i - 1]
+    N, D = _fredholm(op, k, rule)
+    inner = _solve(N[i - 1], D, k)
+    amplitudes = _amplitudes(op, k, inner, N) - np.eye(op.n)[i - 1]
     return ScatteringSolution(op=op, incoming=i, k=k, inner_v=inner, amplitudes=amplitudes)
 
 
@@ -274,9 +199,17 @@ def _interior_term(sol, x: EdgeCoordinate, trig):
     if u >= hi:
         return 0.0 + 0.0j
     bp = merge_breaks(max(lo, u), hi, profile.breakpoints)
-    rule = op.quad.doubled()
-    return rule.integrate(
-        lambda v: profile.evaluate(v) * trig(sol.k * (x.x - op.eps * v)), bp
+    # the floor scales with int |V| over the cells, which bounds the value:
+    # at the vertex the value itself can cancel
+    size = op.quad.integrate(lambda v: np.abs(profile.evaluate(v)), bp)
+    return converged_value(
+        lambda r: r.integrate(
+            lambda v: profile.evaluate(v) * trig(sol.k * (x.x - op.eps * v)), bp
+        ),
+        op.quad,
+        rtol=1e-10,
+        atol=1e-10 * size,
+        context="interior term",
     )
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import starcoupling as sc
 
@@ -47,3 +48,27 @@ def distinct_theta(rng, n, low=-2.0, high=2.0, gap=1e-3):
         offdiag = np.abs(np.subtract.outer(theta, theta))[~np.eye(n, dtype=bool)]
         if offdiag.min() > gap:
             return theta
+
+
+def pairing_of_W_with_potential(op, k):
+    """Independent oracle for the Fredholm denominator D at real momentum k.
+
+    Integrates sum_j int_0^eps W_j V_eps with adaptive quadrature per profile
+    cell, real and imaginary parts apart, calling the public W column.
+    """
+    total = 0.0 + 0.0j
+    for j, p in enumerate(op.potential.profiles, start=1):
+        if p.is_zero():
+            continue
+        for a, b in zip(p.breakpoints[:-1], p.breakpoints[1:]):
+            for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+                value, _ = quad(
+                    lambda u: part(sc.assemble_W(op, k, j, op.eps * u)) * p.evaluate(u),
+                    a,
+                    b,
+                    epsabs=1e-14,
+                    epsrel=1e-13,
+                    limit=200,
+                )
+                total += unit * op.eps * value
+    return total

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import starcoupling as sc
+from conftest import pairing_of_W_with_potential
 from starcoupling import EdgeCoordinate, Momentum, PiecewisePolynomial, StarPotential
 
 
@@ -100,14 +101,33 @@ def test_fredholm_identity_holds(bumpy_potential, bumpy_scaling):
         inner = sc.solve_inner(op, i, 1.3)
         N, D = sc.compute_ND(op, i, 1.3)
         assert abs(inner * (1.0 - D) - N) <= 1e-12
-    assert D == pytest.approx(sc.fredholm_D_direct(op, 1.3), abs=1e-10)
+    assert D == pytest.approx(pairing_of_W_with_potential(op, 1.3), abs=1e-10)
 
 
-def test_shifted_support_profile_pipeline():
+@pytest.fixture(scope="module")
+def shifted_potential():
     # support detached from the vertex: [0.3, 0.8] instead of [0, 1]
     bump = PiecewisePolynomial.from_global_coeffs([((0.3, 0.8), [2.0])])
     balance = PiecewisePolynomial.constant(-bump.integral())
-    V = StarPotential([bump, balance])
+    return StarPotential([bump, balance])
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 5.0])
+@pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
+def test_denominator_matches_adaptive_pairing(request, potential, k):
+    # D of every solve against sum_j int W_j V_eps integrated by scipy's
+    # adaptive quadrature from the public W columns
+    op = sc.EpsOperator(
+        potential=request.getfixturevalue(potential),
+        scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
+        eps=0.05,
+    )
+    _, D = sc.compute_ND(op, 1, k)
+    assert pairing_of_W_with_potential(op, k) == pytest.approx(D, rel=1e-10, abs=1e-10)
+
+
+def test_shifted_support_profile_pipeline(shifted_potential):
+    V = shifted_potential
     sc.validate_potential(V)
     scaling = sc.ScalingFunction(lambda1=-1.0, resonant=True)
     cc = sc.coupling_constants(V, scaling)

@@ -232,6 +232,13 @@ class TestSpectrumCommand:
             assert entry["kappa_root"] is None
 
 
+    def test_parallel_matches_serial(self, tmp_path):
+        config = sc.load_config(write_config(tmp_path, {"epsilons": [0.1, 0.05]}))
+        serial = sc.cmd_spectrum(config, parallel=1)
+        fanned = sc.cmd_spectrum(config, parallel=2)
+        assert serial.rows == fanned.rows
+
+
 class TestConvergeCommand:
     def test_rates_and_rows(self, tmp_path):
         config = sc.load_config(write_config(tmp_path))
@@ -366,6 +373,41 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("stage", ["load_config", "cmd_constants"])
+    def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch, stage):
+        # walks the whole hierarchy, so a new error class cannot be left
+        # unmapped; raised while loading the config or while running
+
+        expected = {
+            "ConfigError": 2,
+            "MeanViolation": 2,
+            "SupportViolation": 2,
+            "DegenerateTheta": 2,
+            "ResonantWithZeroA": 2,
+            "QuadratureNotConverged": 3,
+            "FredholmSingular": 3,
+            "SingularSystem": 3,
+            "AtPole": 3,
+            "GridTooCoarse": 3,
+            "MultipleSignChanges": 3,
+            "ZeroB": 3,
+        }
+        classes, stack = [], [sc.StarCouplingError]
+        while stack:
+            subclasses = stack.pop().__subclasses__()
+            classes += subclasses
+            stack += subclasses
+        assert sorted(c.__name__ for c in classes) == sorted(expected)
+        cfg = write_config(tmp_path)
+        for cls in classes:
+            assert cls.exit_code == expected[cls.__name__]
+
+            def fail(*args, cls=cls, **kwargs):
+                raise cls.__new__(cls)
+
+            monkeypatch.setattr(f"starcoupling.cli.{stage}", fail)
+            assert run(["constants", "--config", str(cfg)]) == expected[cls.__name__]
 
     def test_oracle_tolerance_exit_four(self, tmp_path, capsys):
         cfg = write_config(

@@ -75,3 +75,30 @@ def test_converged_value_returns_fine_result():
         lambda r: r.integrate(lambda x: np.exp(x), [0.0, 1.0]), QuadratureRule(order=16)
     )
     assert got == pytest.approx(np.e - 1.0, abs=1e-14)
+
+
+def test_converged_value_checks_arrays_in_max_norm():
+    cs = (-1.0, 0.5, 3.0)
+    got = converged_value(
+        lambda r: np.array(
+            [r.integrate(lambda x, c=c: np.exp(c * x), [0.0, 1.0]) for c in cs]
+        ),
+        QuadratureRule(order=16),
+    )
+    np.testing.assert_allclose(got, np.expm1(cs) / cs, rtol=1e-14)
+
+    # the gap is measured against the largest component, so a change that is
+    # large relative to a tiny component alone passes, and one that is large
+    # relative to the largest component fails
+    def compute(small_change, large_change):
+        def values(rule):
+            fine = rule.order == 16
+            return np.array(
+                [1.0 + large_change * fine, 1e-12 * (1.0 + small_change * fine)]
+            )
+
+        return values
+
+    converged_value(compute(1e-3, 0.0), QuadratureRule(order=8))
+    with pytest.raises(QuadratureNotConverged):
+        converged_value(compute(0.0, 1e-6), QuadratureRule(order=8))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import starcoupling as sc
-from starcoupling import EdgeCoordinate, FredholmSingular
+from conftest import pairing_of_W_with_potential
+from starcoupling import (
+    EdgeCoordinate,
+    FredholmSingular,
+    PiecewisePolynomial,
+    StarPotential,
+)
 
 
 @pytest.fixture
@@ -46,10 +52,10 @@ class TestAssembleW:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_pairing_with_potential_matches_bilinear_form(self, op_small):
-        # sum_j int W V_eps computed two ways
+        # D from the bilinear form against sum_j int W V_eps integrated
+        # adaptively from the W columns
         _, D = sc.compute_ND(op_small, 1, 1.0)
-        direct = sc.fredholm_D_direct(op_small, 1.0)
-        assert D == pytest.approx(direct, abs=1e-10)
+        assert D == pytest.approx(pairing_of_W_with_potential(op_small, 1.0), abs=1e-10)
 
 
 class TestComputeND:
@@ -184,6 +190,41 @@ class TestScatteringSolution:
                 sc.scattering_solution_deriv(sol, EdgeCoordinate(j, 0.0)) for j in (1, 2, 3)
             )
             assert abs(total) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "values, supports",
+        [
+            ([1.0, -1.0, 0.0], [1.0, 1.0, 1.0]),
+            ([1.0, -0.5, -0.5], [1.0, 1.0, 1.0]),
+            ([2.0, -1.0, -1.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+            ([1.0, -0.5, 0.0], [0.5, 1.0, 1.0]),
+        ],
+    )
+    def test_interior_term_at_vertex_and_inside(self, lam_neg, values, supports):
+        # for constant profiles the integral over the rest of the support has
+        # a closed form: int_u^s sin k(x - eps v) dv = (cos k(x - eps s) - 1)/(k eps)
+        # and int_u^s cos k(x - eps v) dv = sin k(eps s - x)/(k eps), u = x/eps
+        potential = StarPotential(
+            [PiecewisePolynomial.constant(v, (0.0, s)) for v, s in zip(values, supports)]
+        )
+        eps, k = 2**-5, 1.0
+        op = sc.EpsOperator(potential=potential, scaling=lam_neg, eps=eps)
+        sol = sc.scattering_solution(op, 1, k)
+        scale = op.lambda_value * sol.inner_v / eps**2
+        for j, (v, s) in enumerate(zip(values, supports), start=1):
+            for x in (0.0, 0.25 * eps):
+                delta = 1.0 if j == 1 else 0.0
+                out = sol.amplitudes[j - 1] * np.exp(1j * k * x)
+                tail_sin = v * (np.cos(k * (x - eps * s)) - 1.0) / (k * eps)
+                tail_cos = v * np.sin(k * (eps * s - x)) / (k * eps)
+                value = delta * np.exp(-1j * k * x) + out - scale / k * tail_sin
+                deriv = 1j * k * (out - delta * np.exp(-1j * k * x)) - scale * tail_cos
+                point = EdgeCoordinate(j, x)
+                got = sc.scattering_solution_eval(sol, point)
+                assert got == pytest.approx(value, abs=1e-12)
+                assert sc.scattering_solution_deriv(sol, point) == pytest.approx(
+                    deriv, abs=1e-12
+                )
 
     def test_derivative_matches_finite_difference(self, op_small):
         sol = sc.scattering_solution(op_small, 1, 1.0)
