@@ -273,12 +273,21 @@ class EpsKernel(KernelEvaluator):
         self.kappa = float(kappa)
         self.rule = rule if rule is not None else op.quad
         self._state = {}
+        self._factors = {}
         self._zeta_at(self.kappa)
 
     def _zeta_at(self, kappa):
         if kappa not in self._state:
             self._state[kappa] = zeta(self.op, kappa, self.rule)
         return self._state[kappa]
+
+    def _factor(self, kappa, edge, xs):
+        # each edge's factor depends on its own grid only; hs_distance asks
+        # for it once per edge pair
+        key = (kappa, edge, xs.tobytes())
+        if key not in self._factors:
+            self._factors[key] = rank_one_factor(self.op, kappa, edge, xs, self.rule)
+        return self._factors[key]
 
     def _resolve_kappa(self, k):
         if k is None:
@@ -295,9 +304,7 @@ class EpsKernel(KernelEvaluator):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         free = _free_kernel_grid(1j * kappa, i, j, xs, ys, self.n)
-        fi = rank_one_factor(self.op, kappa, i, xs, self.rule)
-        fj = rank_one_factor(self.op, kappa, j, ys, self.rule)
-        return free - z * np.outer(fi, fj)
+        return free - z * np.outer(self._factor(kappa, i, xs), self._factor(kappa, j, ys))
 
 
 def resolvent_eps_kernel(op, kappa, rule=None):

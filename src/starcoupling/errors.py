@@ -93,6 +93,6 @@ class FredholmSingular(StarCouplingError):
 
 
 class GridTooCoarse(StarCouplingError):
-    """Finite-difference grid rejected (admissibility or Richardson guard)."""
+    """Finite-difference grid rejected (admissibility, size budget or Richardson guard)."""
 
     exit_code = 3

@@ -1,18 +1,37 @@
 """Independent finite-difference oracle on a truncated star graph.
 
 Second-order discretization of the scaled rank-one family, used as ground
-truth against the analytic/quadrature routes. The vertex keeps a single
-shared unknown; its row is the one-sided Kirchhoff stencil normalized by
-the half-cell trapezoid weight, which makes the bound-state operator
-exactly symmetric in the weighted inner product. The rank-one term acts as
-u -> c * vbar (m . u) with vbar the sampled potential, m = w * vbar its
-trapezoid-weighted copy, and c = lambda(eps)/eps^3.
+truth against the analytic/quadrature routes. It is written once, in
+weighted form, as S + z W + c m m^T:
 
-Bound states close the edges with Dirichlet conditions at x = L (the
-eigenfunctions decay like e^{-kappa x}); scattering uses the outgoing
-Robin closure psi' - ik psi = -2ik delta_ij e^{-ikL} at x = L, where the
+* S is the symmetric arrow stiffness: a vertex row (the one-sided
+  Kirchhoff stencil, normalized by the half-cell trapezoid weight) plus n
+  tridiagonal edge blocks;
+* W = diag(w) holds the trapezoid weights, m = W vbar is the weighted
+  sampled potential, and c = lambda(eps)/eps^3;
+* z is the spectral shift: kappa^2 for the resolvent, -k^2 for scattering.
+
+The closures differ only in the last node of each edge:
+
+============  ==========================  ============  =================
+closure       nodes per edge              last weight   last diagonal of S
+============  ==========================  ============  =================
+Dirichlet     s = 1..m-1 (x = L dropped)  h             2/h
+Robin (k)     s = 1..m (x = L unknown)    h/2           1/h - ik
+============  ==========================  ============  =================
+
+Bound states and resolvent columns use the Dirichlet closure (the
+eigenfunctions decay like e^{-kappa x}). Scattering uses the outgoing Robin
+closure psi' - ik psi = -2ik delta_ij e^{-ikL} at x = L, where the
 potential has already vanished, so the plane-wave readoff is exact up to
-the O(h^2) scheme error.
+the O(h^2) scheme error; its right-hand side is -2ik e^{-ikL} at the end
+node of the incoming edge.
+
+The secular function of the bound state is evaluated on the symmetrized
+form T + c q q^T (similarity by W^{1/2}) rather than on S - mu W. The two
+are the same function, but cond(S - mu W) reaches about 1e6 on the
+spectrum grids, so the root is reproducible only to about 1e-10 relative
+between the two arithmetic routes; the eigenvalues keep the symmetric one.
 """
 
 from __future__ import annotations
@@ -30,6 +49,9 @@ from .limit import SMatrix
 
 #: maximal admissible step
 MAX_STEP = 1e-2
+#: largest admissible number of unknowns 1 + n m; assembly, symmetrization
+#: and one SuperLU factorization peak at about 600 bytes per unknown
+MAX_UNKNOWNS = 2**21
 #: minimal admissible truncation length
 MIN_LENGTH = 2.0
 #: discrete spectrum above -TAU_EIGEN counts as "no bound state"
@@ -68,34 +90,25 @@ class DiscreteStarGraph:
         m = round(self.L / self.h)
         if abs(m * self.h - self.L) > 1e-9:
             raise GridTooCoarse(f"L = {self.L} is not an integer multiple of h = {self.h}")
+        if 1 + self.n * m > MAX_UNKNOWNS:
+            raise GridTooCoarse(
+                f"{1 + self.n * m} unknowns (n = {self.n}, L = {self.L}, h = {self.h})"
+                f" exceed the budget of {MAX_UNKNOWNS}"
+            )
 
     @property
     def m(self):
         return round(self.L / self.h)
 
 
-def _sample_values(op, grid):
-    """Sampled scaled potential: vertex average and per-edge interior nodes.
-
-    Returns (vbar0, per_edge) where per_edge[j] holds values at s*h,
-    s = 1..m. Jumps are sampled with the one-sided mean so the trapezoid
-    pairing stays second order.
-    """
-    xs = grid.h * np.arange(1, grid.m + 1)
-    per_edge = []
-    vbar0 = 0.0
-    for p in op.potential.profiles:
-        vbar0 += p.evaluate_symmetric(0.0) / grid.n
-        per_edge.append(p.evaluate_symmetric(xs / op.eps))
-    return vbar0, per_edge
-
-
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Bound-state discretization: stiffness + weights + rank-one data.
+    """One closure of the discretization: stiffness + weights + rank-one data.
 
-    Unknown layout: index 0 is the vertex, then edge-major interior nodes
-    s = 1..m-1 (x = L carries the Dirichlet condition and is eliminated).
+    Unknown layout: index 0 is the vertex, then p nodes per edge, edge-major,
+    at x = s h for s = 1..p. The Dirichlet closure has p = m - 1 (x = L
+    carries the Dirichlet condition and is eliminated); the Robin closure
+    has p = m, so the node at x = L of edge j + 1 sits at index (j + 1) m.
     """
 
     grid: DiscreteStarGraph
@@ -121,42 +134,61 @@ class DiscreteOperator:
         full = self.stiffness.toarray() + self.strength * np.outer(m, m)
         return full / self.weights[:, None]
 
+    def solve(self, shift, rhs):
+        """Solve (S + shift W + c m m^T) u = rhs for one or several columns.
 
-def build_discrete_operator(op, L, h):
-    """Assemble the bound-state (Dirichlet) discretization of the family."""
+        S + shift W is factorized once; the rank-one term is applied by
+        Sherman-Morrison.
+        """
+        K = (self.stiffness + shift * sp.diags(self.weights)).tocsc()
+        try:
+            lu = splu(K)
+        except RuntimeError as exc:
+            raise SingularSystem(f"FD solve failed at shift = {shift}") from exc
+        mvec = self.weighted_vector
+        base = lu.solve(rhs)
+        z = lu.solve(mvec)
+        c = self.strength
+        denom = 1.0 + c * (mvec @ z)
+        if abs(denom) < 1e-14:
+            raise SingularSystem(f"rank-one update singular at shift = {shift}")
+        return base - np.multiply.outer(z, c * (mvec @ base) / denom)
+
+
+def build_discrete_operator(op, L, h, k=None):
+    """Assemble the discretization of the family with the Dirichlet closure,
+    or with the outgoing Robin closure at momentum ``k`` when it is given."""
     grid = DiscreteStarGraph(op.n, float(L), float(h))
     n, m = grid.n, grid.m
-    inner = m - 1
-    size = 1 + n * inner
+    p = m if k is not None else m - 1
+    size = 1 + n * p
     inv_h = 1.0 / h
 
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    add(0, 0, n * inv_h)
-    for j in range(n):
-        base = 1 + j * inner
-        add(0, base, -inv_h)
-        add(base, 0, -inv_h)
-        for s in range(inner):
-            add(base + s, base + s, 2.0 * inv_h)
-            if s + 1 < inner:
-                add(base + s, base + s + 1, -inv_h)
-                add(base + s + 1, base + s, -inv_h)
-    stiffness = sp.csc_matrix((data, (rows, cols)), shape=(size, size))
-
+    # last node of edge j sits at (j + 1) p; first nodes couple to the vertex
+    diag = np.full(size, 2.0 * inv_h, dtype=float if k is None else complex)
+    diag[0] = n * inv_h
+    chain = np.arange(1, size - 1)
+    chain = chain[chain % p != 0]
+    first = 1 + p * np.arange(n)
     weights = np.full(size, h)
     weights[0] = n * h / 2.0
+    if k is not None:
+        diag[p::p] = inv_h - 1j * k
+        weights[p::p] = h / 2.0
+    idx = np.arange(size)
+    rows = np.concatenate([idx, chain, chain + 1, np.zeros(n, int), first])
+    cols = np.concatenate([idx, chain + 1, chain, first, np.zeros(n, int)])
+    data = np.concatenate([diag, np.full(2 * (chain.size + n), -inv_h)])
+    stiffness = sp.csc_matrix((data, (rows, cols)), shape=(size, size))
 
-    vbar0, per_edge = _sample_values(op, grid)
+    # jumps are sampled with the one-sided mean so the trapezoid pairing
+    # stays second order
+    xs = h * np.arange(1, p + 1)
     values = np.empty(size)
-    values[0] = vbar0
-    for j in range(n):
-        values[1 + j * inner : 1 + (j + 1) * inner] = per_edge[j][: m - 1]
+    values[0] = sum(prof.evaluate_symmetric(0.0) / n for prof in op.potential.profiles)
+    values[1:] = np.concatenate(
+        [prof.evaluate_symmetric(xs / op.eps) for prof in op.potential.profiles]
+    )
 
     return DiscreteOperator(
         grid=grid,
@@ -167,8 +199,8 @@ def build_discrete_operator(op, L, h):
     )
 
 
-def _secular_smallest(op, L, h, tau_e):
-    """Smallest discrete eigenvalue below -tau_e, or None.
+def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
+    """Smallest eigenvalue of the single-grid discretization below -tau_e, or None.
 
     For negative coupling strength c the operator T + c q q^T has exactly
     one eigenvalue below min spec(T) >= 0; it is the root of the secular
@@ -198,11 +230,6 @@ def _secular_smallest(op, L, h, tau_e):
     return float(brentq(g, lo, -tau_e, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
 
 
-def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
-    """Smallest eigenvalue of the single-grid discretization (or None)."""
-    return _secular_smallest(op, L, h, tau_e)
-
-
 def oracle_eigenvalue(op, L=40.0, h=5e-3, tau_e=TAU_EIGEN, richardson_rtol=RICHARDSON_RTOL):
     """Discrete ground-state energy, Richardson-guarded; None if spectrum >= -tau_e.
 
@@ -212,8 +239,8 @@ def oracle_eigenvalue(op, L=40.0, h=5e-3, tau_e=TAU_EIGEN, richardson_rtol=RICHA
     inside the scaled support, which inflates the plain h^2 constant; the
     extrapolated pair keeps the advertised tolerances at the default grid.
     """
-    coarse = _secular_smallest(op, L, h, tau_e)
-    fine = _secular_smallest(op, L, h / 2.0, tau_e)
+    coarse = discrete_eigenvalue(op, L, h, tau_e)
+    fine = discrete_eigenvalue(op, L, h / 2.0, tau_e)
     if (coarse is None) != (fine is None):
         raise GridTooCoarse(
             f"bound-state detection flips between h = {h} and h/2 (got {coarse} vs {fine})"
@@ -250,37 +277,19 @@ def oracle_resolvent_column(op, kappa, source, L=40.0, h=5e-3):
 def discrete_resolvent_column(op, kappa, source, L, h):
     """Single-grid solve of (H + kappa^2) u = delta_source / weight."""
     disc = build_discrete_operator(op, L, h)
-    grid = disc.grid
-    n, m = grid.n, grid.m
-    inner = m - 1
+    n, m = disc.grid.n, disc.grid.m
 
     s = round(source.x / h)
     if not 0 <= s < m:
         raise ValueError("source must lie strictly inside the truncated edge")
-    src_idx = 0 if s == 0 else 1 + (source.edge - 1) * inner + (s - 1)
+    rhs = np.zeros(disc.weights.size)
+    rhs[0 if s == 0 else 1 + (source.edge - 1) * (m - 1) + (s - 1)] = 1.0
+    u = disc.solve(kappa**2, rhs)
 
-    mvec = disc.weighted_vector
-    K = (disc.stiffness + kappa**2 * sp.diags(disc.weights)).tocsc()
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SingularSystem(f"resolvent solve failed at kappa = {kappa}") from exc
-    rhs = np.zeros(K.shape[0])
-    rhs[src_idx] = 1.0
-    base = lu.solve(rhs)
-    z = lu.solve(mvec)
-    c = disc.strength
-    denom = 1.0 + c * float(mvec @ z)
-    if abs(denom) < 1e-14:
-        raise SingularSystem("rank-one update singular (kappa at a discrete pole)")
-    u = base - (c * float(mvec @ base) / denom) * z
-
-    xs = h * np.arange(m + 1)
     values = np.zeros((n, m + 1))
-    for j in range(n):
-        values[j, 0] = u[0]
-        values[j, 1:m] = u[1 + j * inner : 1 + (j + 1) * inner]
-    return OracleColumn(x=xs, values=values)
+    values[:, 0] = u[0]
+    values[:, 1:m] = u[1:].reshape(n, m - 1)
+    return OracleColumn(x=h * np.arange(m + 1), values=values)
 
 
 def oracle_smatrix(op, k, L=2.0, h=5e-3):
@@ -293,67 +302,17 @@ def oracle_smatrix(op, k, L=2.0, h=5e-3):
 def discrete_smatrix(op, k, L, h):
     """Single-grid S-matrix from the discrete scattering boundary-value problem.
 
-    One complex sparse solve per incoming edge; amplitudes are read off at
-    x = L through the outgoing closure.
+    All n incoming edges are solved as the columns of one right-hand side;
+    amplitudes are read off at x = L through the outgoing closure.
     """
     if k <= 0:
         raise ValueError("scattering momentum must be positive")
-    grid = DiscreteStarGraph(op.n, float(L), float(h))
-    n, m = grid.n, grid.m
-    size = 1 + n * m
-    inv_h2 = 1.0 / h**2
-
-    vbar0, per_edge = _sample_values(op, grid)
-    values = np.empty(size)
-    values[0] = vbar0
-    weights = np.full(size, h)
-    weights[0] = n * h / 2.0
-    for j in range(n):
-        values[1 + j * m : 1 + (j + 1) * m] = per_edge[j]
-        weights[1 + (j + 1) * m - 1] = h / 2.0  # endpoint trapezoid weight
-
-    rows, cols, data = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    add(0, 0, 2.0 / h**2 - k**2)
-    for j in range(n):
-        base = 1 + j * m
-        add(0, base, -2.0 / (n * h**2))
-        for s in range(1, m + 1):
-            idx = base + s - 1
-            if s < m:
-                left = 0 if s == 1 else idx - 1
-                add(idx, left, -inv_h2)
-                add(idx, idx, 2.0 * inv_h2 - k**2)
-                add(idx, idx + 1, -inv_h2)
-            else:
-                add(idx, idx - 1, -2.0 * inv_h2)
-                add(idx, idx, (2.0 - 2j * k * h) * inv_h2 - k**2)
-    K = sp.csc_matrix((data, (rows, cols)), shape=(size, size), dtype=complex)
-
-    mvec = weights * values
-    c = op.lambda_value / op.eps**3
-    try:
-        lu = splu(K)
-    except RuntimeError as exc:
-        raise SingularSystem(f"scattering solve failed at k = {k}") from exc
-    z = lu.solve(values.astype(complex))
-    denom = 1.0 + c * complex(mvec @ z)
-    if abs(denom) < 1e-14:
-        raise SingularSystem("rank-one update singular in the scattering solve")
-
+    disc = build_discrete_operator(op, L, h, k)
+    n, m = disc.grid.n, disc.grid.m
     phase = np.exp(-1j * k * L)
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        rhs = np.zeros(size, dtype=complex)
-        rhs[1 + (i + 1) * m - 1] = -4j * k * phase / h
-        base = lu.solve(rhs)
-        u = base - (c * complex(mvec @ base) / denom) * z
-        for j in range(n):
-            u_end = u[1 + (j + 1) * m - 1]
-            entries[i, j] = (u_end - (phase if i == j else 0.0)) * phase
-    return SMatrix(k=float(k), entries=entries)
+    ends = m * np.arange(1, n + 1)
+    rhs = np.zeros((disc.weights.size, n), dtype=complex)
+    rhs[ends, np.arange(n)] = -2j * k * phase
+    u = disc.solve(-(k**2), rhs)
+    # column i holds the solution for incoming edge i; S_ij is read on edge j
+    return SMatrix(k=float(k), entries=(u[ends].T - phase * np.eye(n)) * phase)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from starcoupling.fdoracle import (
     discrete_eigenvalue,
     discrete_smatrix,
 )
+
+BUNDLE_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
 
 
 @pytest.fixture
@@ -38,6 +43,10 @@ class TestGridAdmissibility:
         with pytest.raises(GridTooCoarse):
             sc.DiscreteStarGraph(3, 2.0, 3e-3)
 
+    def test_size_budget_rejected_before_assembly(self):
+        with pytest.raises(GridTooCoarse, match="budget"):
+            sc.DiscreteStarGraph(3, 40.0, 1e-5)
+
     def test_valid_grid(self):
         grid = sc.DiscreteStarGraph(3, 2.0, 5e-3)
         assert grid.m == 400
@@ -48,8 +57,11 @@ class TestGridAdmissibility:
 
 
 class TestDiscreteOperator:
-    def test_weighted_symmetry_to_rounding(self, op_scatter):
-        disc = build_discrete_operator(op_scatter, L=2.0, h=1e-2)
+    @pytest.mark.parametrize("k", [None, 1.0])
+    def test_weighted_symmetry_to_rounding(self, op_scatter, k):
+        # Dirichlet closure, and the Robin closure whose stiffness is
+        # complex symmetric (not Hermitian)
+        disc = build_discrete_operator(op_scatter, L=2.0, h=1e-2, k=k)
         dense = disc.dense_plain()
         weighted = disc.weights[:, None] * dense
         assert np.max(np.abs(weighted - weighted.T)) <= 1e-12 * np.max(np.abs(weighted))
@@ -151,9 +163,20 @@ class TestOracleSMatrix:
         s_an = sc.smatrix_eps(op_scatter, 1.0)
         assert np.max(np.abs(s_fd.entries - s_an.entries)) <= 1e-3
 
-    def test_single_grid_unitarity(self, op_scatter):
-        s = discrete_smatrix(op_scatter, 1.0, L=2.0, h=5e-3)
-        assert s.unitarity_defect() <= 1e-4
+    @pytest.mark.parametrize("h", [5e-3, 2.5e-3])
+    @pytest.mark.parametrize("k", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("eps", [0.1, 0.05])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_single_grid_reciprocity_and_unitarity(self, name, eps, k, h):
+        # the discrete problem is complex symmetric with a real potential,
+        # so its S-matrix is symmetric and unitary up to solver rounding
+        config = sc.load_config(BUNDLE_DIR / f"{name}.json")
+        op = sc.EpsOperator(
+            potential=config.build_potential(), scaling=config.build_scaling(), eps=eps
+        )
+        s = discrete_smatrix(op, k, 2.0, h).entries
+        assert np.max(np.abs(s - s.T)) <= 1e-13
+        assert np.max(np.abs(s.conj().T @ s - np.eye(op.n))) <= 1e-12
 
     def test_rejects_nonpositive_momentum(self, op_scatter):
         with pytest.raises(ValueError):

@@ -374,6 +374,12 @@ class TestCli:
         out = tmp_path / "out"
         assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 3
 
+    def test_fd_size_budget_exit_three(self, tmp_path, capsys):
+        # h ~ 0.3 eps^(3/2) at eps = 1e-3 asks for about 2.5 M unknowns on L = 8
+        cfg = write_config(tmp_path, {"epsilons": [0.001]})
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 3
+
     @pytest.mark.parametrize("stage", ["load_config", "cmd_constants"])
     def test_every_error_class_has_its_exit_code(self, tmp_path, monkeypatch, stage):
         # walks the whole hierarchy, so a new error class cannot be left
