@@ -82,6 +82,32 @@ class EpsOperator:
     def lambda_value(self):
         return self.scaling.value(self.eps, A=self.constants.A)
 
+    @cached_property
+    def _node_values(self):
+        """Per edge, the profile's values at the pairing and moment nodes."""
+        return tuple(_NodeValues(p) for p in self.potential.profiles)
+
+
+class _NodeValues:
+    """One profile's values at quadrature nodes, evaluated once per node array.
+
+    The nodes of the pairing and of the edge moments depend only on the
+    rule and the breakpoints, never on eps or the momentum, so a root
+    search meets the same few node arrays at every momentum it tries.
+    """
+
+    def __init__(self, profile):
+        self.profile = profile
+        self._values = {}
+
+    def __call__(self, x):
+        key = (x.shape, x.tobytes())
+        if key not in self._values:
+            values = self.profile.evaluate(x)
+            values.setflags(write=False)
+            self._values[key] = values
+        return self._values[key]
+
 
 @dataclass(frozen=True)
 class PoleResult:
@@ -108,11 +134,9 @@ def _moment_residuals(op, a, rule):
     # through expm1 so that it keeps full relative precision as a eps -> 0
     c = a * op.eps
     out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
-    for j, p in enumerate(op.potential.profiles):
+    for j, (p, V) in enumerate(zip(op.potential.profiles, op._node_values)):
         if not p.is_zero():
-            out[j] = rule.integrate(
-                lambda v: p.evaluate(v) * np.expm1(-c * v), p.breakpoints
-            )
+            out[j] = rule.integrate(lambda v: V(v) * np.expm1(-c * v), p.breakpoints)
     return out
 
 
@@ -142,14 +166,14 @@ def _pairing_raw(op, a, rule):
     # value keeps full relative precision down to c -> 0
     c = a * op.eps
     diag = 0.0
-    for p in op.potential.profiles:
+    for p, V in zip(op.potential.profiles, op._node_values):
         if p.is_zero():
             continue
 
-        def f(x, y, p=p):
+        def f(x, y, V=V):
             return (
-                p.evaluate(x)
-                * p.evaluate(y)
+                V(x)
+                * V(y)
                 * np.exp(-c * (x + y))
                 * np.expm1(2.0 * c * np.minimum(x, y))
             )

@@ -32,6 +32,19 @@ form T + c q q^T (similarity by W^{1/2}) rather than on S - mu W. The two
 are the same function, but cond(S - mu W) reaches about 1e6 on the
 spectrum grids, so the root is reproducible only to about 1e-10 relative
 between the two arithmetic routes; the eigenvalues keep the symmetric one.
+
+The secular root factorizes T - mu I at some thirty shifts mu <= -tau_e < 0,
+whose sparsity pattern never changes. SuperLU's fill-reducing column order
+is therefore computed once per grid, at the first shift; T is then kept
+only as its symmetric permutation in that order, and each later shift is
+factorized in the natural order with single-column panels. The pivots stay
+on the diagonal, so the factors and the root are bit for bit those of a
+fresh default factorization at every shift. The root is not reproducible
+much beyond that: g' is small in the resonant family, and a banded route
+(tridiagonal edge solves and a Schur complement at the vertex) moved the
+Richardson eigenvalue of vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and
+by 4.0e-8 at eps = 2^-7, where the stored benchmark references allow 1e-10
+relative. Any other secular route needs those references re-recorded first.
 """
 
 from __future__ import annotations
@@ -49,8 +62,9 @@ from .limit import SMatrix
 
 #: maximal admissible step
 MAX_STEP = 1e-2
-#: largest admissible number of unknowns 1 + n m; assembly, symmetrization
-#: and one SuperLU factorization peak at about 600 bytes per unknown
+#: largest admissible number of unknowns 1 + n m; the secular root (assembly,
+#: symmetrization and its SuperLU factorizations) peaks at about 545 bytes
+#: per unknown (1.17 M unknowns), so one grid stays near 1.1 GiB
 MAX_UNKNOWNS = 2**21
 #: minimal admissible truncation length
 MIN_LENGTH = 2.0
@@ -209,16 +223,43 @@ def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
     disc = build_discrete_operator(op, L, h)
     T, q = disc.symmetrized()
     c = disc.strength
+    del disc
     if c >= 0 or not np.any(q):
         return None
-    eye = sp.identity(T.shape[0], format="csc")
+    # g depends on mu only through the rounded diagonal of T - mu I, which
+    # takes as many values as T's diagonal (a handful); brentq's last steps
+    # fall below that resolution, so one matrix recurs at several shifts
+    levels = np.unique(T.diagonal())
+    perm = d0 = None
+    values = {}
+
+    def solve(mu):
+        # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and
+        # T is then kept only as its symmetric permutation in that order
+        nonlocal T, perm, d0
+        if perm is None:
+            lu = splu((T - mu * sp.identity(T.shape[0], format="csc")).tocsc())
+            x = lu.solve(q)
+            perm = lu.perm_c.argsort()
+            del lu
+            T = T[perm][:, perm]
+            T.sort_indices()
+            d0 = T.diagonal()
+            return x
+        T.setdiag(d0 - mu)
+        x = np.empty_like(q)
+        x[perm] = splu(T, permc_spec="NATURAL", panel_size=1).solve(q[perm])
+        return x
 
     def g(mu):
-        try:
-            lu = splu((T - mu * eye).tocsc())
-        except RuntimeError as exc:
-            raise SingularSystem(f"secular solve failed at mu = {mu}") from exc
-        return 1.0 + c * float(q @ lu.solve(q))
+        key = (levels - mu).tobytes()
+        if key not in values:
+            try:
+                x = solve(mu)
+            except RuntimeError as exc:
+                raise SingularSystem(f"secular solve failed at mu = {mu}") from exc
+            values[key] = 1.0 + c * float(q @ x)
+        return values[key]
 
     if g(-tau_e) >= 0:
         return None

@@ -41,6 +41,25 @@ def free_scaling():
     return sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
 
 
+@pytest.fixture(scope="module")
+def bumpy_potential():
+    """Two edges: a piecewise (x^2 + 1 | -1) profile with an interior breakpoint."""
+    rising = sc.PiecewisePolynomial.from_global_coeffs(
+        [((0.0, 0.5), [1.0, 0.0, 1.0]), ((0.5, 1.0), [-1.0])]
+    )
+    # constant edge balancing the total mean to zero exactly
+    balance = sc.PiecewisePolynomial.constant(-rising.integral())
+    return sc.StarPotential([rising, balance])
+
+
+@pytest.fixture(scope="module")
+def shifted_potential():
+    # support detached from the vertex: [0.3, 0.8] instead of [0, 1]
+    bump = sc.PiecewisePolynomial.from_global_coeffs([((0.3, 0.8), [2.0])])
+    balance = sc.PiecewisePolynomial.constant(-bump.integral())
+    return sc.StarPotential([bump, balance])
+
+
 def distinct_theta(rng, n, low=-2.0, high=2.0, gap=1e-3):
     """Random moment vector with all pairwise gaps above ``gap``."""
     while True:

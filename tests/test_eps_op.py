@@ -13,6 +13,7 @@ from starcoupling import (
     ZeroB,
 )
 import starcoupling.epsilon as eps_mod
+from starcoupling.quadrature import converged_value
 
 
 @pytest.fixture
@@ -99,6 +100,57 @@ class TestInnerRVV:
     def test_rejects_nonpositive_kappa(self, op_factory):
         with pytest.raises(ValueError):
             sc.inner_RV_V(0.0, op_factory(0.1))
+
+    @pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
+    def test_node_values_match_direct_evaluation(self, request, potential, lam_neg):
+        # the pairing, D and the edge moments read the profiles from a table
+        # of node values; evaluating them inside the integrand, in the same
+        # products, must give the same bits at every momentum
+        op = sc.EpsOperator(
+            potential=request.getfixturevalue(potential), scaling=lam_neg, eps=0.1
+        )
+        rule = op.quad
+        strength = op.lambda_value / op.eps**3
+        for kappa in (0.7, 3.0):
+            direct = converged_value(lambda r: _direct_pairing(op, kappa, r), rule)
+            assert sc.inner_RV_V(kappa, op) == direct
+        for k in (0.5, 5.0):
+            direct = converged_value(lambda r: _direct_pairing(op, -1j * k, r), rule)
+            assert sc.fredholm_D_direct(op, k) == -strength * direct
+        for k, a in ((0.7j, 0.7), (3.0j, 3.0), (0.5, -0.5j), (5.0, -5.0j)):
+            direct = converged_value(lambda r: _direct_moments(op, a, r), rule)
+            assert np.array_equal(eps_mod._edge_moments(op, k, rule), direct)
+
+
+def _direct_moments(op, a, rule):
+    # int V_j (e^{-a eps v} - 1) dv with the profile evaluated in the integrand
+    c = a * op.eps
+    out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
+    for j, p in enumerate(op.potential.profiles):
+        if not p.is_zero():
+            out[j] = rule.integrate(lambda v: p.evaluate(v) * np.expm1(-c * v), p.breakpoints)
+    return out
+
+
+def _direct_pairing(op, a, rule):
+    # the pairing bracket at decay rate a, profiles evaluated in the integrand
+    c = a * op.eps
+    diag = 0.0
+    for p in op.potential.profiles:
+        if p.is_zero():
+            continue
+
+        def f(x, y, p=p):
+            return (
+                p.evaluate(x)
+                * p.evaluate(y)
+                * np.exp(-c * (x + y))
+                * np.expm1(2.0 * c * np.minimum(x, y))
+            )
+
+        diag += rule.double_integral(f, p.breakpoints)
+    smoment = sum(_direct_moments(op, a, rule)) + op.potential.total_mean()
+    return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
 
 
 class TestZeta:

@@ -2,10 +2,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
 import starcoupling as sc
+import starcoupling.fdoracle as fd_mod
 from starcoupling import EdgeCoordinate, GridTooCoarse, Momentum
 from starcoupling.fdoracle import (
+    aligned_grid,
     build_discrete_operator,
     discrete_eigenvalue,
     discrete_smatrix,
@@ -110,6 +115,74 @@ class TestOracleEigenvalue:
         e_long = discrete_eigenvalue(op_eig, L=40.0, h=1e-2)
         # kappa ~ 0.88, so doubling L moves the eigenvalue by e^{-2 kappa L} scale
         assert abs(e_long - e_short) <= 1e-10
+
+    @pytest.mark.parametrize("halve", [False, True])
+    @pytest.mark.parametrize("eps", [2**-3, 2**-4])
+    @pytest.mark.parametrize("name", ["vstar_resonant_neg", "vstar_nonresonant", "cubic"])
+    def test_secular_root_matches_fresh_factorizations(self, name, eps, halve, lam_neg):
+        # the reused column order must give the root of a fresh default
+        # SuperLU factorization at every shift, to the last bit
+        if name == "cubic":
+            op = sc.EpsOperator(potential=_cubic_potential(), scaling=lam_neg, eps=eps)
+        else:
+            config = sc.load_config(BUNDLE_DIR / f"{name}.json")
+            op = sc.EpsOperator(
+                potential=config.build_potential(),
+                scaling=config.build_scaling(),
+                eps=eps,
+            )
+        L, h = aligned_grid(eps, 10.0, min(5e-3, eps / 10.0, 0.3 * eps**1.5))
+        h = h / 2.0 if halve else h
+        expected = _fresh_factorization_root(op, L, h)
+        assert expected is not None
+        assert discrete_eigenvalue(op, L, h) == expected
+
+    def test_secular_root_factorizes_each_matrix_once(self, op_eig, monkeypatch):
+        # per grid: one default-order factorization, and no matrix T - mu I
+        # twice (its off-diagonal part is fixed, so the sorted diagonal
+        # identifies it in either ordering)
+        calls = []
+
+        def counting_splu(A, **kwargs):
+            diagonal = np.sort(A.diagonal()).tobytes()
+            calls.append((A.shape[0], diagonal, kwargs.get("permc_spec")))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fd_mod, "splu", counting_splu)
+        assert sc.oracle_eigenvalue(op_eig, L=10.0, h=5e-3) is not None
+        sizes = {size for size, _, _ in calls}
+        assert len(sizes) == 2
+        assert sorted(size for size, _, spec in calls if spec is None) == sorted(sizes)
+        assert len({(size, diagonal) for size, diagonal, _ in calls}) == len(calls)
+
+
+def _cubic_potential():
+    # three cubics on [0, 1]; the last constant term zeroes the total mean
+    cubic = sc.PiecewisePolynomial.from_global_coeffs
+    first = cubic([((0.0, 1.0), [1.0, 0.5, -1.0, 0.3])])
+    second = cubic([((0.0, 1.0), [-1.0, 0.2, 0.6, -0.4])])
+    rest = -(first.integral() + second.integral() - 0.5 / 2 + 0.8 / 3 - 0.3 / 4)
+    third = cubic([((0.0, 1.0), [rest, -0.5, 0.8, -0.3])])
+    return sc.StarPotential([first, second, third])
+
+
+def _fresh_factorization_root(op, L, h, tau_e=fd_mod.TAU_EIGEN):
+    # the secular root with a fresh default SuperLU factorization per shift
+    T, q = build_discrete_operator(op, L, h).symmetrized()
+    c = op.lambda_value / op.eps**3
+    if c >= 0 or not np.any(q):
+        return None
+    eye = sp.identity(T.shape[0], format="csc")
+
+    def g(mu):
+        return 1.0 + c * float(q @ splu((T - mu * eye).tocsc()).solve(q))
+
+    if g(-tau_e) >= 0:
+        return None
+    lo = -max(1.0, 4.0 * tau_e)
+    while g(lo) <= 0:
+        lo *= 2.0
+    return float(brentq(g, lo, -tau_e, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
 
 
 class TestOracleResolventColumn:

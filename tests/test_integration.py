@@ -11,17 +11,7 @@ import pytest
 
 import starcoupling as sc
 from conftest import pairing_of_W_with_potential
-from starcoupling import EdgeCoordinate, Momentum, PiecewisePolynomial, StarPotential
-
-
-@pytest.fixture(scope="module")
-def bumpy_potential():
-    rising = PiecewisePolynomial.from_global_coeffs(
-        [((0.0, 0.5), [1.0, 0.0, 1.0]), ((0.5, 1.0), [-1.0])]
-    )
-    # constant edge balancing the total mean to zero exactly
-    balance = PiecewisePolynomial.constant(-rising.integral())
-    return StarPotential([rising, balance])
+from starcoupling import EdgeCoordinate, Momentum
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +92,6 @@ def test_fredholm_identity_holds(bumpy_potential, bumpy_scaling):
         N, D = sc.compute_ND(op, i, 1.3)
         assert abs(inner * (1.0 - D) - N) <= 1e-12
     assert D == pytest.approx(pairing_of_W_with_potential(op, 1.3), abs=1e-10)
-
-
-@pytest.fixture(scope="module")
-def shifted_potential():
-    # support detached from the vertex: [0.3, 0.8] instead of [0, 1]
-    bump = PiecewisePolynomial.from_global_coeffs([((0.3, 0.8), [2.0])])
-    balance = PiecewisePolynomial.constant(-bump.integral())
-    return StarPotential([bump, balance])
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 5.0])
