@@ -104,6 +104,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# jsonschema.validate checks the meta-schema on every call; check it once
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
 _ORACLE_DEFAULTS = {
     "L": 40.0,
     "h": 5e-3,
@@ -166,10 +170,9 @@ class ExperimentConfig:
 
 def parse_config(raw):
     """Validate a parsed JSON document and fold in defaults."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
 
     if len(raw["potential"]) != raw["n"]:
         raise ConfigError(

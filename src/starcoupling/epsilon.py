@@ -83,6 +83,11 @@ class EpsOperator:
         return self.scaling.value(self.eps, A=self.constants.A)
 
     @cached_property
+    def edge_means(self):
+        """Exact per-edge means int V_j, shift independent."""
+        return tuple(p.integral() for p in self.potential.profiles)
+
+    @cached_property
     def _node_values(self):
         """Per edge, the profile's values at the pairing and moment nodes."""
         return tuple(_NodeValues(p) for p in self.potential.profiles)
@@ -126,14 +131,15 @@ def _decay_rate(k):
     # a = -ik, so that e^{ikx} = e^{-ax}; at k = +-i kappa it is real and the
     # resolvent side stays in real arithmetic
     a = -1j * k
-    return a.real if a.imag == 0 else a
+    return a.real if not np.any(a.imag) else a
 
 
 def _moment_residuals(op, a, rule):
     # int V_j (e^{-a eps v} - 1) dv per edge: the moment less its exact mean,
-    # through expm1 so that it keeps full relative precision as a eps -> 0
-    c = a * op.eps
-    out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
+    # through expm1 so that it keeps full relative precision as a eps -> 0;
+    # edges lead, then any momentum axes of a
+    c = np.asarray(a * op.eps)[..., None]
+    out = np.zeros((op.n,) + c.shape[:-1], dtype=np.result_type(c, 1.0))
     for j, (p, V) in enumerate(zip(op.potential.profiles, op._node_values)):
         if not p.is_zero():
             out[j] = rule.integrate(lambda v: V(v) * np.expm1(-c * v), p.breakpoints)
@@ -156,7 +162,7 @@ def _edge_moments(op, k, rule):
 
 def _moment_sum(op, residuals):
     # sum_j m_j: the exact total mean plus the residuals, free of cancellation
-    return sum(residuals) + op.potential.total_mean()
+    return sum(residuals) + sum(op.edge_means)
 
 
 def _pairing_raw(op, a, rule):
@@ -164,7 +170,7 @@ def _pairing_raw(op, a, rule):
     # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
     # moment sum is the exact total mean plus the expm1 residuals, so the
     # value keeps full relative precision down to c -> 0
-    c = a * op.eps
+    c = np.asarray(a * op.eps)[..., None, None]
     diag = 0.0
     for p, V in zip(op.potential.profiles, op._node_values):
         if p.is_zero():
@@ -187,7 +193,7 @@ def _pairing(op, k, rule):
     """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling."""
     a = _decay_rate(k)
     return converged_value(
-        lambda r: _pairing_raw(op, a, r), rule, rtol=1e-10, context="<R0 V, V>"
+        lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>", batch=True
     )
 
 
@@ -219,7 +225,7 @@ def _factor(op, k, edge, xs, rule):
     r = _edge_moments(op, k, rule)
     shared = (2.0 / op.n) * _moment_sum(op, r)
     decay = np.exp(-a * xs)
-    bracket = decay * (shared - profile.integral() - r[i])
+    bracket = decay * (shared - op.edge_means[i] - r[i])
     if not profile.is_zero():
         outside = xs >= eps * profile.support[1]
         if outside.any():
@@ -247,8 +253,9 @@ def inner_RV_V(kappa, op, rule=None):
 
     evaluated with the diagonal-split rule and verified by order doubling,
     in the cancellation-free arrangement of the shared pairing routine.
+    ``kappa`` may be a 1-d array, each value bit-equal to its scalar call.
     """
-    if kappa <= 0:
+    if np.any(np.asarray(kappa) <= 0):
         raise ValueError("kappa must be positive")
     return _pairing(op, 1j * kappa, rule if rule is not None else op.quad)
 
@@ -359,9 +366,11 @@ def find_pole(op, bracket=None, samples=64, rule=None):
 
     Scans the bracket for sign changes first: none means no pole (returns
     None), more than one raises MultipleSignChanges since the pole is
-    expected to be unique. The default bracket comes from the asymptotic
-    predictor when that is positive, otherwise a coarse scan of
-    [TOL_KAPPA, 10].
+    expected to be unique. The scan is one batched pole-equation call, each
+    momentum verified by order doubling on its own and equal bit for bit to
+    its scalar call; brentq then refines the one bracketing pair with scalar
+    calls. The default bracket comes from the asymptotic predictor when that
+    is positive, otherwise a coarse scan of [TOL_KAPPA, 10].
     """
     if bracket is None:
         try:
@@ -380,7 +389,7 @@ def find_pole(op, bracket=None, samples=64, rule=None):
         return pole_equation(op, kappa, rule)
 
     grid = np.linspace(lo, hi, samples + 1)
-    values = np.array([f(kappa) for kappa in grid])
+    values = f(grid)
     signs = np.sign(values)
     changes = [
         idx for idx in range(samples) if signs[idx] != signs[idx + 1] and signs[idx] != 0

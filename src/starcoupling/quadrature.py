@@ -57,23 +57,24 @@ class QuadratureRule:
         return a + (b - a) * x, (b - a) * w
 
     def integrate(self, f, breaks):
-        """Integral of a vectorized f over the cells of ``breaks``."""
+        """Integral of a vectorized f over the cells of ``breaks``, per leading axis."""
         breaks = np.asarray(breaks, dtype=float)
         total = 0.0
         for a, b in zip(breaks[:-1], breaks[1:]):
             x, w = self.points(a, b)
-            total = total + np.sum(w * f(x))
+            total = total + np.sum(w * f(x), axis=-1)
         return total
 
     def _tensor_cell(self, f, ax, bx, ay, by):
         x, wx = self.points(ax, bx)
         y, wy = self.points(ay, by)
         vals = f(x[:, None], y[None, :])
-        return np.sum(wx[:, None] * wy[None, :] * vals)
+        return np.sum(wx[:, None] * wy[None, :] * vals, axis=(-2, -1))
 
     def _triangle_pair(self, f, a, b):
         # lower triangle a<=y<=x<=b via x = a+(b-a)s, y = a+(b-a)s*t,
-        # Jacobian (b-a)^2 s; the upper triangle is its mirror image
+        # Jacobian (b-a)^2 s; the upper triangle is its mirror image, and
+        # since f(x, y) == f(y, x) its sum is the lower one's, bit for bit
         s, ws = _gauss01(self.order)
         t, wt = _gauss01(self.order)
         h = b - a
@@ -82,13 +83,15 @@ class QuadratureRule:
         X = a + h * S
         Y = a + h * S * T
         wgt = (h * h) * (ws[:, None] * wt[None, :]) * S
-        return np.sum(wgt * f(X, Y)) + np.sum(wgt * f(Y, X))
+        return 2.0 * np.sum(wgt * f(X, Y), axis=(-2, -1))
 
     def double_integral(self, f, breaks):
         """Integral of f(x, y) over the square spanned by ``breaks``^2.
 
-        ``f`` must accept broadcasting 2-d arrays. Diagonal cells are
-        triangle-split when ``split_diagonal`` is set.
+        ``f`` must accept broadcasting 2-d arrays and may add leading axes,
+        one integral each. It must be symmetric bit for bit,
+        f(x, y) == f(y, x): a diagonal cell, triangle-split when
+        ``split_diagonal`` is set, counts its lower triangle twice.
         """
         breaks = np.asarray(breaks, dtype=float)
         total = 0.0
@@ -104,18 +107,22 @@ class QuadratureRule:
         return total
 
 
-def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
+def converged_value(compute, rule, rtol=1e-10, atol=0.0, context="", batch=False):
     """Evaluate ``compute(rule)`` and verify against the doubled order.
 
     Returns the doubled-order value, a scalar or an array; raises
     QuadratureNotConverged when the two disagree beyond ``rtol`` (relative
     to the largest magnitude) plus ``atol``, in the max-norm for arrays.
+    With ``batch`` each slice along the leading axis is checked on its own.
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    gap = np.max(np.abs(fine - coarse))
-    size = np.max(np.abs(fine))
-    if gap > rtol * size + atol:
+    axes = tuple(range(1, np.ndim(fine))) if batch else None
+    gap = np.max(np.abs(fine - coarse), axis=axes)
+    size = np.max(np.abs(fine), axis=axes)
+    failed = np.flatnonzero(gap > rtol * size + atol)
+    if failed.size:
+        gap, size = np.ravel(gap)[failed[0]], np.ravel(size)[failed[0]]
         raise QuadratureNotConverged(
             f"order {rule.order}->{2 * rule.order} changed "
             f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.optimize import brentq
 
 import starcoupling as sc
 from starcoupling import (
@@ -9,6 +10,7 @@ from starcoupling import (
     Momentum,
     MultipleSignChanges,
     PiecewisePolynomial,
+    QuadratureNotConverged,
     StarPotential,
     ZeroB,
 )
@@ -358,6 +360,100 @@ class TestFindPole:
             errors.append(abs(pole.eigenvalue - limit_ev))
         for e1, e2 in zip(errors, errors[1:]):
             assert 0.35 <= e2 / e1 <= 0.65
+
+
+BRANCHES = {
+    "resonant_neg": sc.ScalingFunction(lambda1=-1.0, resonant=True),
+    "resonant_pos": sc.ScalingFunction(lambda1=1.0, resonant=True),
+    "nonresonant": sc.ScalingFunction(lambda1=0.1, resonant=False, lambda0=-1.6),
+}
+
+
+def _drawn_cubic(seed=3):
+    # three cubics on [0, 1], coefficients uniform in [-1, 1], the constant
+    # terms shifted equally so that the total mean is zero
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 4))
+    coeffs[:, 0] -= np.sum(coeffs @ (1.0 / np.arange(1, 5))) / 3.0
+    return StarPotential(
+        [PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), list(c))]) for c in coeffs]
+    )
+
+
+def _default_grid(op, samples=64):
+    # find_pole's default scan grid
+    try:
+        predicted = sc.pole_asymptotic(op)
+    except ZeroB:
+        predicted = -1.0
+    if predicted > 0:
+        lo, hi = max(eps_mod.TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0
+    else:
+        lo, hi = eps_mod.TOL_KAPPA, 10.0
+    return np.linspace(lo, hi, samples + 1)
+
+
+def _scalar_search(op, grid):
+    # find_pole as a loop of scalar pole-equation calls, then the same brentq
+    def f(kappa):
+        return sc.pole_equation(op, kappa)
+
+    values = np.array([f(kappa) for kappa in grid])
+    signs = np.sign(values)
+    changes = [
+        i for i in range(grid.size - 1) if signs[i] != signs[i + 1] and signs[i] != 0
+    ]
+    assert len(changes) <= 1
+    if not changes:
+        return values, None
+    lo, hi = grid[changes[0]], grid[changes[0] + 1]
+    root = float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return values, sc.PoleResult(kappa=root, eigenvalue=-root**2, residual=f(root))
+
+
+class TestBatchedPoleScan:
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize(
+        "potential", ["vstar", "bumpy_potential", "shifted_potential", "drawn_cubic"]
+    )
+    def test_scan_and_search_equal_scalar_loop(self, request, potential, branch):
+        # each momentum of the batched scan is a contiguous slice summed in
+        # the scalar call's order, so the values match bit for bit, and so
+        # does the brentq result that follows from them
+        if potential == "drawn_cubic":
+            V = _drawn_cubic()
+        else:
+            V = request.getfixturevalue(potential)
+        for eps in (2**-3, 2**-4, 2**-5):
+            op = sc.EpsOperator(potential=V, scaling=BRANCHES[branch], eps=eps)
+            grid = _default_grid(op)
+            values, pole = _scalar_search(op, grid)
+            batched = sc.pole_equation(op, grid)
+            assert batched.shape == grid.shape
+            assert np.array_equal(batched, values)
+            assert sc.find_pole(op) == pole
+
+    @pytest.mark.parametrize("hi, scalar_fails", [(100.0, True), (50.0, False)])
+    def test_each_momentum_verified_on_its_own(self, op_factory, hi, scalar_fails):
+        # at order 12 only the large-kappa end of [0.5, 100] misses the
+        # doubling tolerance, against its own |P|; measured against the
+        # batch's largest |P|, near kappa = 0.5, it would pass
+        op, rule = op_factory(0.125), sc.QuadratureRule(order=12)
+        grid = np.linspace(0.5, hi, 65)
+        failed = []
+        for kappa in grid:
+            try:
+                sc.inner_RV_V(kappa, op, rule)
+            except QuadratureNotConverged:
+                failed.append(kappa)
+        assert bool(failed) == scalar_fails
+        assert all(kappa > 0.8 * hi for kappa in failed)
+        if scalar_fails:
+            with pytest.raises(QuadratureNotConverged):
+                sc.inner_RV_V(grid, op, rule)
+        else:
+            assert np.array_equal(
+                sc.inner_RV_V(grid, op, rule), [sc.inner_RV_V(k, op, rule) for k in grid]
+            )
 
 
 class TestPoleAsymptotic:

@@ -2,11 +2,13 @@ import copy
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import starcoupling as sc
 from starcoupling import ConfigError
+from starcoupling.config import CONFIG_SCHEMA, parse_config
 from starcoupling.cli import run
 from starcoupling.experiments import CSV_COLUMNS
 
@@ -91,6 +93,40 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             sc.load_config(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"momentum": [1.0]},
+            {"oracle": {"L": 8.0, "step": 0.01}},
+            {"n": "3"},
+            {"kappa": None},
+            {"epsilons": []},
+            {"potential": [[{"interval": [0.0, 1.0], "coeffs": [1, 2, 3, 4, 5]}], [], []]},
+        ],
+    )
+    def test_schema_message_unchanged(self, tmp_path, overrides):
+        # the module-level validator reports the error jsonschema.validate raises
+        raw = json.loads(write_config(tmp_path, overrides).read_text())
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            parse_config(raw)
+        assert str(got.value) == f"config rejected: {expected.value.message}"
+
+    def test_meta_schema_checked_at_most_once(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+        original = cls.check_schema
+        calls = []
+
+        def counting(klass, schema, *args, **kwargs):
+            calls.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+        for _ in range(20):
+            parse_config(copy.deepcopy(BASE_CONFIG))
+        assert len(calls) <= 1
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

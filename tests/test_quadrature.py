@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import starcoupling as sc
 from starcoupling import QuadratureNotConverged, QuadratureRule
-from starcoupling.quadrature import converged_value, merge_breaks
+from starcoupling.epsilon import _pairing_raw
+from starcoupling.quadrature import _gauss01, converged_value, merge_breaks
 
 
 @pytest.mark.parametrize("order", [4, 8, 16, 32])
@@ -51,6 +53,49 @@ def test_double_integral_complex_kernel():
     got = rule.double_integral(lambda x, y: np.exp(1j * k * np.abs(x - y)), [0.0, 1.0])
     exact = 2.0 * (-1j * k - 1.0 + np.exp(1j * k)) / (-1j * k) ** 2
     assert got == pytest.approx(exact, abs=1e-13)
+
+
+class _TwoSumRule(QuadratureRule):
+    """The unfolded rule: a diagonal cell sums its two triangles apart."""
+
+    def _triangle_pair(self, f, a, b):
+        s, ws = _gauss01(self.order)
+        t, wt = _gauss01(self.order)
+        h = b - a
+        S = s[:, None]
+        T = t[None, :]
+        X = a + h * S
+        Y = a + h * S * T
+        wgt = (h * h) * (ws[:, None] * wt[None, :]) * S
+        return np.sum(wgt * f(X, Y)) + np.sum(wgt * f(Y, X))
+
+
+@pytest.mark.parametrize("order", [32, 64])
+def test_mirror_fold_equals_two_sums_on_kernels(order):
+    # both kernels are symmetric bit for bit, so doubling the lower
+    # triangle's sum gives the two-sum rule's bits
+    folded, two_sums = QuadratureRule(order=order), _TwoSumRule(order=order)
+    breaks = [0.0, 0.3, 1.0]
+    kernels = [lambda x, y: np.abs(x - y)] + [
+        lambda x, y, k=k: np.exp(1j * k * np.abs(x - y)) for k in (0.5, 2.0, 5.0)
+    ]
+    for f in kernels:
+        assert folded.double_integral(f, breaks) == two_sums.double_integral(f, breaks)
+
+
+@pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
+def test_mirror_fold_equals_two_sums_on_pairing(request, potential):
+    # the pairing's integrand at real a (resolvent, a = kappa) and complex a
+    # (the scattering D at real k, a = -ik)
+    op = sc.EpsOperator(
+        potential=request.getfixturevalue(potential),
+        scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
+        eps=0.1,
+    )
+    for order in (32, 64):
+        folded, two_sums = QuadratureRule(order=order), _TwoSumRule(order=order)
+        for a in (0.7, 3.0, -0.5j, -5.0j):
+            assert _pairing_raw(op, a, folded) == _pairing_raw(op, a, two_sums)
 
 
 def test_merge_breaks_keeps_interior_points_only():
