@@ -198,13 +198,19 @@ def _pairing(op, k, rule):
 
 
 def _direct_raw(profile, a, eps, xs, rule):
-    # int V_i e^{-a |x - eps v|} dv at each x, the crease split at v = x/eps
+    # int V_i e^{-a |x - eps v|} dv at each x, the crease split at v = x/eps;
+    # points whose split has the same number of cells share one 2-d node
+    # array, each row summed panel by panel as its one-point call would be
     lo, hi = profile.support
+    breaks = [merge_breaks(lo, hi, profile.breakpoints, [x / eps]) for x in xs]
+    sizes = np.array([b.size for b in breaks])
     out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
-    for idx, x in enumerate(xs):
-        bp = merge_breaks(lo, hi, profile.breakpoints, [x / eps])
-        out[idx] = rule.integrate(
-            lambda v: profile.evaluate(v) * np.exp(-a * np.abs(x - eps * v)), bp
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        x = xs[rows, None]
+        out[rows] = rule.integrate(
+            lambda v: profile.evaluate(v) * np.exp(-a * np.abs(x - eps * v)),
+            np.array([breaks[r] for r in rows]),
         )
     return out
 
@@ -305,16 +311,17 @@ class EpsKernel(KernelEvaluator):
         self.rule = rule if rule is not None else op.quad
         self._state = {}
         self._factors = {}
-        self._zeta_at(self.kappa)
+        self.zeta_at(self.kappa)
 
-    def _zeta_at(self, kappa):
+    def zeta_at(self, kappa):
+        """zeta(op, kappa) with this kernel's rule, computed once per kappa."""
         if kappa not in self._state:
             self._state[kappa] = zeta(self.op, kappa, self.rule)
         return self._state[kappa]
 
     def _factor(self, kappa, edge, xs):
-        # each edge's factor depends on its own grid only; hs_distance asks
-        # for it once per edge pair
+        # each edge's factor depends on its own grid only, so the edge pairs
+        # of one grid share n factors
         key = (kappa, edge, xs.tobytes())
         if key not in self._factors:
             self._factors[key] = rank_one_factor(self.op, kappa, edge, xs, self.rule)
@@ -331,7 +338,7 @@ class EpsKernel(KernelEvaluator):
 
     def on_grid(self, i, j, xs, ys, k=None):
         kappa = self._resolve_kappa(k)
-        z = self._zeta_at(kappa)
+        z = self.zeta_at(kappa)
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         free = _free_kernel_grid(1j * kappa, i, j, xs, ys, self.n)

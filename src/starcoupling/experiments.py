@@ -25,7 +25,6 @@ from .epsilon import (
     pole_asymptotic,
     resolvent_eps_kernel,
     smeared_factor_coefficients,
-    zeta,
 )
 from .fdoracle import (
     aligned_grid,
@@ -149,6 +148,9 @@ def write_report(report, out_dir):
 
 #: Gauss-Legendre order per unit panel of the Hilbert-Schmidt grid
 HS_PANEL_ORDER = 16
+#: most grid points of one edge pair evaluated at once: the pair grids grow
+#: like 1/kappa^2, and row blocks keep hs_distance's memory bounded
+HS_BLOCK_POINTS = 2**18
 
 
 def _hs_breaks(profile, eps, L):
@@ -165,6 +167,10 @@ def hs_distance(op, kappa, panel_order=HS_PANEL_ORDER):
     L = 1 + 8/kappa; beyond max(eps, 1) both kernels coincide with exact
     multiples of e^{-kappa(x+y)}, so the omitted remainder of the squared
     integral has the closed-form bound returned alongside the distance.
+    Both kernels satisfy K_ij(x, y) = K_ji(y, x), so only the pairs i <= j
+    are integrated and each off-diagonal one counts twice. Each pair grid is
+    evaluated in row blocks of at most HS_BLOCK_POINTS points (at least one
+    row), which bounds the memory at any kappa.
 
     The distance scales like sqrt(eps), not eps: the limit kernel jumps at
     the vertex while the finite-eps kernel is continuous there, so an O(1)
@@ -191,16 +197,20 @@ def hs_distance(op, kappa, panel_order=HS_PANEL_ORDER):
     total = 0.0
     for i in range(1, op.n + 1):
         xi, wi = grids[i - 1]
-        for j in range(1, op.n + 1):
+        for j in range(i, op.n + 1):
             yj, wj = grids[j - 1]
-            diff = eps_kernel.on_grid(i, j, xi, yj) - lim_kernel.on_grid(
-                i, j, xi, yj, mom
-            )
-            total += float(np.sum(wi[:, None] * wj[None, :] * np.abs(diff) ** 2))
+            rows = max(1, HS_BLOCK_POINTS // yj.size)
+            for start in range(0, xi.size, rows):
+                x, w = xi[start : start + rows], wi[start : start + rows]
+                diff = eps_kernel.on_grid(i, j, x, yj) - lim_kernel.on_grid(
+                    i, j, x, yj, mom
+                )
+                pair = float(np.sum(w[:, None] * wj[None, :] * np.abs(diff) ** 2))
+                total += pair if i == j else 2.0 * pair
 
     # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
     b = smeared_factor_coefficients(op, kappa)
-    z = zeta(op, kappa)
+    z = eps_kernel.zeta_at(kappa)
     lam = lambda_matrix(-(kappa**2) + 0j, op.constants).real
     E = z * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
     tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)

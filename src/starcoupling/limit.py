@@ -97,16 +97,24 @@ def _check_edges(n, *edges):
             raise ValueError(f"edge index {e} outside 1..{n}")
 
 
-def _free_kernel_grid(kc, i, j, xs, ys, n):
-    """Vectorized free kernel on edge pair (i, j) over the grid xs x ys."""
+def _free_kernel_grid(kc, i, j, xs, ys, n, rank_one=0.0):
+    """Vectorized free kernel on edge pair (i, j) over the grid xs x ys.
+
+    The reflected term e^{ik(x+y)} is the outer product of the 1-d
+    exponentials e^{ikx} and e^{iky}; the direct term e^{ik|x-y|} is formed
+    only on a diagonal pair (i == j). ``rank_one`` is added to the reflected
+    coefficient, which turns the free kernel into the limit kernel.
+    """
     _check_edges(n, i, j)
-    X = np.atleast_1d(np.asarray(xs, dtype=float))[:, None]
-    Y = np.atleast_1d(np.asarray(ys, dtype=float))[None, :]
-    delta = 1.0 if i == j else 0.0
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
     pref = 1j / (2.0 * kc)
-    direct = delta * np.exp(1j * kc * np.abs(X - Y))
-    reflected = (2.0 / n - delta) * np.exp(1j * kc * (X + Y))
-    return pref * (direct + reflected)
+    delta = 1.0 if i == j else 0.0
+    coeff = pref * (2.0 / n - delta) + rank_one
+    grid = np.outer(coeff * np.exp(1j * kc * xs), np.exp(1j * kc * ys))
+    if i == j:
+        grid += pref * np.exp(1j * kc * np.abs(xs[:, None] - ys[None, :]))
+    return grid
 
 
 def free_green(k, p, q, n):
@@ -158,12 +166,9 @@ class LimitKernel(KernelEvaluator):
     def on_grid(self, i, j, xs, ys, k):
         if k.regime != "resolvent":
             raise ValueError("limit kernel is defined in the resolvent regime")
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        _check_edges(self.n, i, j)
         lam = lambda_matrix(k.k**2, self.cc)
-        free = _free_kernel_grid(k.k, i, j, xs, ys, self.n)
-        phase = np.exp(1j * k.k * (xs[:, None] + ys[None, :]))
-        return free + lam[i - 1, j - 1] * phase
+        return _free_kernel_grid(k.k, i, j, xs, ys, self.n, rank_one=lam[i - 1, j - 1])
 
 
 def free_kernel(n):

@@ -57,11 +57,15 @@ class QuadratureRule:
         return a + (b - a) * x, (b - a) * w
 
     def integrate(self, f, breaks):
-        """Integral of a vectorized f over the cells of ``breaks``, per leading axis."""
-        breaks = np.asarray(breaks, dtype=float)
+        """Integral of a vectorized f over the cells of ``breaks``, per leading axis.
+
+        ``breaks`` may be 2-d, one row of cell edges per integral; f then
+        gets one row of nodes per row of ``breaks``.
+        """
+        edges = np.asarray(breaks, dtype=float).T[..., None]
+        nodes, weights = self.points(edges[:-1], edges[1:])
         total = 0.0
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            x, w = self.points(a, b)
+        for x, w in zip(nodes, weights):
             total = total + np.sum(w * f(x), axis=-1)
         return total
 

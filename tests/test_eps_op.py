@@ -15,7 +15,7 @@ from starcoupling import (
     ZeroB,
 )
 import starcoupling.epsilon as eps_mod
-from starcoupling.quadrature import converged_value
+from starcoupling.quadrature import converged_value, merge_breaks
 
 
 @pytest.fixture
@@ -454,6 +454,73 @@ class TestBatchedPoleScan:
             assert np.array_equal(
                 sc.inner_RV_V(grid, op, rule), [sc.inner_RV_V(k, op, rule) for k in grid]
             )
+
+
+def _drawn_piecewise_cubic(seed=5):
+    # three edges, each a cubic on [0, 0.4], [0.4, 0.7] and [0.7, 1] with
+    # coefficients uniform in [-1, 1], constant terms shifted to zero total mean
+    cells = ((0.0, 0.4), (0.4, 0.7), (0.7, 1.0))
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, len(cells), 4))
+
+    def build(edge):
+        return PiecewisePolynomial.from_global_coeffs(list(zip(cells, edge.tolist())))
+
+    coeffs[:, :, 0] -= sum(build(edge).integral() for edge in coeffs) / 3.0
+    return StarPotential([build(edge) for edge in coeffs])
+
+
+def _direct_loop(profile, a, eps, xs, rule):
+    # one point at a time, each crease-split integral summed cell by cell
+    lo, hi = profile.support
+    out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
+    for idx, x in enumerate(xs):
+        breaks = merge_breaks(lo, hi, profile.breakpoints, [x / eps])
+        total = 0.0
+        for lo_cell, hi_cell in zip(breaks[:-1], breaks[1:]):
+            v, w = rule.points(lo_cell, hi_cell)
+            f = profile.evaluate(v) * np.exp(-a * np.abs(x - eps * v))
+            total = total + np.sum(w * f, axis=-1)
+        out[idx] = total
+    return out
+
+
+class TestBatchedCreaseIntegrals:
+    @pytest.mark.parametrize(
+        "potential", ["vstar", "bumpy_potential", "shifted_potential", "drawn_piecewise"]
+    )
+    def test_factor_equals_per_point_loop(self, request, potential, lam_neg, monkeypatch):
+        # the points of one call fall into several cell layouts (the crease
+        # inside a cell, on a breakpoint, or off the support); each batched
+        # row must sum exactly as its one-point integral does
+        if potential == "drawn_piecewise":
+            V = _drawn_piecewise_cubic()
+        else:
+            V = request.getfixturevalue(potential)
+        eps = 2**-3
+        op = sc.EpsOperator(potential=V, scaling=lam_neg, eps=eps)
+        rule = op.quad
+        for edge, profile in enumerate(V.profiles, start=1):
+            if profile.is_zero():
+                continue
+            lo, hi = profile.support
+            ts = np.concatenate([np.linspace(0.0, hi, 37), profile.breakpoints])
+            xs = eps * np.sort(ts)
+            layouts = {merge_breaks(lo, hi, profile.breakpoints, [x / eps]).size for x in xs}
+            assert len(layouts) > 1
+            for a in (0.7, 3.0, -0.5j, -5.0j, 1.0 - 2.0j):
+                for r in (rule, rule.doubled()):
+                    assert np.array_equal(
+                        eps_mod._direct_raw(profile, a, eps, xs, r),
+                        _direct_loop(profile, a, eps, xs, r),
+                    )
+            batched = {kappa: sc.rank_one_factor(op, kappa, edge, xs) for kappa in (0.7, 3.0)}
+            W = {k: [sc.assemble_W(op, k, edge, x) for x in xs[::3]] for k in (0.5, 5.0)}
+            with monkeypatch.context() as m:
+                m.setattr(eps_mod, "_direct_raw", _direct_loop)
+                for kappa, values in batched.items():
+                    assert np.array_equal(values, sc.rank_one_factor(op, kappa, edge, xs))
+                for k, values in W.items():
+                    assert values == [sc.assemble_W(op, k, edge, x) for x in xs[::3]]
 
 
 class TestPoleAsymptotic:

@@ -1,0 +1,196 @@
+"""Resolvent kernel grids and the Hilbert-Schmidt distance built from them."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import starcoupling as sc
+import starcoupling.epsilon as eps_mod
+import starcoupling.experiments as ex
+from starcoupling import Momentum, PiecewisePolynomial, StarPotential
+from starcoupling.limit import LimitKernel
+from starcoupling.quadrature import QuadratureRule
+
+EPS = 2**-3
+
+
+def _drawn_constants(n, seed=7):
+    # n constant profiles uniform in [-1, 1], shifted to zero total mean
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    return StarPotential.from_constants(list(values - values.mean()))
+
+
+def _drawn_cubics(n, seed=11):
+    # n cubics on [0, 1], coefficients uniform in [-1, 1], the constant terms
+    # shifted equally so that the total mean is zero
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 4))
+    coeffs[:, 0] -= np.sum(coeffs @ (1.0 / np.arange(1, 5))) / n
+    return StarPotential(
+        [PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), list(c))]) for c in coeffs]
+    )
+
+
+def _grid(kc, xs, ys):
+    return np.exp(1j * kc * (xs[:, None] + ys[None, :]))
+
+
+def _free_terms(kc, i, j, xs, ys, n):
+    # the free kernel's direct and reflected terms as full 2-d exponentials
+    delta = 1.0 if i == j else 0.0
+    pref = 1j / (2.0 * kc)
+    direct = pref * delta * np.exp(1j * kc * np.abs(xs[:, None] - ys[None, :]))
+    return [direct, pref * (2.0 / n - delta) * _grid(kc, xs, ys)]
+
+
+XS = np.concatenate([EPS * np.linspace(0.0, 1.0, 9), np.linspace(0.2, 4.0, 15)])
+YS = np.concatenate([EPS * np.linspace(0.05, 0.95, 7), np.linspace(0.0, 6.0, 11)])
+
+
+@pytest.fixture(params=[2, 3, 5], scope="module")
+def kernels(request):
+    n = request.param
+    op = sc.EpsOperator(
+        potential=_drawn_constants(n),
+        scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
+        eps=EPS,
+    )
+    return op, sc.free_kernel(n), sc.resolvent_kernel_limit(op.constants)
+
+
+def _reference_terms(op, kernel, kappa, i, j, xs, ys):
+    kc = 1j * kappa
+    terms = _free_terms(kc, i, j, xs, ys, op.n)
+    if kernel.operator == "limit":
+        lam = sc.lambda_matrix(kc**2, op.constants)
+        terms.append(lam[i - 1, j - 1] * _grid(kc, xs, ys))
+    elif kernel.operator == "eps":
+        z = sc.zeta(op, kappa)
+        fi = sc.rank_one_factor(op, kappa, i, xs)
+        fj = sc.rank_one_factor(op, kappa, j, ys)
+        terms.append(-z * np.outer(fi, fj))
+    return terms
+
+
+class TestKernelGrids:
+    @pytest.mark.parametrize("kappa", [0.3, 1.0, 5.0])
+    def test_outer_product_grids_match_2d_exponentials(self, kernels, kappa):
+        # relative to the size of the terms both forms round: where the limit
+        # kernel's reflected and rank-one terms nearly cancel (n = 2 at
+        # kappa = 5, n = 5 at kappa = 0.3) the 2-d form itself is 1.3e-14
+        # from the exact value, relative to the result, and the folded
+        # coefficient 4e-15
+        op, free, limit = kernels
+        mom = Momentum.resolvent(1j * kappa)
+        for kernel in (free, limit, sc.resolvent_eps_kernel(op, kappa)):
+            for i in range(1, op.n + 1):
+                for j in range(1, op.n + 1):
+                    terms = _reference_terms(op, kernel, kappa, i, j, XS, YS)
+                    gap = kernel.on_grid(i, j, XS, YS, mom) - sum(terms)
+                    assert np.max(np.abs(gap)) <= 1e-14 * np.max(sum(map(np.abs, terms)))
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0, 5.0])
+    def test_swap_symmetry(self, kernels, kappa):
+        # K_ij(x, y) = K_ji(y, x): hs_distance folds the pairs i > j onto i < j
+        op, free, limit = kernels
+        mom = Momentum.resolvent(1j * kappa)
+        for kernel in (free, limit, sc.resolvent_eps_kernel(op, kappa)):
+            for i in range(1, op.n + 1):
+                for j in range(i, op.n + 1):
+                    a = kernel.on_grid(i, j, XS, YS, mom)
+                    b = kernel.on_grid(j, i, YS, XS, mom).T
+                    assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+    def test_limit_kernel_rejects_bad_edge(self, kernels):
+        op, _, limit = kernels
+        with pytest.raises(ValueError):
+            limit.on_grid(op.n + 1, 1, XS, YS, Momentum.resolvent(1j))
+
+
+def _hs_all_pairs(op, kappa):
+    # every one of the n^2 edge pairs, each on its full grid in one piece
+    eps_kernel = sc.resolvent_eps_kernel(op, kappa)
+    lim_kernel = sc.resolvent_kernel_limit(op.constants)
+    mom = Momentum.resolvent(1j * kappa)
+    L = 1.0 + 8.0 / kappa
+    rule = QuadratureRule(order=ex.HS_PANEL_ORDER, split_diagonal=False)
+    grids = []
+    for profile in op.potential.profiles:
+        breaks = ex._hs_breaks(profile, op.eps, L)
+        cells = [rule.points(a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+        grids.append(tuple(np.concatenate(part) for part in zip(*cells)))
+    total = 0.0
+    for i, (xi, wi) in enumerate(grids, start=1):
+        for j, (yj, wj) in enumerate(grids, start=1):
+            diff = eps_kernel.on_grid(i, j, xi, yj) - lim_kernel.on_grid(i, j, xi, yj, mom)
+            total += float(np.sum(wi[:, None] * wj[None, :] * np.abs(diff) ** 2))
+    return math.sqrt(total)
+
+
+def _tail_with_own_zeta(op, kappa):
+    b = eps_mod.smeared_factor_coefficients(op, kappa)
+    z = sc.zeta(op, kappa)
+    lam = sc.lambda_matrix(-(kappa**2) + 0j, op.constants).real
+    E = z * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
+    L = 1.0 + 8.0 / kappa
+    tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
+    return tail_sq * 1.001
+
+
+@pytest.fixture(params=["vstar", "bumpy_potential", "drawn_n5"])
+def hs_potential(request):
+    if request.param == "drawn_n5":
+        return _drawn_cubics(5)
+    return request.getfixturevalue(request.param)
+
+
+class TestHSDistance:
+    @pytest.mark.parametrize("eps", [2**-3, 2**-5])
+    def test_pair_fold_equals_all_pairs(self, hs_potential, lam_neg, eps):
+        op = sc.EpsOperator(potential=hs_potential, scaling=lam_neg, eps=eps)
+        value, tail = sc.hs_distance(op, 1.0)
+        full = _hs_all_pairs(op, 1.0)
+        assert abs(value - full) <= 1e-13 * full
+        assert tail == _tail_with_own_zeta(op, 1.0)
+
+    def test_row_blocks_equal_one_block(self, vstar, lam_neg, monkeypatch):
+        op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=EPS)
+        sizes, factor_calls = [], []
+        on_grid = LimitKernel.on_grid
+        factor = eps_mod.rank_one_factor
+
+        def spy_grid(self, i, j, xs, ys, k):
+            sizes.append(np.size(xs) * np.size(ys))
+            return on_grid(self, i, j, xs, ys, k)
+
+        def spy_factor(*args, **kwargs):
+            factor_calls.append(args)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(LimitKernel, "on_grid", spy_grid)
+        monkeypatch.setattr(eps_mod, "rank_one_factor", spy_factor)
+        whole = sc.hs_distance(op, 1.0)
+        # the shipped grid size (kappa = 1) is one block per pair, and the
+        # pairs share one factor per edge
+        assert len(sizes) == op.n * (op.n + 1) // 2
+        assert len(factor_calls) == op.n
+        sizes.clear()
+        monkeypatch.setattr(ex, "HS_BLOCK_POINTS", 2000)
+        blocked = sc.hs_distance(op, 1.0)
+        assert len(sizes) > 10 * op.n * (op.n + 1) // 2
+        assert max(sizes) <= 2000
+        assert abs(blocked[0] - whole[0]) <= 1e-13 * whole[0]
+        assert blocked[1] == whole[1]
+
+    def test_memory_bounded_at_small_kappa(self, vstar, lam_neg):
+        # the pair grids grow like 1/kappa^2; the row blocks cap them
+        op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=EPS)
+        tracemalloc.start()
+        try:
+            value, _ = sc.hs_distance(op, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert peak <= 48 * 2**20
