@@ -30,6 +30,7 @@ from .errors import (
     MultipleSignChanges,
     QuadratureNotConverged,
     ResonantWithZeroA,
+    RootSearchFailed,
     SingularSystem,
     StarCouplingError,
     SupportViolation,

@@ -205,6 +205,20 @@ def parse_config(raw):
 
     oracle = dict(_ORACLE_DEFAULTS)
     oracle.update(raw.get("oracle", {}))
+    for key in ("L", "h", "L_scattering", "smatrix_k", "resolvent_kappa"):
+        if not oracle[key] > 0:
+            raise ConfigError(f"oracle {key} must be positive")
+    for key in ("epsilon_eigenvalue", "epsilon_smatrix"):
+        if not 0 < oracle[key] <= 1:
+            raise ConfigError(f"oracle {key} must lie in (0, 1]")
+    if oracle["resolvent_source_edge"] > raw["n"]:
+        raise ConfigError(f"oracle resolvent_source_edge exceeds n = {raw['n']}")
+    # the FD column snaps the source to the nearest node of the h grid
+    x, L, h = oracle["resolvent_source_x"], oracle["L"], oracle["h"]
+    if not (0 <= x < L and round(x / h) < round(L / h)):
+        raise ConfigError(
+            "oracle resolvent_source_x must lie in [0, L) and snap to a node below L"
+        )
     tolerances = dict(_TOLERANCE_DEFAULTS)
     tolerances.update(raw.get("tolerances", {}))
 

@@ -37,12 +37,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AtPole, MultipleSignChanges, ZeroB
 from .graph import ScalingFunction, StarPotential, coupling_constants, validate_potential
 from .limit import TOL_POLE, TOL_ZERO_B, KernelEvaluator, Momentum, _free_kernel_grid
 from .quadrature import QuadratureRule, converged_value, merge_breaks
+from .roots import brentq
 
 #: smallest momentum considered by the pole search
 TOL_KAPPA = 1e-6

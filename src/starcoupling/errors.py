@@ -70,6 +70,12 @@ class QuadratureNotConverged(StarCouplingError):
     exit_code = 3
 
 
+class RootSearchFailed(StarCouplingError):
+    """A bracketed root search met a NaN value or ran out of iterations."""
+
+    exit_code = 3
+
+
 class MultipleSignChanges(StarCouplingError):
     """Root bracketing found more than one sign change; pole not unique."""
 

@@ -26,6 +26,7 @@ from .epsilon import (
     resolvent_eps_kernel,
     smeared_factor_coefficients,
 )
+from .errors import ConfigError
 from .fdoracle import (
     aligned_grid,
     oracle_eigenvalue,
@@ -361,7 +362,7 @@ def _converge_one_eps(config, eps):
 def cmd_converge(config, parallel=1):
     """Distances to the limit objects per eps plus log-log rate fits."""
     if len(config.epsilons) < 4:
-        raise ValueError("convergence study needs at least 4 eps values")
+        raise ConfigError("convergence study needs at least 4 eps values")
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             chunks = list(

@@ -45,20 +45,27 @@ much beyond that: g' is small in the resonant family, and a banded route
 Richardson eigenvalue of vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and
 by 4.0e-8 at eps = 2^-7, where the stored benchmark references allow 1e-10
 relative. Any other secular route needs those references re-recorded first.
+
+SciPy is imported inside the functions that assemble or factorize, so
+importing the package (and every command but the oracle's) costs no SciPy
+start-up; ``splu`` stays one module-level function, never rebound, so a
+caller can wrap or count every factorization by patching it here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
 
 from .errors import GridTooCoarse, SingularSystem
 from .limit import SMatrix
+from .roots import brentq
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: maximal admissible step
 MAX_STEP = 1e-2
@@ -72,6 +79,13 @@ MIN_LENGTH = 2.0
 TAU_EIGEN = 1e-3
 #: relative h vs h/2 eigenvalue mismatch tolerated by the Richardson guard
 RICHARDSON_RTOL = 0.25
+
+
+def splu(A, **options):
+    """``scipy.sparse.linalg.splu``, imported at the first factorization."""
+    from scipy.sparse import linalg
+
+    return linalg.splu(A, **options)
 
 
 def aligned_grid(eps, L, h):
@@ -138,6 +152,8 @@ class DiscreteOperator:
     def symmetrized(self):
         """(T, q): similarity transform by diag(sqrt(w)); the full operator
         is T + strength * q q^T, symmetric."""
+        import scipy.sparse as sp
+
         root = np.sqrt(self.weights)
         d_inv = sp.diags(1.0 / root)
         return (d_inv @ self.stiffness @ d_inv).tocsc(), root * self.values
@@ -154,6 +170,8 @@ class DiscreteOperator:
         S + shift W is factorized once; the rank-one term is applied by
         Sherman-Morrison.
         """
+        import scipy.sparse as sp
+
         K = (self.stiffness + shift * sp.diags(self.weights)).tocsc()
         try:
             lu = splu(K)
@@ -172,6 +190,8 @@ class DiscreteOperator:
 def build_discrete_operator(op, L, h, k=None):
     """Assemble the discretization of the family with the Dirichlet closure,
     or with the outgoing Robin closure at momentum ``k`` when it is given."""
+    import scipy.sparse as sp
+
     grid = DiscreteStarGraph(op.n, float(L), float(h))
     n, m = grid.n, grid.m
     p = m if k is not None else m - 1
@@ -220,6 +240,8 @@ def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
     one eigenvalue below min spec(T) >= 0; it is the root of the secular
     function g(mu) = 1 + c q.(T - mu)^{-1} q, which is monotone there.
     """
+    import scipy.sparse as sp
+
     disc = build_discrete_operator(op, L, h)
     T, q = disc.symmetrized()
     c = disc.strength

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -306,7 +309,7 @@ class TestConvergeCommand:
 
     def test_needs_four_epsilons(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.125, 0.0625]}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sc.cmd_converge(config)
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -403,6 +406,40 @@ class TestCli:
         cfg = write_config(tmp_path, {"potential": pot})
         assert run(["constants", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            {"smatrix_k": -1.0},
+            {"smatrix_k": 0.0},
+            {"resolvent_kappa": 0.0},
+            {"L": -8.0},
+            {"L_scattering": 0.0},
+            {"h": 0.0},
+            {"epsilon_eigenvalue": 0.0},
+            {"epsilon_eigenvalue": 1.5},
+            {"epsilon_smatrix": -0.1},
+            {"epsilon_smatrix": 2.0},
+            {"resolvent_source_edge": 7},
+            {"resolvent_source_x": 45.0},
+            {"resolvent_source_x": -0.5},
+            # snaps onto the node at x = L, which carries the Dirichlet condition
+            {"resolvent_source_x": 7.998},
+        ],
+    )
+    def test_inadmissible_oracle_block_exit_two(self, tmp_path, capsys, oracle):
+        block = {"L": 8.0, "h": 0.01, "L_scattering": 2.0, **oracle}
+        cfg = write_config(tmp_path, {"oracle": block})
+        out = tmp_path / "out"
+        assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: oracle ")
+        assert not out.exists()
+
+    def test_converge_with_too_few_epsilons_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"epsilons": [0.125]})
+        out = tmp_path / "out"
+        assert run(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "at least 4 eps" in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"oracle": {"L": 8.0, "h": 0.05, "L_scattering": 2.0}}
@@ -433,6 +470,7 @@ class TestCli:
             "AtPole": 3,
             "GridTooCoarse": 3,
             "MultipleSignChanges": 3,
+            "RootSearchFailed": 3,
             "ZeroB": 3,
         }
         classes, stack = [], [sc.StarCouplingError]
@@ -493,3 +531,39 @@ class TestCli:
         )
         assert code == 0
         assert (out / "converge.csv").exists()
+
+
+class TestStartup:
+    def test_scipy_loaded_only_by_the_fd_oracle(self, tmp_path):
+        # a fresh interpreter: the test process itself has imported scipy
+        shipped = BUNDLE_DIR / "vstar_resonant_neg.json"
+        raw = json.loads(shipped.read_text())
+        raw["epsilons"] = [0.125]
+        one_eps = tmp_path / "one_eps.json"
+        one_eps.write_text(json.dumps(raw))
+        script = f"""
+import sys
+from starcoupling import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+for command in ("constants", "converge"):
+    assert cli.run([command, "--config", {str(shipped)!r}, "--out", "out"]) == 0
+    assert not scipy_modules(), (command, scipy_modules())
+assert cli.run(["spectrum", "--config", {str(one_eps)!r}, "--out", "out"]) == 0
+assert "scipy.sparse.linalg" in sys.modules
+"""
+        env = dict(os.environ)
+        paths = [str(BUNDLE_DIR.parent / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
