@@ -74,7 +74,6 @@ from .limit import (
     KernelEvaluator,
     Momentum,
     SMatrix,
-    free_green,
     free_kernel,
     lambda_matrix,
     lambda_matrix_direct,
@@ -87,13 +86,11 @@ from .limit import (
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 from .scattering import (
-    FredholmPieces,
     ScatteringSolution,
     assemble_F,
     assemble_W,
     compute_ND,
     fredholm_D_direct,
-    fredholm_pieces,
     scattering_solution,
     scattering_solution_deriv,
     scattering_solution_eval,

@@ -18,7 +18,11 @@ import jsonschema
 from .errors import ConfigError
 from .graph import ScalingFunction, StarPotential
 from .piecewise import PiecewisePolynomial
-from .quadrature import QuadratureRule
+
+#: largest admissible quadrature order: the batched pole scan holds
+#: 65 (2 order)^2 values per temporary, about 0.4 GiB at order 256 and four
+#: times that per doubling
+MAX_QUAD_ORDER = 256
 
 _NUMBER = {"type": "number"}
 
@@ -69,7 +73,9 @@ CONFIG_SCHEMA = {
         "quadrature": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"order": {"type": "integer", "minimum": 1}},
+            "properties": {
+                "order": {"type": "integer", "minimum": 1, "maximum": MAX_QUAD_ORDER}
+            },
         },
         "oracle": {
             "type": "object",
@@ -145,6 +151,13 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
     output_dir: str = "results"
 
+    def __post_init__(self):
+        # also guards an order set after parse_config, as --quad-order does
+        if not 1 <= self.quad_order <= MAX_QUAD_ORDER:
+            raise ConfigError(
+                f"quadrature order {self.quad_order} outside 1..{MAX_QUAD_ORDER}"
+            )
+
     def build_potential(self):
         profiles = []
         for edge in self.potential_spec:
@@ -163,9 +176,6 @@ class ExperimentConfig:
             lambda0=spec.get("lambda0"),
             higher=tuple(spec.get("higher", ())),
         )
-
-    def build_rule(self):
-        return QuadratureRule(order=self.quad_order)
 
 
 def parse_config(raw):

@@ -48,6 +48,8 @@ from .roots import brentq
 TOL_KAPPA = 1e-6
 #: bound on the pole-equation residual at a reported root
 TOL_ROOT = 1e-10
+#: intervals of the pole search's sign-change scan over its bracket
+POLE_SCAN_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def _factor(op, k, edge, xs, rule):
     return (eps / (2.0 * a)) * bracket
 
 
-def inner_RV_V(kappa, op, rule=None):
+def inner_RV_V(kappa, op):
     """The pairing <(free resolvent at -kappa^2) V_eps, V_eps> = P(i kappa).
 
     Rescaled to [0,1]^2 this is
@@ -263,18 +265,18 @@ def inner_RV_V(kappa, op, rule=None):
     """
     if np.any(np.asarray(kappa) <= 0):
         raise ValueError("kappa must be positive")
-    return _pairing(op, 1j * kappa, rule if rule is not None else op.quad)
+    return _pairing(op, 1j * kappa, op.quad)
 
 
-def zeta(op, kappa, rule=None):
+def zeta(op, kappa):
     """The scalar strength of the rank-one resolvent correction."""
-    denom = op.eps**3 / op.lambda_value + inner_RV_V(kappa, op, rule)
+    denom = op.eps**3 / op.lambda_value + inner_RV_V(kappa, op)
     if abs(denom) <= TOL_POLE * op.eps**3:
         raise AtPole(f"zeta denominator {denom:.3e} at kappa = {kappa}")
     return 1.0 / denom
 
 
-def rank_one_factor(op, kappa, edge, xs, rule=None):
+def rank_one_factor(op, kappa, edge, xs):
     """(R0 V_eps) on an edge at the points xs: the factor f(x; i kappa).
 
     For x beyond the scaled support this is exactly
@@ -282,21 +284,19 @@ def rank_one_factor(op, kappa, edge, xs, rule=None):
     + sum_j (2/n - delta_ij) int V_j e^{-eps kappa v} dv]; inside the
     support the |x - eps v| crease is split at v = x/eps.
     """
-    rule = rule if rule is not None else op.quad
     if not 1 <= edge <= op.n:
         raise ValueError(f"edge index {edge} outside 1..{op.n}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _factor(op, 1j * kappa, edge, xs, rule)
+    return _factor(op, 1j * kappa, edge, xs, op.quad)
 
 
-def smeared_factor_coefficients(op, kappa, rule=None):
+def smeared_factor_coefficients(op, kappa):
     """Per-edge numbers b_i with (R0 V_eps)(x) = (eps/2kappa) b_i e^{-kappa x}
     exactly for x beyond the scaled support:
     b_i = m_i(-i kappa) + sum_j (2/n - delta_ij) m_j(i kappa)."""
-    rule = rule if rule is not None else op.quad
-    r = _edge_moments(op, 1j * kappa, rule)
+    r = _edge_moments(op, 1j * kappa, op.quad)
     shared = (2.0 / op.n) * _moment_sum(op, r)
-    return _edge_moments(op, -1j * kappa, rule) - r + shared
+    return _edge_moments(op, -1j * kappa, op.quad) - r + shared
 
 
 class EpsKernel(KernelEvaluator):
@@ -304,19 +304,18 @@ class EpsKernel(KernelEvaluator):
 
     operator = "eps"
 
-    def __init__(self, op, kappa, rule=None):
+    def __init__(self, op, kappa):
         self.op = op
         self.n = op.n
         self.kappa = float(kappa)
-        self.rule = rule if rule is not None else op.quad
         self._state = {}
         self._factors = {}
         self.zeta_at(self.kappa)
 
     def zeta_at(self, kappa):
-        """zeta(op, kappa) with this kernel's rule, computed once per kappa."""
+        """zeta(op, kappa), computed once per kappa."""
         if kappa not in self._state:
-            self._state[kappa] = zeta(self.op, kappa, self.rule)
+            self._state[kappa] = zeta(self.op, kappa)
         return self._state[kappa]
 
     def _factor(self, kappa, edge, xs):
@@ -324,7 +323,7 @@ class EpsKernel(KernelEvaluator):
         # of one grid share n factors
         key = (kappa, edge, xs.tobytes())
         if key not in self._factors:
-            self._factors[key] = rank_one_factor(self.op, kappa, edge, xs, self.rule)
+            self._factors[key] = rank_one_factor(self.op, kappa, edge, xs)
         return self._factors[key]
 
     def _resolve_kappa(self, k):
@@ -345,14 +344,14 @@ class EpsKernel(KernelEvaluator):
         return free - z * np.outer(self._factor(kappa, i, xs), self._factor(kappa, j, ys))
 
 
-def resolvent_eps_kernel(op, kappa, rule=None):
+def resolvent_eps_kernel(op, kappa):
     """Kernel evaluator of the finite-eps resolvent at energy -kappa^2."""
-    return EpsKernel(op, kappa, rule)
+    return EpsKernel(op, kappa)
 
 
-def pole_equation(op, kappa, rule=None):
+def pole_equation(op, kappa):
     """eps^3/lambda(eps) + <R0 V_eps, V_eps>; the resolvent pole is its zero."""
-    return op.eps**3 / op.lambda_value + inner_RV_V(kappa, op, rule)
+    return op.eps**3 / op.lambda_value + inner_RV_V(kappa, op)
 
 
 def pole_asymptotic(op, cc=None):
@@ -368,16 +367,17 @@ def pole_asymptotic(op, cc=None):
     return ((cc.A - 1.0 / lam0) / op.eps + op.scaling.lambda1 / lam0**2) / cc.B
 
 
-def find_pole(op, bracket=None, samples=64, rule=None):
+def find_pole(op, bracket=None):
     """Bracketed search for the unique positive root of the pole equation.
 
-    Scans the bracket for sign changes first: none means no pole (returns
-    None), more than one raises MultipleSignChanges since the pole is
-    expected to be unique. The scan is one batched pole-equation call, each
-    momentum verified by order doubling on its own and equal bit for bit to
-    its scalar call; brentq then refines the one bracketing pair with scalar
-    calls. The default bracket comes from the asymptotic predictor when that
-    is positive, otherwise a coarse scan of [TOL_KAPPA, 10].
+    Scans the bracket at POLE_SCAN_SAMPLES intervals for sign changes first:
+    none means no pole (returns None), more than one raises
+    MultipleSignChanges since the pole is expected to be unique. The scan is
+    one batched pole-equation call, each momentum verified by order doubling
+    on its own and equal bit for bit to its scalar call; brentq then refines
+    the one bracketing pair with scalar calls. The default bracket comes from
+    the asymptotic predictor when that is positive, otherwise a coarse scan
+    of [TOL_KAPPA, 10].
     """
     if bracket is None:
         try:
@@ -393,13 +393,13 @@ def find_pole(op, bracket=None, samples=64, rule=None):
         raise ValueError("bracket endpoints must be positive and increasing")
 
     def f(kappa):
-        return pole_equation(op, kappa, rule)
+        return pole_equation(op, kappa)
 
-    grid = np.linspace(lo, hi, samples + 1)
+    grid = np.linspace(lo, hi, POLE_SCAN_SAMPLES + 1)
     values = f(grid)
     signs = np.sign(values)
     changes = [
-        idx for idx in range(samples) if signs[idx] != signs[idx + 1] and signs[idx] != 0
+        idx for idx in range(grid.size - 1) if signs[idx] != signs[idx + 1] and signs[idx] != 0
     ]
     if len(changes) > 1:
         raise MultipleSignChanges(

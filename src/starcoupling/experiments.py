@@ -161,7 +161,7 @@ def _hs_breaks(profile, eps, L):
     return np.array(pts)
 
 
-def hs_distance(op, kappa, panel_order=HS_PANEL_ORDER):
+def hs_distance(op, kappa):
     """Truncated Hilbert-Schmidt distance between the two resolvent kernels.
 
     Integrates |difference|^2 over [0, L]^2 per edge pair with
@@ -183,7 +183,7 @@ def hs_distance(op, kappa, panel_order=HS_PANEL_ORDER):
     lim_kernel = resolvent_kernel_limit(op.constants)
     mom = Momentum.resolvent(1j * kappa)
     L = 1.0 + 8.0 / kappa
-    rule = QuadratureRule(order=panel_order, split_diagonal=False)
+    rule = QuadratureRule(order=HS_PANEL_ORDER, split_diagonal=False)
 
     grids = []
     for profile in op.potential.profiles:
@@ -264,11 +264,29 @@ def cmd_constants(config):
     return report
 
 
+def _member(config, eps, free=False):
+    """The family member at eps with the configured quadrature order; with
+    ``free``, the zero potential at unit non-resonant scaling instead."""
+    if free:
+        potential = StarPotential([PiecewisePolynomial.zero() for _ in range(config.n)])
+        scaling = ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
+    else:
+        potential, scaling = config.build_potential(), config.build_scaling()
+    return EpsOperator(potential, scaling, eps, QuadratureRule(order=config.quad_order))
+
+
+def _sweep(one_eps, config, parallel):
+    """one_eps(config, eps) for every eps of the ladder, in ladder order;
+    with ``parallel`` > 1 in worker processes, at most one per eps."""
+    if parallel > 1:
+        workers = min(parallel, len(config.epsilons))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one_eps, itertools.repeat(config), config.epsilons))
+    return [one_eps(config, eps) for eps in config.epsilons]
+
+
 def _spectrum_one_eps(config, eps):
-    potential = config.build_potential()
-    scaling = config.build_scaling()
-    rule = config.build_rule()
-    op = EpsOperator(potential=potential, scaling=scaling, eps=eps, quad=rule)
+    op = _member(config, eps)
     predictor = pole_asymptotic(op)
     pole = find_pole(op)
     # the discrete oracle must resolve the scaled support (>= 10 cells) and
@@ -283,48 +301,29 @@ def _spectrum_one_eps(config, eps):
 
 def cmd_spectrum(config, parallel=1):
     """Limit eigenvalue, per-eps root-found pole, predictor, and FD oracle."""
-    potential = config.build_potential()
-    scaling = config.build_scaling()
-    cc = coupling_constants(potential, scaling)
+    cc = coupling_constants(config.build_potential(), config.build_scaling())
     limit_ev = limit_point_spectrum(cc)
-
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(
-                pool.map(_spectrum_one_eps, itertools.repeat(config), config.epsilons)
-            )
-    else:
-        results = [_spectrum_one_eps(config, e) for e in config.epsilons]
+    results = _sweep(_spectrum_one_eps, config, parallel)
 
     report = Report(command="spectrum")
     report.rows.append(_row("eigenvalue_limit", value=limit_ev))
     entries = []
     for eps, (predictor, pole, fd) in zip(config.epsilons, results):
-        entry = {"epsilon": eps, "kappa_predictor": predictor}
-        report.rows.append(_row("kappa_predictor", epsilon=eps, value=predictor))
-        if pole is None:
-            report.rows.append(_row("kappa_root", epsilon=eps))
-            report.rows.append(_row("eigenvalue", epsilon=eps))
-            entry.update({"kappa_root": None, "eigenvalue": None})
-        else:
-            err = abs(pole.eigenvalue - limit_ev) if limit_ev is not None else None
-            report.rows.append(
-                _row("kappa_root", epsilon=eps, kappa=pole.kappa, value=pole.kappa)
-            )
-            report.rows.append(
-                _row(
-                    "eigenvalue",
-                    epsilon=eps,
-                    kappa=pole.kappa,
-                    value=pole.eigenvalue,
-                    error=err,
-                )
-            )
-            entry.update({"kappa_root": pole.kappa, "eigenvalue": pole.eigenvalue})
-        fd_err = None if (fd is None or pole is None) else abs(fd - pole.eigenvalue)
-        report.rows.append(_row("eigenvalue_fd", epsilon=eps, value=fd, error=fd_err))
-        entry["eigenvalue_fd"] = fd
-        entries.append(entry)
+        kappa = ev = err = fd_err = None
+        if pole is not None:
+            kappa, ev = pole.kappa, pole.eigenvalue
+            if limit_ev is not None:
+                err = abs(ev - limit_ev)
+            if fd is not None:
+                fd_err = abs(fd - ev)
+        rows = [
+            _row("kappa_predictor", epsilon=eps, value=predictor),
+            _row("kappa_root", epsilon=eps, kappa=kappa, value=kappa),
+            _row("eigenvalue", epsilon=eps, kappa=kappa, value=ev, error=err),
+            _row("eigenvalue_fd", epsilon=eps, value=fd, error=fd_err),
+        ]
+        report.rows += rows
+        entries.append({"epsilon": eps, **{r["quantity"]: r["value"] for r in rows}})
     report.summary = {
         "eigenvalue_limit": limit_ev,
         "note": "no eigenvalue" if limit_ev is None else "bound state present",
@@ -334,10 +333,7 @@ def cmd_spectrum(config, parallel=1):
 
 
 def _converge_one_eps(config, eps):
-    potential = config.build_potential()
-    scaling = config.build_scaling()
-    rule = config.build_rule()
-    op = EpsOperator(potential=potential, scaling=scaling, eps=eps, quad=rule)
+    op = _member(config, eps)
     cc = op.constants
     rows = []
     distance, tail = hs_distance(op, config.kappa)
@@ -363,16 +359,8 @@ def cmd_converge(config, parallel=1):
     """Distances to the limit objects per eps plus log-log rate fits."""
     if len(config.epsilons) < 4:
         raise ConfigError("convergence study needs at least 4 eps values")
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            chunks = list(
-                pool.map(_converge_one_eps, itertools.repeat(config), config.epsilons)
-            )
-    else:
-        chunks = [_converge_one_eps(config, e) for e in config.epsilons]
-
     report = Report(command="converge")
-    for chunk in chunks:
+    for chunk in _sweep(_converge_one_eps, config, parallel):
         report.rows.extend(chunk)
 
     fits = []
@@ -404,86 +392,48 @@ def cmd_converge(config, parallel=1):
     return report
 
 
+#: the oracle's checks in report order: name, CSV quantity, tolerance key
+_ORACLE_CHECKS = (
+    ("eigenvalue", "oracle_eigenvalue_rel_error", "oracle_eigenvalue_rel"),
+    ("free_column", "oracle_free_column_sup_error", "oracle_free_column_sup"),
+    ("eps_column", "oracle_eps_column_sup_error", "oracle_eps_column_sup"),
+    ("smatrix", "oracle_smatrix_max_error", "oracle_smatrix_abs"),
+)
+
+
 def cmd_oracle(config):
     """Cross-validate analytic routes against the finite-difference oracle."""
-    potential = config.build_potential()
-    scaling = config.build_scaling()
-    rule = config.build_rule()
-    tol = config.tolerances
     oracle = config.oracle
-    report = Report(command="oracle")
-    checks = []
+    eps_eig, eps_s = oracle["epsilon_eigenvalue"], oracle["epsilon_smatrix"]
+    L, h = oracle["L"], oracle["h"]
 
-    # bound-state eigenvalue
-    op_eig = EpsOperator(
-        potential=potential, scaling=scaling, eps=oracle["epsilon_eigenvalue"], quad=rule
-    )
+    # bound-state eigenvalue; no pole and no discrete bound state agree
+    op_eig = _member(config, eps_eig)
     pole = find_pole(op_eig)
-    L_eig, h_eig = aligned_grid(op_eig.eps, oracle["L"], oracle["h"])
+    L_eig, h_eig = aligned_grid(eps_eig, L, h)
     fd_ev = oracle_eigenvalue(op_eig, L=L_eig, h=h_eig)
-    if pole is None and fd_ev is None:
-        eig_err, eig_ok = None, True
-    elif pole is None or fd_ev is None:
-        eig_err, eig_ok = None, False
-    else:
+    agree = (pole is None) == (fd_ev is None)
+    eig_err = None
+    if pole is not None and fd_ev is not None:
         eig_err = abs(fd_ev - pole.eigenvalue) / abs(pole.eigenvalue)
-        eig_ok = eig_err <= tol["oracle_eigenvalue_rel"]
-    report.rows.append(
-        _row(
-            "oracle_eigenvalue_rel_error",
-            epsilon=oracle["epsilon_eigenvalue"],
-            value=eig_err,
-            error=tol["oracle_eigenvalue_rel"],
-        )
-    )
-    checks.append({"check": "eigenvalue", "error": eig_err, "passed": eig_ok})
 
     # free resolvent column against the closed-form kernel
-    zero_pot = StarPotential([PiecewisePolynomial.zero() for _ in range(config.n)])
-    op_free = EpsOperator(
-        potential=zero_pot,
-        scaling=ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0),
-        eps=oracle["epsilon_smatrix"],
-        quad=rule,
-    )
     source_edge = oracle["resolvent_source_edge"]
     source_x = oracle["resolvent_source_x"]
-    col = oracle_resolvent_column(
-        op_free,
-        config.kappa,
-        EdgeCoordinate(source_edge, source_x),
-        L=oracle["L"],
-        h=oracle["h"],
-    )
+    source = EdgeCoordinate(source_edge, source_x)
+    op_free = _member(config, eps_s, free=True)
+    col = oracle_resolvent_column(op_free, config.kappa, source, L=L, h=h)
     kernel = free_kernel(config.n)
     mom = Momentum.resolvent(1j * config.kappa)
     free_err = 0.0
     for j in range(1, config.n + 1):
         exact = kernel.on_grid(source_edge, j, np.array([source_x]), col.x, mom)[0]
         free_err = max(free_err, float(np.max(np.abs(col.values[j - 1] - exact.real))))
-    free_ok = free_err <= tol["oracle_free_column_sup"]
-    report.rows.append(
-        _row(
-            "oracle_free_column_sup_error",
-            kappa=config.kappa,
-            value=free_err,
-            error=tol["oracle_free_column_sup"],
-        )
-    )
-    checks.append({"check": "free_column", "error": free_err, "passed": free_ok})
 
     # finite-eps resolvent column (kappa away from the bound-state pole)
     col_kappa = oracle["resolvent_kappa"]
-    op_s = EpsOperator(
-        potential=potential, scaling=scaling, eps=oracle["epsilon_smatrix"], quad=rule
-    )
-    col = oracle_resolvent_column(
-        op_s,
-        col_kappa,
-        EdgeCoordinate(source_edge, source_x),
-        L=oracle["L"],
-        h=oracle["h"],
-    )
+    op_s = _member(config, eps_s)
+    col = oracle_resolvent_column(op_s, col_kappa, source, L=L, h=h)
     eps_k = resolvent_eps_kernel(op_s, col_kappa)
     eps_err = 0.0
     for j in range(1, config.n + 1):
@@ -492,35 +442,26 @@ def cmd_oracle(config):
         if j == source_edge:
             diff = diff[np.abs(col.x - source_x) >= 0.1]
         eps_err = max(eps_err, float(np.max(diff)))
-    eps_ok = eps_err <= tol["oracle_eps_column_sup"]
-    report.rows.append(
-        _row(
-            "oracle_eps_column_sup_error",
-            epsilon=oracle["epsilon_smatrix"],
-            kappa=col_kappa,
-            value=eps_err,
-            error=tol["oracle_eps_column_sup"],
-        )
-    )
-    checks.append({"check": "eps_column", "error": eps_err, "passed": eps_ok})
 
     # scattering matrix
     k = oracle["smatrix_k"]
-    s_fd = oracle_smatrix(op_s, k, L=oracle["L_scattering"], h=oracle["h"])
+    s_fd = oracle_smatrix(op_s, k, L=oracle["L_scattering"], h=h)
     s_an = smatrix_eps(op_s, k)
     s_err = float(np.max(np.abs(s_fd.entries - s_an.entries)))
-    s_ok = s_err <= tol["oracle_smatrix_abs"]
-    report.rows.append(
-        _row(
-            "oracle_smatrix_max_error",
-            epsilon=oracle["epsilon_smatrix"],
-            k=k,
-            value=s_err,
-            error=tol["oracle_smatrix_abs"],
-        )
-    )
-    checks.append({"check": "smatrix", "error": s_err, "passed": s_ok})
 
+    measured = (
+        (eig_err, {"epsilon": eps_eig}),
+        (free_err, {"kappa": config.kappa}),
+        (eps_err, {"epsilon": eps_s, "kappa": col_kappa}),
+        (s_err, {"epsilon": eps_s, "k": k}),
+    )
+    report = Report(command="oracle")
+    checks = []
+    for (check, quantity, tol_key), (err, cells) in zip(_ORACLE_CHECKS, measured):
+        tol = config.tolerances[tol_key]
+        report.rows.append(_row(quantity, value=err, error=tol, **cells))
+        passed = agree if err is None else err <= tol
+        checks.append({"check": check, "error": err, "passed": passed})
     report.passed = all(c["passed"] for c in checks)
     report.summary = {"checks": checks, "passed": report.passed}
     return report

@@ -33,7 +33,7 @@ are the same function, but cond(S - mu W) reaches about 1e6 on the
 spectrum grids, so the root is reproducible only to about 1e-10 relative
 between the two arithmetic routes; the eigenvalues keep the symmetric one.
 
-The secular root factorizes T - mu I at some thirty shifts mu <= -tau_e < 0,
+The secular root factorizes T - mu I at some thirty shifts mu <= -TAU_EIGEN < 0,
 whose sparsity pattern never changes. SuperLU's fill-reducing column order
 is therefore computed once per grid, at the first shift; T is then kept
 only as its symmetric permutation in that order, and each later shift is
@@ -233,8 +233,8 @@ def build_discrete_operator(op, L, h, k=None):
     )
 
 
-def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
-    """Smallest eigenvalue of the single-grid discretization below -tau_e, or None.
+def discrete_eigenvalue(op, L, h):
+    """Smallest eigenvalue of the single-grid discretization below -TAU_EIGEN, or None.
 
     For negative coupling strength c the operator T + c q q^T has exactly
     one eigenvalue below min spec(T) >= 0; it is the root of the secular
@@ -283,34 +283,35 @@ def discrete_eigenvalue(op, L, h, tau_e=TAU_EIGEN):
             values[key] = 1.0 + c * float(q @ x)
         return values[key]
 
-    if g(-tau_e) >= 0:
+    if g(-TAU_EIGEN) >= 0:
         return None
-    lo = -max(1.0, 4.0 * tau_e)
+    lo = -max(1.0, 4.0 * TAU_EIGEN)
     while g(lo) <= 0:
         lo *= 2.0
         if lo < -1e12:
             raise SingularSystem("secular function never changes sign")
-    return float(brentq(g, lo, -tau_e, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
+    return float(brentq(g, lo, -TAU_EIGEN, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
 
 
-def oracle_eigenvalue(op, L=40.0, h=5e-3, tau_e=TAU_EIGEN, richardson_rtol=RICHARDSON_RTOL):
-    """Discrete ground-state energy, Richardson-guarded; None if spectrum >= -tau_e.
+def oracle_eigenvalue(op, L, h):
+    """Discrete ground-state energy, Richardson-guarded; None if spectrum >= -TAU_EIGEN.
 
-    Solves on h and h/2, insists the pair agrees to ``richardson_rtol``
+    Solves on h and h/2, insists the pair agrees to RICHARDSON_RTOL
     relative, and returns the Richardson combination (4 e(h/2) - e(h))/3 of
     the verified second-order pair. The eigenfunction steepens like 1/eps
     inside the scaled support, which inflates the plain h^2 constant; the
-    extrapolated pair keeps the advertised tolerances at the default grid.
+    extrapolated pair keeps the advertised tolerances at the config's default
+    oracle grid (L = 40, h = 5e-3).
     """
-    coarse = discrete_eigenvalue(op, L, h, tau_e)
-    fine = discrete_eigenvalue(op, L, h / 2.0, tau_e)
+    coarse = discrete_eigenvalue(op, L, h)
+    fine = discrete_eigenvalue(op, L, h / 2.0)
     if (coarse is None) != (fine is None):
         raise GridTooCoarse(
             f"bound-state detection flips between h = {h} and h/2 (got {coarse} vs {fine})"
         )
     if coarse is None:
         return None
-    if abs(coarse - fine) > richardson_rtol * max(1.0, abs(fine)):
+    if abs(coarse - fine) > RICHARDSON_RTOL * max(1.0, abs(fine)):
         raise GridTooCoarse(
             f"Richardson check failed: e(h) = {coarse:.6e}, e(h/2) = {fine:.6e}"
         )
@@ -325,7 +326,7 @@ class OracleColumn:
     values: np.ndarray  # shape (n, m+1); row j is the column on edge j+1
 
 
-def oracle_resolvent_column(op, kappa, source, L=40.0, h=5e-3):
+def oracle_resolvent_column(op, kappa, source, L, h):
     """Discrete resolvent column, Richardson-combined from the (h, h/2) pair.
 
     The source is snapped to the nearest h-grid node; samples of
@@ -355,7 +356,7 @@ def discrete_resolvent_column(op, kappa, source, L, h):
     return OracleColumn(x=h * np.arange(m + 1), values=values)
 
 
-def oracle_smatrix(op, k, L=2.0, h=5e-3):
+def oracle_smatrix(op, k, L, h):
     """Scattering matrix, Richardson-combined from the (h, h/2) solves."""
     coarse = discrete_smatrix(op, k, L, h)
     fine = discrete_smatrix(op, k, L, h / 2.0)

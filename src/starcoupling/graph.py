@@ -83,9 +83,6 @@ class StarPotential:
     def total_mean(self):
         return sum(p.integral() for p in self.profiles)
 
-    def support_radius(self):
-        return max(p.support[1] for p in self.profiles)
-
 
 @dataclass(frozen=True)
 class ScalingFunction:

@@ -117,13 +117,6 @@ def _free_kernel_grid(kc, i, j, xs, ys, n, rank_one=0.0):
     return grid
 
 
-def free_green(k, p, q, n):
-    """Free (Kirchhoff) resolvent kernel at two graph points, Im k > 0."""
-    if k.regime != "resolvent":
-        raise ValueError("free kernel is defined in the resolvent regime")
-    return complex(_free_kernel_grid(k.k, p.edge, q.edge, p.x, q.x, n)[0, 0])
-
-
 class KernelEvaluator:
     """Callable resolvent kernel on the graph, indexed by edge coordinates.
 

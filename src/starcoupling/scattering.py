@@ -42,21 +42,6 @@ TOL_FREDHOLM = 1e-12
 
 
 @dataclass(frozen=True)
-class FredholmPieces:
-    """The degenerate-kernel data of one scattering solve.
-
-    ``W`` and ``F`` are per-edge callables on [0, eps] (1-based edge index
-    selects the tuple entry); N and D are their pairings with the scaled
-    potential.
-    """
-
-    W: tuple
-    F: tuple
-    N: complex
-    D: complex
-
-
-@dataclass(frozen=True)
 class ScatteringSolution:
     """Scattering state for one incoming edge at momentum k."""
 
@@ -83,7 +68,7 @@ def assemble_F(i, k, x: EdgeCoordinate, n):
     return -2j * delta * np.sin(k * x.x) + (2.0 / n) * np.exp(1j * k * x.x)
 
 
-def assemble_W(op, k, j, x, rule=None):
+def assemble_W(op, k, j, x):
     """Degenerate-kernel column W on edge j at arc length x in [0, eps].
 
     W(x_j) = (lambda(eps)/(2ik eps^3)) [ int_x^eps V_eps(y) e^{ik(y-x)} dy
@@ -96,11 +81,10 @@ def assemble_W(op, k, j, x, rule=None):
         raise ValueError(f"edge index {j} outside 1..{op.n}")
     if not 0 <= x <= op.eps:
         raise ValueError("W is defined on [0, eps]")
-    rule = rule if rule is not None else op.quad
-    return -(op.lambda_value / op.eps**3) * _factor(op, k, j, np.array([x]), rule)[0]
+    return -(op.lambda_value / op.eps**3) * _factor(op, k, j, np.array([x]), op.quad)[0]
 
 
-def fredholm_D_direct(op, k, rule=None):
+def fredholm_D_direct(op, k):
     """The Fredholm denominator D of every solve, from its closed bilinear form.
 
     D = (lambda/(2ik eps)) [ sum_j II V_j V_j e^{ik eps |u-v|}
@@ -108,18 +92,16 @@ def fredholm_D_direct(op, k, rule=None):
 
     that is -(lambda/eps^3) P(k); k may be complex with Im k >= 0.
     """
-    rule = rule if rule is not None else op.quad
-    return -(op.lambda_value / op.eps**3) * _pairing(op, k, rule)
+    return -(op.lambda_value / op.eps**3) * _pairing(op, k, op.quad)
 
 
-def _fredholm(op, k, rule):
+def _fredholm(op, k):
     # numerators N_i of every incoming edge and D
     if k <= 0:
         raise ValueError("scattering momentum must be positive")
-    rule = rule if rule is not None else op.quad
-    r = _edge_moments(op, k, rule)
+    r = _edge_moments(op, k, op.quad)
     N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r))
-    return N, fredholm_D_direct(op, k, rule)
+    return N, fredholm_D_direct(op, k)
 
 
 def _solve(N, D, k):
@@ -129,33 +111,20 @@ def _solve(N, D, k):
     return N / denom
 
 
-def compute_ND(op, i, k, rule=None):
+def compute_ND(op, i, k):
     """Numerator and denominator moments of the Fredholm solve.
 
     N = sum_j int_0^eps F V_eps from the verified edge moments and
     D = sum_j int_0^eps W V_eps from the verified pairing.
     """
-    N, D = _fredholm(op, k, rule)
+    N, D = _fredholm(op, k)
     return N[i - 1], D
 
 
-def solve_inner(op, i, k, rule=None):
+def solve_inner(op, i, k):
     """The scalar unknown <psi, V_eps> = N/(1 - D) of the Fredholm equation."""
-    N, D = compute_ND(op, i, k, rule)
+    N, D = compute_ND(op, i, k)
     return _solve(N, D, k)
-
-
-def fredholm_pieces(op, i, k, rule=None):
-    """Bundle the degenerate-kernel data for incoming edge i at momentum k."""
-    N, D = compute_ND(op, i, k, rule)
-    W = tuple(
-        (lambda x, j=j: assemble_W(op, k, j, x, rule)) for j in range(1, op.n + 1)
-    )
-    F = tuple(
-        (lambda x, j=j: assemble_F(i, k, EdgeCoordinate(j, x), op.n))
-        for j in range(1, op.n + 1)
-    )
-    return FredholmPieces(W=W, F=F, N=N, D=D)
 
 
 def _amplitudes(op, k, inner, N):
@@ -165,7 +134,7 @@ def _amplitudes(op, k, inner, N):
     return np.multiply.outer(factor, N) + 2.0 / op.n
 
 
-def smatrix_eps(op, k, rule=None):
+def smatrix_eps(op, k):
     """On-shell S-matrix of the finite-eps operator from n Fredholm solves.
 
     Row i uses the exact amplitude formula
@@ -176,14 +145,14 @@ def smatrix_eps(op, k, rule=None):
     whose bracket is N_j/2i; the O(eps) expansion of this formula is never
     used here.
     """
-    N, D = _fredholm(op, k, rule)
+    N, D = _fredholm(op, k)
     entries = _amplitudes(op, k, _solve(N, D, k), N) - np.eye(op.n)
     return SMatrix(k=float(k), entries=entries)
 
 
-def scattering_solution(op, i, k, rule=None):
+def scattering_solution(op, i, k):
     """Solve the scattering problem for one incoming edge."""
-    N, D = _fredholm(op, k, rule)
+    N, D = _fredholm(op, k)
     inner = _solve(N[i - 1], D, k)
     amplitudes = _amplitudes(op, k, inner, N) - np.eye(op.n)[i - 1]
     return ScatteringSolution(op=op, incoming=i, k=k, inner_v=inner, amplitudes=amplitudes)

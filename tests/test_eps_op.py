@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, trapezoid
@@ -94,9 +96,10 @@ class TestInnerRVV:
         assert abs(ratio - 1.0) <= 5e-3
 
     def test_order_doubling_stability(self, op_factory):
-        op = op_factory(0.1)
-        coarse = sc.inner_RV_V(2.0, op, rule=sc.QuadratureRule(order=32))
-        fine = sc.inner_RV_V(2.0, op, rule=sc.QuadratureRule(order=64))
+        op32 = dataclasses.replace(op_factory(0.1), quad=sc.QuadratureRule(order=32))
+        op64 = dataclasses.replace(op32, quad=sc.QuadratureRule(order=64))
+        coarse = sc.inner_RV_V(2.0, op32)
+        fine = sc.inner_RV_V(2.0, op64)
         assert abs(fine - coarse) <= 1e-10 * abs(fine)
 
     def test_rejects_nonpositive_kappa(self, op_factory):
@@ -437,22 +440,22 @@ class TestBatchedPoleScan:
         # at order 12 only the large-kappa end of [0.5, 100] misses the
         # doubling tolerance, against its own |P|; measured against the
         # batch's largest |P|, near kappa = 0.5, it would pass
-        op, rule = op_factory(0.125), sc.QuadratureRule(order=12)
+        op = dataclasses.replace(op_factory(0.125), quad=sc.QuadratureRule(order=12))
         grid = np.linspace(0.5, hi, 65)
         failed = []
         for kappa in grid:
             try:
-                sc.inner_RV_V(kappa, op, rule)
+                sc.inner_RV_V(kappa, op)
             except QuadratureNotConverged:
                 failed.append(kappa)
         assert bool(failed) == scalar_fails
         assert all(kappa > 0.8 * hi for kappa in failed)
         if scalar_fails:
             with pytest.raises(QuadratureNotConverged):
-                sc.inner_RV_V(grid, op, rule)
+                sc.inner_RV_V(grid, op)
         else:
             assert np.array_equal(
-                sc.inner_RV_V(grid, op, rule), [sc.inner_RV_V(k, op, rule) for k in grid]
+                sc.inner_RV_V(grid, op), [sc.inner_RV_V(k, op) for k in grid]
             )
 
 

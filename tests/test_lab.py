@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import starcoupling as sc
+import starcoupling.experiments as experiments
+import starcoupling.quadrature as quadrature
 from starcoupling import ConfigError
 from starcoupling.config import CONFIG_SCHEMA, parse_config
 from starcoupling.cli import run
@@ -182,7 +185,7 @@ class TestEdgeValidation:
     def test_free_green_rejects_bad_edge(self):
         k = sc.Momentum.resolvent(1j)
         with pytest.raises(ValueError):
-            sc.free_green(k, sc.EdgeCoordinate(4, 0.1), sc.EdgeCoordinate(1, 0.1), 3)
+            sc.free_kernel(3)(sc.EdgeCoordinate(4, 0.1), sc.EdgeCoordinate(1, 0.1), k)
 
     def test_assemble_F_rejects_bad_edge(self):
         with pytest.raises(ValueError):
@@ -270,6 +273,42 @@ class TestSpectrumCommand:
         for entry in report.summary["per_epsilon"]:
             assert entry["kappa_root"] is None
 
+    @pytest.mark.parametrize("lambda1, has_pole", [(-1.0, True), (1.0, False)])
+    def test_row_layout(self, tmp_path, lambda1, has_pole):
+        config = sc.load_config(
+            write_config(
+                tmp_path,
+                {
+                    "scaling": {"resonant": True, "lambda1": lambda1},
+                    "epsilons": [0.125, 0.0625],
+                },
+            )
+        )
+        report = sc.cmd_spectrum(config)
+        per_eps = ["kappa_predictor", "kappa_root", "eigenvalue", "eigenvalue_fd"]
+        quantities = [r["quantity"] for r in report.rows]
+        assert quantities == ["eigenvalue_limit"] + 2 * per_eps
+        head = report.rows[0]
+        assert (head["epsilon"], head["k"], head["kappa"]) == (None, None, None)
+        limit_ev = report.summary["eigenvalue_limit"]
+        assert head["value"] == limit_ev
+        entries = report.summary["per_epsilon"]
+        for idx, (eps, entry) in enumerate(zip(config.epsilons, entries)):
+            rows = report.rows[1 + 4 * idx : 5 + 4 * idx]
+            kappa, ev = entry["kappa_root"], entry["eigenvalue"]
+            fd = entry["eigenvalue_fd"]
+            assert (kappa is not None) == has_pole
+            assert [r["epsilon"] for r in rows] == [eps] * 4
+            assert [r["k"] for r in rows] == [None] * 4
+            assert [r["kappa"] for r in rows] == [None, kappa, kappa, None]
+            values = [entry["kappa_predictor"], kappa, ev, fd]
+            assert [r["value"] for r in rows] == values
+            if has_pole:
+                assert rows[2]["error"] == abs(ev - limit_ev)
+                assert rows[3]["error"] == abs(fd - ev)
+            else:
+                assert [r["error"] for r in rows] == [None] * 4
+
 
     def test_parallel_matches_serial(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.1, 0.05]}))
@@ -344,6 +383,45 @@ class TestOracleCommand:
         )
         report = sc.cmd_oracle(config)
         assert not report.passed
+
+    @pytest.mark.parametrize("lambda1, bound_state", [(-1.0, True), (1.0, False)])
+    def test_row_layout(self, tmp_path, lambda1, bound_state):
+        config = sc.load_config(
+            write_config(
+                tmp_path,
+                {
+                    "scaling": {"resonant": True, "lambda1": lambda1},
+                    "oracle": {"L": 20.0, "h": 0.005, "L_scattering": 2.0},
+                },
+            )
+        )
+        report = sc.cmd_oracle(config)
+        oracle, tol = config.oracle, config.tolerances
+        eps_eig, eps_s = oracle["epsilon_eigenvalue"], oracle["epsilon_smatrix"]
+        # quantity -> (epsilon, k, kappa) cells
+        cells = {
+            "oracle_eigenvalue_rel_error": (eps_eig, None, None),
+            "oracle_free_column_sup_error": (None, None, config.kappa),
+            "oracle_eps_column_sup_error": (eps_s, None, oracle["resolvent_kappa"]),
+            "oracle_smatrix_max_error": (eps_s, oracle["smatrix_k"], None),
+        }
+        tol_keys = [
+            "oracle_eigenvalue_rel",
+            "oracle_free_column_sup",
+            "oracle_eps_column_sup",
+            "oracle_smatrix_abs",
+        ]
+        rows, checks = report.rows, report.summary["checks"]
+        assert [r["quantity"] for r in rows] == list(cells)
+        assert [(r["epsilon"], r["k"], r["kappa"]) for r in rows] == list(cells.values())
+        assert [r["error"] for r in rows] == [tol[key] for key in tol_keys]
+        names = ["eigenvalue", "free_column", "eps_column", "smatrix"]
+        assert [c["check"] for c in checks] == names
+        assert [r["value"] for r in rows] == [c["error"] for c in checks]
+        assert (checks[0]["error"] is not None) == bound_state
+        if not bound_state:
+            assert checks[0]["passed"] is True
+            assert rows[0]["value"] is None
 
 
 class TestReportWriting:
@@ -523,6 +601,52 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "command, flags, order",
+        [
+            ("converge", ["--quad-order", "0"], 32),
+            ("spectrum", ["--quad-order", "-1"], 32),
+            ("converge", ["--quad-order", "257"], 32),
+            ("spectrum", [], 257),
+        ],
+    )
+    def test_quad_order_outside_range_exit_two(
+        self, tmp_path, capsys, monkeypatch, command, flags, order
+    ):
+        # an order of 1024 would need gigabytes in the pole scan: the order
+        # must be refused before any rule is built
+        def no_rule(n):
+            raise AssertionError(f"a rule of order {n} was built")
+
+        monkeypatch.setattr(quadrature, "_gauss01", no_rule)
+        cfg = write_config(tmp_path, {"quadrature": {"order": order}})
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+
+    def test_parallel_starts_at_most_one_worker_per_eps(self, tmp_path, monkeypatch):
+        started = []
+
+        class RecordingExecutor:
+            # runs in this process and records the pool size it was given
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingExecutor)
+        config = sc.load_config(write_config(tmp_path))
+        fanned = sc.cmd_converge(config, parallel=64)
+        assert started == [len(config.epsilons)]
+        assert fanned.rows == sc.cmd_converge(config, parallel=1).rows
+
     def test_converge_parallel_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -567,3 +691,30 @@ assert "scipy.sparse.linalg" in sys.modules
             timeout=300,
         )
         assert done.returncode == 0, done.stderr[-2000:]
+
+
+class TestPublicApi:
+    def test_no_callable_takes_a_fixed_numerical_setting(self):
+        # the quadrature rule is the operator's own (EpsOperator.quad) and
+        # the other settings are module constants, so no exported callable,
+        # and no method of an exported class, may take one as a parameter
+        fixed = {"rule", "samples", "panel_order", "tau_e", "richardson_rtol"}
+        callables = []
+        for name, obj in vars(sc).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if isinstance(obj, type):
+                if issubclass(obj, BaseException):
+                    continue
+                callables += [
+                    (f"{name}.{attr}", member)
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and inspect.isfunction(member)
+                ]
+            callables.append((name, obj))
+        assert len(callables) > 60
+        offending = {
+            name: sorted(fixed & set(inspect.signature(obj).parameters))
+            for name, obj in callables
+        }
+        assert {name: p for name, p in offending.items() if p} == {}

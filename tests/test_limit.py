@@ -27,7 +27,7 @@ class TestMomentum:
 class TestFreeGreen:
     def test_vertex_value_two_edges(self):
         k = Momentum.resolvent(1j)
-        val = sc.free_green(k, EdgeCoordinate(1, 0.0), EdgeCoordinate(2, 0.0), 2)
+        val = sc.free_kernel(2)(EdgeCoordinate(1, 0.0), EdgeCoordinate(2, 0.0), k)
         assert val == pytest.approx(0.5)
 
     def test_two_edge_reduction_to_free_line(self):
@@ -35,7 +35,7 @@ class TestFreeGreen:
         k = Momentum.resolvent(0.7j)
         kc = 0.7j
         for x, y in [(0.3, 0.9), (1.2, 0.1)]:
-            val = sc.free_green(k, EdgeCoordinate(1, x), EdgeCoordinate(2, y), 2)
+            val = sc.free_kernel(2)(EdgeCoordinate(1, x), EdgeCoordinate(2, y), k)
             line = 1j / (2 * kc) * np.exp(1j * kc * abs(x - (-y)))
             assert val == pytest.approx(line, abs=1e-15)
 
@@ -47,14 +47,15 @@ class TestFreeGreen:
         h = 1e-6
         total = 0.0
         for j in range(1, n + 1):
-            g0 = sc.free_green(k, EdgeCoordinate(j, 0.0), EdgeCoordinate(ell, y), n)
-            g1 = sc.free_green(k, EdgeCoordinate(j, h), EdgeCoordinate(ell, y), n)
+            g0 = sc.free_kernel(n)(EdgeCoordinate(j, 0.0), EdgeCoordinate(ell, y), k)
+            g1 = sc.free_kernel(n)(EdgeCoordinate(j, h), EdgeCoordinate(ell, y), k)
             total += (g1 - g0) / h
         assert abs(total) < 1e-5
 
     def test_requires_resolvent_regime(self):
+        k = Momentum.scattering(1.0)
         with pytest.raises(ValueError):
-            sc.free_green(Momentum.scattering(1.0), EdgeCoordinate(1, 0), EdgeCoordinate(1, 0), 2)
+            sc.free_kernel(2)(EdgeCoordinate(1, 0), EdgeCoordinate(1, 0), k)
 
 
 class TestLambdaMatrix:
