@@ -1,118 +1,31 @@
 """Experiment configuration: a strict JSON document.
 
 Top-level keys: n, potential, scaling, epsilons, momenta, kappa, and the
-optional quadrature, oracle, tolerances, output. Unknown keys anywhere are
-errors so that misspelled experiment definitions cannot be silently
-ignored. Piece coefficients are ascending powers of the global coordinate
+optional quadrature, oracle, tolerances, output. ``parse_config`` alone
+decides admissibility: unknown keys anywhere are errors so that misspelled
+experiment definitions cannot be silently ignored, and every number must be
+finite. Piece coefficients are ascending powers of the global coordinate
 x (degree <= 3); an empty piece list means a zero profile on that edge.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .graph import ScalingFunction, StarPotential
 from .piecewise import PiecewisePolynomial
+from .quadrature import QuadratureRule
 
 #: largest admissible quadrature order: the batched pole scan holds
 #: 65 (2 order)^2 values per temporary, about 0.4 GiB at order 256 and four
 #: times that per doubling
 MAX_QUAD_ORDER = 256
-
-_NUMBER = {"type": "number"}
-
-_PIECE = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["interval", "coeffs"],
-    "properties": {
-        "interval": {
-            "type": "array",
-            "items": _NUMBER,
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "coeffs": {
-            "type": "array",
-            "items": _NUMBER,
-            "minItems": 1,
-            "maxItems": 4,
-        },
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "potential", "scaling", "epsilons", "momenta", "kappa"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 2},
-        "potential": {
-            "type": "array",
-            "items": {"type": "array", "items": _PIECE},
-        },
-        "scaling": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["resonant", "lambda1"],
-            "properties": {
-                "resonant": {"type": "boolean"},
-                "lambda0": _NUMBER,
-                "lambda1": _NUMBER,
-                "higher": {"type": "array", "items": _NUMBER},
-            },
-        },
-        "epsilons": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "momenta": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "kappa": _NUMBER,
-        "quadrature": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "order": {"type": "integer", "minimum": 1, "maximum": MAX_QUAD_ORDER}
-            },
-        },
-        "oracle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "L": _NUMBER,
-                "h": _NUMBER,
-                "L_scattering": _NUMBER,
-                "epsilon_eigenvalue": _NUMBER,
-                "epsilon_smatrix": _NUMBER,
-                "smatrix_k": _NUMBER,
-                "resolvent_source_edge": {"type": "integer", "minimum": 1},
-                "resolvent_source_x": _NUMBER,
-                "resolvent_kappa": _NUMBER,
-            },
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "oracle_eigenvalue_rel": _NUMBER,
-                "oracle_smatrix_abs": _NUMBER,
-                "oracle_free_column_sup": _NUMBER,
-                "oracle_eps_column_sup": _NUMBER,
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
-    },
-}
-
-# jsonschema.validate checks the meta-schema on every call; check it once
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_VALIDATOR.check_schema(CONFIG_SCHEMA)
 
 _ORACLE_DEFAULTS = {
     "L": 40.0,
@@ -138,7 +51,7 @@ _TOLERANCE_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment definition; see CONFIG_SCHEMA for the layout."""
+    """Validated experiment definition, as parse_config builds it."""
 
     n: int
     potential_spec: tuple
@@ -146,13 +59,13 @@ class ExperimentConfig:
     epsilons: tuple
     momenta: tuple
     kappa: float
-    quad_order: int = 32
+    quad_order: int = QuadratureRule.order
     oracle: dict = field(default_factory=lambda: dict(_ORACLE_DEFAULTS))
     tolerances: dict = field(default_factory=lambda: dict(_TOLERANCE_DEFAULTS))
     output_dir: str = "results"
 
     def __post_init__(self):
-        # also guards an order set after parse_config, as --quad-order does
+        # the one range check of the order, from the config or --quad-order
         if not 1 <= self.quad_order <= MAX_QUAD_ORDER:
             raise ConfigError(
                 f"quadrature order {self.quad_order} outside 1..{MAX_QUAD_ORDER}"
@@ -178,72 +91,154 @@ class ExperimentConfig:
         )
 
 
+def _object(value, path, required=(), optional=()):
+    """value, if it is an object with the required keys and no others
+    than the optional ones."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be an object")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path} lacks the required key {key!r}")
+    for key in value:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{path} has the unknown key {key!r}")
+    return value
+
+
+def _number(value, path):
+    """value, if it is a finite number; true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path} must be a number")
+    # NaN fails the comparison, and so does an int beyond the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be finite")
+    return value
+
+
+def _numbers(value, path, lo=0, hi=math.inf):
+    """value, if it is an array of lo..hi finite numbers."""
+    if not isinstance(value, list) or not lo <= len(value) <= hi:
+        raise ConfigError(f"{path} must be an array of {lo}..{hi} numbers")
+    for i, item in enumerate(value):
+        _number(item, f"{path}[{i}]")
+    return value
+
+
+def _integer(value, path, lo=-math.inf, hi=math.inf):
+    """value as an int, if it is an integer in lo..hi; 3.0 counts as 3."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{path} must lie in {lo}..{hi}")
+    return value
+
+
 def parse_config(raw):
-    """Validate a parsed JSON document and fold in defaults."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message}") from error
+    """Check a parsed JSON document in one pass and fold in defaults.
 
-    if len(raw["potential"]) != raw["n"]:
-        raise ConfigError(
-            f"potential lists {len(raw['potential'])} edges but n = {raw['n']}"
-        )
-    scaling = raw["scaling"]
-    if scaling["resonant"] and "lambda0" in scaling:
-        raise ConfigError("resonant scaling derives lambda0; remove it from the config")
-    if not scaling["resonant"] and "lambda0" not in scaling:
-        raise ConfigError("non-resonant scaling requires lambda0")
+    Each key, type and range is checked where its value is read, and the
+    ConfigError names the first offending key; the potential and the
+    scaling are then built once, so their constructors' rules count too.
+    """
+    required = ("n", "potential", "scaling", "epsilons", "momenta", "kappa")
+    optional = ("quadrature", "oracle", "tolerances", "output")
+    _object(raw, "config", required, optional)
+    n = _integer(raw["n"], "n", lo=2)
+    edges = raw["potential"]
+    if not isinstance(edges, list) or len(edges) != n:
+        raise ConfigError(f"potential must be an array of n = {n} edges")
+    for e, edge in enumerate(edges):
+        if not isinstance(edge, list):
+            raise ConfigError(f"potential[{e}] must be an array of pieces")
+        for p, piece in enumerate(edge):
+            path = f"potential[{e}][{p}]"
+            _object(piece, path, ("interval", "coeffs"))
+            a, b = _numbers(piece["interval"], f"{path} interval", 2, 2)
+            if not 0 <= a < b <= 1:
+                raise ConfigError(f"{path} interval [{a}, {b}] not inside [0, 1]")
+            _numbers(piece["coeffs"], f"{path} coeffs", 1, 4)
 
-    eps = [float(e) for e in raw["epsilons"]]
+    scaling = _object(
+        raw["scaling"], "scaling", ("resonant", "lambda1"), ("lambda0", "higher")
+    )
+    if not isinstance(scaling["resonant"], bool):
+        raise ConfigError("scaling resonant must be true or false")
+    _number(scaling["lambda1"], "scaling lambda1")
+    if "lambda0" in scaling:
+        _number(scaling["lambda0"], "scaling lambda0")
+    _numbers(scaling.get("higher", []), "scaling higher")
+
+    eps = [float(e) for e in _numbers(raw["epsilons"], "epsilons", 1)]
     if any(not 0 < e <= 1 for e in eps):
         raise ConfigError("epsilons must lie in (0, 1]")
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
-    momenta = [float(k) for k in raw["momenta"]]
+    momenta = [float(k) for k in _numbers(raw["momenta"], "momenta", 1)]
     if any(k <= 0 for k in momenta):
         raise ConfigError("momenta must be positive")
-    if raw["kappa"] <= 0:
+    if _number(raw["kappa"], "kappa") <= 0:
         raise ConfigError("kappa must be positive")
 
-    for e, edge in enumerate(raw["potential"]):
-        for piece in edge:
-            a, b = piece["interval"]
-            if not (0 <= a < b <= 1):
-                raise ConfigError(
-                    f"edge {e + 1} piece interval [{a}, {b}] not inside [0, 1]"
-                )
+    settings = {}
+    quadrature = _object(raw.get("quadrature", {}), "quadrature", optional=("order",))
+    if "order" in quadrature:
+        settings["quad_order"] = _integer(quadrature["order"], "quadrature order")
+    output = _object(raw.get("output", {}), "output", optional=("dir",))
+    if "dir" in output:
+        if not isinstance(output["dir"], str):
+            raise ConfigError("output dir must be a string")
+        settings["output_dir"] = output["dir"]
 
     oracle = dict(_ORACLE_DEFAULTS)
-    oracle.update(raw.get("oracle", {}))
+    oracle.update(_object(raw.get("oracle", {}), "oracle", optional=_ORACLE_DEFAULTS))
+    for key, value in oracle.items():
+        _number(value, f"oracle {key}")
+    oracle["resolvent_source_edge"] = _integer(
+        oracle["resolvent_source_edge"], "oracle resolvent_source_edge", 1, n
+    )
     for key in ("L", "h", "L_scattering", "smatrix_k", "resolvent_kappa"):
         if not oracle[key] > 0:
             raise ConfigError(f"oracle {key} must be positive")
     for key in ("epsilon_eigenvalue", "epsilon_smatrix"):
         if not 0 < oracle[key] <= 1:
             raise ConfigError(f"oracle {key} must lie in (0, 1]")
-    if oracle["resolvent_source_edge"] > raw["n"]:
-        raise ConfigError(f"oracle resolvent_source_edge exceeds n = {raw['n']}")
     # the FD column snaps the source to the nearest node of the h grid
     x, L, h = oracle["resolvent_source_x"], oracle["L"], oracle["h"]
+    if not L / h < math.inf:
+        raise ConfigError("oracle h is too small for L: L / h overflows")
     if not (0 <= x < L and round(x / h) < round(L / h)):
         raise ConfigError(
             "oracle resolvent_source_x must lie in [0, L) and snap to a node below L"
         )
     tolerances = dict(_TOLERANCE_DEFAULTS)
-    tolerances.update(raw.get("tolerances", {}))
+    tolerances.update(
+        _object(raw.get("tolerances", {}), "tolerances", optional=_TOLERANCE_DEFAULTS)
+    )
+    for key, value in tolerances.items():
+        if not _number(value, f"tolerances {key}") > 0:
+            raise ConfigError(f"tolerances {key} must be positive")
 
-    return ExperimentConfig(
-        n=int(raw["n"]),
-        potential_spec=tuple(tuple(edge) for edge in raw["potential"]),
+    config = ExperimentConfig(
+        n=n,
+        potential_spec=tuple(tuple(edge) for edge in edges),
         scaling_spec=dict(scaling),
         epsilons=tuple(eps),
         momenta=tuple(momenta),
         kappa=float(raw["kappa"]),
-        quad_order=int(raw.get("quadrature", {}).get("order", 32)),
         oracle=oracle,
         tolerances=tolerances,
-        output_dir=raw.get("output", {}).get("dir", "results"),
+        **settings,
     )
+    # the constructors' own rules: consecutive pieces, lambda1 and lambda0
+    parts = {"potential": config.build_potential, "scaling": config.build_scaling}
+    for key, build in parts.items():
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return config
 
 
 def load_config(path):

@@ -10,7 +10,7 @@ class StarCouplingError(Exception):
 
 
 class ConfigError(StarCouplingError):
-    """Experiment configuration is malformed or violates the schema."""
+    """Experiment configuration is malformed or inadmissible."""
 
     exit_code = 2
 

@@ -183,7 +183,7 @@ def hs_distance(op, kappa):
     lim_kernel = resolvent_kernel_limit(op.constants)
     mom = Momentum.resolvent(1j * kappa)
     L = 1.0 + 8.0 / kappa
-    rule = QuadratureRule(order=HS_PANEL_ORDER, split_diagonal=False)
+    rule = QuadratureRule(order=HS_PANEL_ORDER)
 
     grids = []
     for profile in op.potential.profiles:

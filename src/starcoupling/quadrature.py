@@ -36,14 +36,9 @@ def merge_breaks(lo, hi, *extra):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Per-cell Gauss-Legendre rule of fixed order.
-
-    ``split_diagonal`` controls whether same-cell double integrals are
-    decomposed into triangles; leave it on for kernels containing |x-y|.
-    """
+    """Per-cell Gauss-Legendre rule of fixed order."""
 
     order: int = 32
-    split_diagonal: bool = True
 
     def __post_init__(self):
         if self.order < 1:
@@ -94,15 +89,15 @@ class QuadratureRule:
 
         ``f`` must accept broadcasting 2-d arrays and may add leading axes,
         one integral each. It must be symmetric bit for bit,
-        f(x, y) == f(y, x): a diagonal cell, triangle-split when
-        ``split_diagonal`` is set, counts its lower triangle twice.
+        f(x, y) == f(y, x): a diagonal cell is split into two triangles
+        and counts its lower one twice.
         """
         breaks = np.asarray(breaks, dtype=float)
         total = 0.0
         ncell = breaks.size - 1
         for i in range(ncell):
             for j in range(ncell):
-                if i == j and self.split_diagonal:
+                if i == j:
                     total = total + self._triangle_pair(f, breaks[i], breaks[i + 1])
                 else:
                     total = total + self._tensor_cell(

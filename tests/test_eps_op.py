@@ -350,7 +350,7 @@ class TestFindPole:
             sc.find_pole(op_factory(0.01), bracket=(-1.0, 1.0))
 
     def test_multiple_sign_changes_reported(self, op_factory, monkeypatch):
-        wobble = lambda kappa, op, rule=None: np.cos(5.0 * kappa)
+        wobble = lambda kappa, op: np.cos(5.0 * kappa)
         monkeypatch.setattr(eps_mod, "inner_RV_V", wobble)
         with pytest.raises(MultipleSignChanges):
             sc.find_pole(op_factory(0.01), bracket=(0.1, 3.0))
@@ -382,7 +382,7 @@ def _drawn_cubic(seed=3):
     )
 
 
-def _default_grid(op, samples=64):
+def _default_grid(op):
     # find_pole's default scan grid
     try:
         predicted = sc.pole_asymptotic(op)
@@ -392,7 +392,7 @@ def _default_grid(op, samples=64):
         lo, hi = max(eps_mod.TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0
     else:
         lo, hi = eps_mod.TOL_KAPPA, 10.0
-    return np.linspace(lo, hi, samples + 1)
+    return np.linspace(lo, hi, eps_mod.POLE_SCAN_SAMPLES + 1)
 
 
 def _scalar_search(op, grid):

@@ -114,7 +114,7 @@ def _hs_all_pairs(op, kappa):
     lim_kernel = sc.resolvent_kernel_limit(op.constants)
     mom = Momentum.resolvent(1j * kappa)
     L = 1.0 + 8.0 / kappa
-    rule = QuadratureRule(order=ex.HS_PANEL_ORDER, split_diagonal=False)
+    rule = QuadratureRule(order=ex.HS_PANEL_ORDER)
     grids = []
     for profile in op.potential.profiles:
         breaks = ex._hs_breaks(profile, op.eps, L)

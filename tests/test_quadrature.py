@@ -42,8 +42,9 @@ def test_double_integral_with_crease_closed_form():
 
 
 def test_double_integral_without_split_is_inaccurate_on_crease():
-    blunt = QuadratureRule(order=32, split_diagonal=False)
-    got = blunt.double_integral(lambda x, y: np.abs(x - y), [0.0, 1.0])
+    # the diagonal cell summed as one tensor cell, without the triangle split
+    rule = QuadratureRule(order=32)
+    got = rule._tensor_cell(lambda x, y: np.abs(x - y), 0.0, 1.0, 0.0, 1.0)
     assert abs(got - 1.0 / 3.0) > 1e-8  # the split exists for a reason
 
 

@@ -113,7 +113,7 @@ class TestSolveInner:
     def test_singular_denominator_raises(self, op_small, monkeypatch):
         import starcoupling.scattering as scat
 
-        monkeypatch.setattr(scat, "compute_ND", lambda op, i, k, rule=None: (1.0, 1.0))
+        monkeypatch.setattr(scat, "compute_ND", lambda op, i, k: (1.0, 1.0))
         with pytest.raises(FredholmSingular):
             sc.solve_inner(op_small, 1, 1.0)
 
