@@ -17,8 +17,16 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
-from .graph import ScalingFunction, StarPotential
+from .graph import (
+    ScalingFunction,
+    StarPotential,
+    constant_A,
+    constants_B_Pi,
+    moments_theta,
+)
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 
@@ -233,11 +241,18 @@ def parse_config(raw):
     )
     # the constructors' own rules: consecutive pieces, lambda1 and lambda0
     parts = {"potential": config.build_potential, "scaling": config.build_scaling}
+    built = {}
     for key, build in parts.items():
         try:
-            build()
+            built[key] = build()
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
+    # finite but huge coefficients overflow the derived constants
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = moments_theta(built["potential"])
+        derived = (*theta, constant_A(built["potential"]), constants_B_Pi(theta)[0])
+    if not all(math.isfinite(value) for value in derived):
+        raise ConfigError("potential: theta, A or B is not finite")
     return config
 
 

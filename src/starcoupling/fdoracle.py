@@ -33,18 +33,25 @@ are the same function, but cond(S - mu W) reaches about 1e6 on the
 spectrum grids, so the root is reproducible only to about 1e-10 relative
 between the two arithmetic routes; the eigenvalues keep the symmetric one.
 
-The secular root factorizes T - mu I at some thirty shifts mu <= -TAU_EIGEN < 0,
-whose sparsity pattern never changes. SuperLU's fill-reducing column order
-is therefore computed once per grid, at the first shift; T is then kept
-only as its symmetric permutation in that order, and each later shift is
-factorized in the natural order with single-column panels. The pivots stay
-on the diagonal, so the factors and the root are bit for bit those of a
-fresh default factorization at every shift. The root is not reproducible
-much beyond that: g' is small in the resonant family, and a banded route
-(tridiagonal edge solves and a Schur complement at the vertex) moved the
-Richardson eigenvalue of vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and
-by 4.0e-8 at eps = 2^-7, where the stored benchmark references allow 1e-10
-relative. Any other secular route needs those references re-recorded first.
+Each matrix is assembled once, in final form: S as CSC arrays, T by scaling
+S's data in the product order of W^{-1/2} S W^{-1/2}, and each shift written
+over the diagonal slots of one copy. The secular root factorizes T - mu I at
+some thirty shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern.
+SuperLU's fill-reducing column order is therefore computed once per grid, at
+the first shift; T is then kept only as its symmetric permutation in that
+order, and each later shift is factorized in the natural order. Every
+factorization uses single-column panels: SuperLU zero-fills a panel_size x N
+workspace, which at the default of 10 set a grid's peak memory, and these
+arrow matrices factor without fill, so wider panels bought no speed. The
+pivots stay on the diagonal, so the root is bit for bit that of a fresh
+default factorization at every shift (a solve of S + z W rounds its last
+pivots, the vertex among them, by about an ulp differently from the default
+panel). The root is not reproducible much beyond that: g' is small in the
+resonant family, and a banded route (tridiagonal edge solves and a Schur
+complement at the vertex) moved the Richardson eigenvalue of
+vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and by 4.0e-8 at eps = 2^-7,
+where the stored benchmark references allow 1e-10 relative. Any other
+secular route needs those references re-recorded first.
 
 SciPy is imported inside the functions that assemble or factorize, so
 importing the package (and every command but the oracle's) costs no SciPy
@@ -70,8 +77,8 @@ if TYPE_CHECKING:
 #: maximal admissible step
 MAX_STEP = 1e-2
 #: largest admissible number of unknowns 1 + n m; the secular root (assembly,
-#: symmetrization and its SuperLU factorizations) peaks at about 545 bytes
-#: per unknown (1.17 M unknowns), so one grid stays near 1.1 GiB
+#: symmetrization and its SuperLU factorizations) peaks at about 250 bytes
+#: per unknown (1.17 M unknowns), so one grid stays near 0.5 GiB
 MAX_UNKNOWNS = 2**21
 #: minimal admissible truncation length
 MIN_LENGTH = 2.0
@@ -86,6 +93,12 @@ def splu(A, **options):
     from scipy.sparse import linalg
 
     return linalg.splu(A, **options)
+
+
+def _diagonal_slots(A):
+    """Positions in ``A.data`` of the diagonal of a CSC matrix that stores all of it."""
+    columns = np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype), np.diff(A.indptr))
+    return np.flatnonzero(A.indices == columns)
 
 
 def aligned_grid(eps, L, h):
@@ -154,9 +167,13 @@ class DiscreteOperator:
         is T + strength * q q^T, symmetric."""
         import scipy.sparse as sp
 
+        S = self.stiffness
         root = np.sqrt(self.weights)
-        d_inv = sp.diags(1.0 / root)
-        return (d_inv @ self.stiffness @ d_inv).tocsc(), root * self.values
+        d_inv = 1.0 / root
+        # (d_inv[i] S_ij) d_inv[j], the product order of diag(d_inv) @ S @ diag(d_inv)
+        data = d_inv[S.indices] * S.data
+        data *= np.repeat(d_inv, np.diff(S.indptr))
+        return sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape), root * self.values
 
     def dense_plain(self):
         """The operator in plain coordinates, W^{-1}(S + c m m^T), dense."""
@@ -170,11 +187,10 @@ class DiscreteOperator:
         S + shift W is factorized once; the rank-one term is applied by
         Sherman-Morrison.
         """
-        import scipy.sparse as sp
-
-        K = (self.stiffness + shift * sp.diags(self.weights)).tocsc()
+        K = self.stiffness.copy()
+        K.data[_diagonal_slots(K)] += shift * self.weights
         try:
-            lu = splu(K)
+            lu = splu(K, panel_size=1)
         except RuntimeError as exc:
             raise SingularSystem(f"FD solve failed at shift = {shift}") from exc
         mvec = self.weighted_vector
@@ -198,22 +214,25 @@ def build_discrete_operator(op, L, h, k=None):
     size = 1 + n * p
     inv_h = 1.0 / h
 
-    # last node of edge j sits at (j + 1) p; first nodes couple to the vertex
-    diag = np.full(size, 2.0 * inv_h, dtype=float if k is None else complex)
-    diag[0] = n * inv_h
-    chain = np.arange(1, size - 1)
-    chain = chain[chain % p != 0]
-    first = 1 + p * np.arange(n)
+    # CSC arrays, rows sorted: column 0 is (0, first nodes) and node column s
+    # is (previous, s, next), the vertex before each first node and no next
+    # after each last one, at (j + 1) p, so each edge fills 3p - 1 slots
+    before = np.arange(size, dtype=np.int32)
+    indptr = np.r_[0, n + 1 + 3 * before - before // p].astype(np.int32)
+    node = before[1:].reshape(n, p)
+    indices = np.zeros(indptr[-1], dtype=np.int32)
+    data = np.full(indptr[-1], -inv_h, dtype=float if k is None else complex)
+    data[0], indices[1 : n + 1] = n * inv_h, node[:, 0]
+    edges = indices[n + 1 :].reshape(n, 3 * p - 1)
+    edges[:, 1::3], edges[:, 2::3], edges[:, 3::3] = node, node[:, :-1] + 1, node[:, 1:] - 1
+    diag = data[n + 1 :].reshape(n, 3 * p - 1)[:, 1::3]
+    diag[:] = 2.0 * inv_h
     weights = np.full(size, h)
     weights[0] = n * h / 2.0
     if k is not None:
-        diag[p::p] = inv_h - 1j * k
+        diag[:, -1] = inv_h - 1j * k
         weights[p::p] = h / 2.0
-    idx = np.arange(size)
-    rows = np.concatenate([idx, chain, chain + 1, np.zeros(n, int), first])
-    cols = np.concatenate([idx, chain + 1, chain, first, np.zeros(n, int)])
-    data = np.concatenate([diag, np.full(2 * (chain.size + n), -inv_h)])
-    stiffness = sp.csc_matrix((data, (rows, cols)), shape=(size, size))
+    stiffness = sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
     # jumps are sampled with the one-sided mean so the trapezoid pairing
     # stays second order
@@ -240,35 +259,35 @@ def discrete_eigenvalue(op, L, h):
     one eigenvalue below min spec(T) >= 0; it is the root of the secular
     function g(mu) = 1 + c q.(T - mu)^{-1} q, which is monotone there.
     """
-    import scipy.sparse as sp
-
     disc = build_discrete_operator(op, L, h)
     T, q = disc.symmetrized()
     c = disc.strength
     del disc
     if c >= 0 or not np.any(q):
         return None
+    slots = _diagonal_slots(T)
+    d0 = T.data[slots]
     # g depends on mu only through the rounded diagonal of T - mu I, which
     # takes as many values as T's diagonal (a handful); brentq's last steps
     # fall below that resolution, so one matrix recurs at several shifts
-    levels = np.unique(T.diagonal())
-    perm = d0 = None
+    levels = np.unique(d0)
+    perm = None
     values = {}
 
     def solve(mu):
         # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and
         # T is then kept only as its symmetric permutation in that order
-        nonlocal T, perm, d0
+        nonlocal T, perm, slots, d0
+        T.data[slots] = d0 - mu
         if perm is None:
-            lu = splu((T - mu * sp.identity(T.shape[0], format="csc")).tocsc())
+            lu = splu(T, panel_size=1)
             x = lu.solve(q)
             perm = lu.perm_c.argsort()
             del lu
             T = T[perm][:, perm]
             T.sort_indices()
-            d0 = T.diagonal()
+            slots, d0 = _diagonal_slots(T), d0[perm]
             return x
-        T.setdiag(d0 - mu)
         x = np.empty_like(q)
         x[perm] = splu(T, permc_spec="NATURAL", panel_size=1).solve(q[perm])
         return x

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +81,129 @@ class TestDiscreteOperator:
         sym = T.toarray() + disc.strength * np.outer(q, q)
         plain = np.diag(root) @ disc.dense_plain() @ np.diag(1.0 / root)
         np.testing.assert_allclose(sym, plain, atol=1e-9)
+
+
+def _drawn_cubic_potential(n, seed=7):
+    # one cubic per edge, coefficients uniform in [-1, 1], mean shifted to zero
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 4))
+    coeffs[:, 0] -= np.sum(coeffs @ (1.0 / np.arange(1, 5))) / n
+    cubic = sc.PiecewisePolynomial.from_global_coeffs
+    return sc.StarPotential([cubic([((0.0, 1.0), list(c))]) for c in coeffs])
+
+
+def _coo_stiffness(n, L, h, k=None):
+    # the stiffness as first assembled: COO triplets converted to CSC
+    m = round(L / h)
+    p = m if k is not None else m - 1
+    size = 1 + n * p
+    inv_h = 1.0 / h
+    diag = np.full(size, 2.0 * inv_h, dtype=float if k is None else complex)
+    diag[0] = n * inv_h
+    chain = np.arange(1, size - 1)
+    chain = chain[chain % p != 0]
+    first = 1 + p * np.arange(n)
+    if k is not None:
+        diag[p::p] = inv_h - 1j * k
+    idx = np.arange(size)
+    rows = np.concatenate([idx, chain, chain + 1, np.zeros(n, int), first])
+    cols = np.concatenate([idx, chain + 1, chain, first, np.zeros(n, int)])
+    data = np.concatenate([diag, np.full(2 * (chain.size + n), -inv_h)])
+    return sp.csc_matrix((data, (rows, cols)), shape=(size, size))
+
+
+def _assert_same_csc(actual, expected):
+    for name in ("data", "indices", "indptr"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype and np.array_equal(a, e), name
+
+
+class TestAssemblyBitIdentity:
+    @pytest.mark.parametrize("k", [None, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["vstar", "cubic"])
+    def test_direct_csc_equals_coo_assembly(self, kind, n, k, lam_neg):
+        if kind == "vstar":
+            potential = sc.StarPotential.from_constants([1.0, -1.0] + [0.0] * (n - 2))
+        else:
+            potential = _drawn_cubic_potential(n)
+        op = sc.EpsOperator(potential=potential, scaling=lam_neg, eps=0.1)
+        disc = build_discrete_operator(op, L=2.0, h=1e-2, k=k)
+        expected = _coo_stiffness(n, 2.0, 1e-2, k)
+        _assert_same_csc(disc.stiffness, expected)
+        d_inv = sp.diags(1.0 / np.sqrt(disc.weights))
+        T, _ = disc.symmetrized()
+        _assert_same_csc(T, (d_inv @ expected @ d_inv).tocsc())
+
+    @pytest.mark.parametrize("shift", [4.0, -1.0])
+    def test_solve_factorizes_the_assembled_shift(self, op_eig, shift, monkeypatch):
+        # the matrix handed to SuperLU is S + shift W as sparse arithmetic
+        # forms it; single-column panels round the last pivots of SuperLU's
+        # order (the vertex among them) differently from the default panel
+        # of 10, so the solve holds bit for bit to a single-column solve of
+        # that matrix and to a few ulps of a default-panel one
+        disc = build_discrete_operator(op_eig, L=2.0, h=1e-2)
+        rhs = np.zeros((disc.weights.size, 2))
+        rhs[0, 0] = rhs[7, 1] = 1.0
+        K = (_coo_stiffness(3, 2.0, 1e-2) + shift * sp.diags(disc.weights)).tocsc()
+        factorized = []
+
+        def recording_splu(A, **kwargs):
+            factorized.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fd_mod, "splu", recording_splu)
+        u = disc.solve(shift, rhs)
+        (A,) = factorized
+        _assert_same_csc(A, K)
+        mvec, c = disc.weighted_vector, disc.strength
+        for options, exact in (({"panel_size": 1}, True), ({}, False)):
+            lu = splu(K, **options)
+            base, z = lu.solve(rhs), lu.solve(mvec)
+            rank_one = c * (mvec @ base) / (1.0 + c * (mvec @ z))
+            expected = base - np.multiply.outer(z, rank_one)
+            if exact:
+                assert np.array_equal(u, expected)
+            else:
+                np.testing.assert_allclose(u, expected, rtol=0, atol=1e-14 * np.abs(u).max())
+
+
+class TestSecularRootMemory:
+    def test_peak_rss_rise_on_the_spectrum_grid(self):
+        # the 145,918-unknown h/2 grid of vstar_resonant_neg at eps = 2^-5:
+        # single-column panels hold the rise near 37 MiB; SuperLU's default
+        # panel of 10 columns in the first factorization lifts it to about
+        # 71 MiB, and the COO assembly with that panel to about 77 MiB
+        script = f"""
+import resource
+import scipy.sparse.linalg
+import starcoupling as sc
+from starcoupling.fdoracle import aligned_grid, discrete_eigenvalue
+
+config = sc.load_config({str(BUNDLE_DIR / "vstar_resonant_neg.json")!r})
+eps = 2.0**-5
+op = sc.EpsOperator(
+    potential=config.build_potential(), scaling=config.build_scaling(), eps=eps
+)
+L, h = aligned_grid(eps, 40.0, min(5e-3, eps / 10.0, 0.3 * eps**1.5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert discrete_eigenvalue(op, L, h / 2.0) is not None
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+"""
+        env = dict(os.environ)
+        paths = [str(BUNDLE_DIR.parent / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        # exec keeps the peak RSS of the process it replaces, so the measuring
+        # interpreter is started from a bare one, not from this test process
+        launcher = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert float(done.stdout) <= 55.0
 
 
 class TestOracleEigenvalue:

@@ -572,6 +572,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["constants", "converge"])
+    @pytest.mark.parametrize("coeff", [1e300, -1e300])
+    def test_overflowing_constants_exit_two(
+        self, tmp_path, capsys, no_rule, command, coeff
+    ):
+        # finite coefficients whose products overflow A and B to inf and NaN
+        potential = copy.deepcopy(BASE_CONFIG["potential"])
+        potential[0][0]["coeffs"], potential[1][0]["coeffs"] = [coeff], [-coeff]
+        cfg = write_config(tmp_path, {"potential": potential})
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "theta, A or B is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_source_edge_runs(self, tmp_path, capsys):
         # an integral float counts as an integer and indexes the edges as one
         block = {"L": 20.0, "h": 0.005, "L_scattering": 2.0}
