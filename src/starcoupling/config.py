@@ -34,6 +34,9 @@ from .quadrature import QuadratureRule
 #: 65 (2 order)^2 values per temporary, about 0.4 GiB at order 256 and four
 #: times that per doubling
 MAX_QUAD_ORDER = 256
+#: admissible kappa: far below 1e-6 the distances (~1/kappa) overflow; above
+#: 1e2 the order-32 rule misses e^{-eps kappa v} at eps = 1 (exit 3)
+KAPPA_MIN, KAPPA_MAX = 1e-6, 1e2
 
 _ORACLE_DEFAULTS = {
     "L": 40.0,
@@ -186,8 +189,8 @@ def parse_config(raw):
     momenta = [float(k) for k in _numbers(raw["momenta"], "momenta", 1)]
     if any(k <= 0 for k in momenta):
         raise ConfigError("momenta must be positive")
-    if _number(raw["kappa"], "kappa") <= 0:
-        raise ConfigError("kappa must be positive")
+    if not KAPPA_MIN <= _number(raw["kappa"], "kappa") <= KAPPA_MAX:
+        raise ConfigError(f"kappa must lie in [{KAPPA_MIN:g}, {KAPPA_MAX:g}]")
 
     settings = {}
     quadrature = _object(raw.get("quadrature", {}), "quadrature", optional=("order",))

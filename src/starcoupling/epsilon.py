@@ -207,7 +207,7 @@ def _direct_raw(profile, a, eps, xs, rule):
     breaks = [merge_breaks(lo, hi, profile.breakpoints, [x / eps]) for x in xs]
     sizes = np.array([b.size for b in breaks])
     out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         rows = np.flatnonzero(sizes == size)
         x = xs[rows, None]
         out[rows] = rule.integrate(

@@ -50,7 +50,7 @@ from .limit import (
     smatrix_limit,
 )
 from .piecewise import PiecewisePolynomial
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, merge_breaks
 from .scattering import smatrix_eps
 
 CSV_COLUMNS = ("quantity", "epsilon", "k", "kappa", "value", "error", "tail_bound")
@@ -147,31 +147,34 @@ def write_report(report, out_dir):
 # Hilbert-Schmidt distance between the finite-eps and limit resolvents
 # ---------------------------------------------------------------------------
 
-#: Gauss-Legendre order per unit panel of the Hilbert-Schmidt grid
+#: Gauss-Legendre order per panel of the Hilbert-Schmidt grid
 HS_PANEL_ORDER = 16
-#: most grid points of one edge pair evaluated at once: the pair grids grow
-#: like 1/kappa^2, and row blocks keep hs_distance's memory bounded
-HS_BLOCK_POINTS = 2**18
 
 
-def _hs_breaks(profile, eps, L):
-    pts = [0.0, min(eps, L), 1.0] + [float(t) for t in range(2, math.ceil(L))] + [L]
-    pts += [eps * t for t in profile.breakpoints if 0.0 < eps * t < L]
-    pts = sorted({p for p in pts if 0.0 <= p <= L})
-    return np.array(pts)
+def _hs_grid(profile, eps, kappa, L):
+    """One edge's nodes and weights: Gauss panels on the scaled support
+    [0, a], split at the scaled breakpoints (none for a zero profile, a = 0),
+    and an anchor node at a weighted by the integral of e^{-2 kappa (x - a)}
+    over [a, L]."""
+    a = 0.0 if profile.is_zero() else eps * profile.support[1]
+    breaks = merge_breaks(0.0, a, eps * profile.breakpoints)[:, None]
+    x, w = QuadratureRule(order=HS_PANEL_ORDER).points(breaks[:-1], breaks[1:])
+    anchor = -math.expm1(-2.0 * kappa * (L - a)) / (2.0 * kappa)
+    return np.append(x.ravel(), a), np.append(w.ravel(), anchor)
 
 
 def hs_distance(op, kappa):
     """Truncated Hilbert-Schmidt distance between the two resolvent kernels.
 
-    Integrates |difference|^2 over [0, L]^2 per edge pair with
-    L = 1 + 8/kappa; beyond max(eps, 1) both kernels coincide with exact
-    multiples of e^{-kappa(x+y)}, so the omitted remainder of the squared
-    integral has the closed-form bound returned alongside the distance.
-    Both kernels satisfy K_ij(x, y) = K_ji(y, x), so only the pairs i <= j
-    are integrated and each off-diagonal one counts twice. Each pair grid is
-    evaluated in row blocks of at most HS_BLOCK_POINTS points (at least one
-    row), which bounds the memory at any kappa.
+    Integrates |difference|^2 over [0, L]^2 per edge pair, L = 1 + 8/kappa,
+    and returns the closed-form bound on the omitted remainder of the
+    squared integral alongside the distance. Beyond the scaled support
+    [0, a_i] of edge i the free parts cancel and the rank-one parts are
+    exact multiples of e^{-kappa x}, so diff(x, y) = e^{-kappa (x - a_i)}
+    diff(a_i, y): each edge's grid is Gauss panels on [0, a_i] plus one
+    anchor node at a_i carrying [a_i, L] exactly, its size independent of
+    kappa. Both kernels satisfy K_ij(x, y) = K_ji(y, x), so only the pairs
+    i <= j are integrated and each off-diagonal one counts twice.
 
     The distance scales like sqrt(eps), not eps: the limit kernel jumps at
     the vertex while the finite-eps kernel is continuous there, so an O(1)
@@ -183,31 +186,14 @@ def hs_distance(op, kappa):
     lim_kernel = resolvent_kernel_limit(op.constants)
     mom = Momentum.resolvent(1j * kappa)
     L = 1.0 + 8.0 / kappa
-    rule = QuadratureRule(order=HS_PANEL_ORDER)
-
-    grids = []
-    for profile in op.potential.profiles:
-        breaks = _hs_breaks(profile, op.eps, L)
-        nodes, weights = [], []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            x, w = rule.points(a, b)
-            nodes.append(x)
-            weights.append(w)
-        grids.append((np.concatenate(nodes), np.concatenate(weights)))
+    grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
 
     total = 0.0
-    for i in range(1, op.n + 1):
-        xi, wi = grids[i - 1]
-        for j in range(i, op.n + 1):
-            yj, wj = grids[j - 1]
-            rows = max(1, HS_BLOCK_POINTS // yj.size)
-            for start in range(0, xi.size, rows):
-                x, w = xi[start : start + rows], wi[start : start + rows]
-                diff = eps_kernel.on_grid(i, j, x, yj) - lim_kernel.on_grid(
-                    i, j, x, yj, mom
-                )
-                pair = float(np.sum(w[:, None] * wj[None, :] * np.abs(diff) ** 2))
-                total += pair if i == j else 2.0 * pair
+    for i, (x, wx) in enumerate(grids, start=1):
+        for j, (y, wy) in enumerate(grids[i - 1 :], start=i):
+            diff = eps_kernel.on_grid(i, j, x, y) - lim_kernel.on_grid(i, j, x, y, mom)
+            pair = float(np.sum(wx[:, None] * wy[None, :] * np.abs(diff) ** 2))
+            total += pair if i == j else 2.0 * pair
 
     # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
     b = smeared_factor_coefficients(op, kappa)

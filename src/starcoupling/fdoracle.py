@@ -272,22 +272,24 @@ def discrete_eigenvalue(op, L, h):
     # fall below that resolution, so one matrix recurs at several shifts
     levels = np.unique(d0)
     perm = None
+    permuted = False
     values = {}
 
     def solve(mu):
-        # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and
-        # T is then kept only as its symmetric permutation in that order
-        nonlocal T, perm, slots, d0
-        T.data[slots] = d0 - mu
+        # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and a
+        # second one (none without a bound state) permutes T into that order
+        nonlocal T, perm, permuted, slots, d0
         if perm is None:
+            T.data[slots] = d0 - mu
             lu = splu(T, panel_size=1)
-            x = lu.solve(q)
             perm = lu.perm_c.argsort()
-            del lu
+            return lu.solve(q)
+        if not permuted:
             T = T[perm][:, perm]
             T.sort_indices()
             slots, d0 = _diagonal_slots(T), d0[perm]
-            return x
+            permuted = True
+        T.data[slots] = d0 - mu
         x = np.empty_like(q)
         x[perm] = splu(T, permc_spec="NATURAL", panel_size=1).solve(q[perm])
         return x

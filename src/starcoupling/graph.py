@@ -250,10 +250,15 @@ def boundary_matrices(theta, beta):
 
 
 def check_selfadjoint(bp):
-    """True iff Amat Bmat^T is symmetric and (Amat|Bmat) has full rank."""
-    product = bp.Amat @ bp.Bmat.T
+    """True iff Amat Bmat^T is symmetric and (Amat|Bmat) has full rank,
+    tested on the rows scaled to largest entry 1: that leaves the vertex
+    condition as it is, so the scale of the potential cannot decide it."""
+    rows = np.hstack([bp.Amat, bp.Bmat])
+    size = np.max(np.abs(rows), axis=1, keepdims=True)
+    rows = rows / np.where(size > 0.0, size, 1.0)
+    n = bp.Amat.shape[0]
+    product = rows[:, :n] @ rows[:, n:].T
     if np.linalg.norm(product - product.T) > TOL_SELFADJOINT:
         return False
-    stacked = np.hstack([bp.Amat, bp.Bmat])
-    smallest = np.linalg.svd(stacked, compute_uv=False)[-1]
+    smallest = np.linalg.svd(rows, compute_uv=False)[-1]
     return bool(smallest > TOL_RANK)

@@ -104,9 +104,10 @@ class PiecewisePolynomial:
         idx = np.clip(np.searchsorted(bp, x[inside], side="right") - 1, 0, len(bp) - 2)
         vals = np.empty(idx.shape)
         xin = x[inside]
-        for j in np.unique(idx):
+        for j in range(len(bp) - 1):
             sel = idx == j
-            vals[sel] = npoly.polyval(xin[sel] - bp[j], self.coefficients[j])
+            if sel.any():
+                vals[sel] = npoly.polyval(xin[sel] - bp[j], self.coefficients[j])
         out[inside] = vals
         return float(out[0]) if scalar else out
 

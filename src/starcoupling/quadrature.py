@@ -31,7 +31,7 @@ def merge_breaks(lo, hi, *extra):
         for t in np.atleast_1d(arr):
             if lo + 1e-14 < t < hi - 1e-14:
                 pts.append(float(t))
-    return np.unique(np.asarray(pts, dtype=float))
+    return np.array(sorted(set(pts)), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,29 @@ class TestOracleEigenvalue:
         assert expected is not None
         assert discrete_eigenvalue(op, L, h) == expected
 
+    def test_no_bound_state_factorizes_once(self, vstar, lam_pos, monkeypatch):
+        # g(-TAU_EIGEN) >= 0 ends the search after the first shift, so T is
+        # factorized once and never permuted for a second one
+        op = sc.EpsOperator(potential=vstar, scaling=lam_pos, eps=2**-3)
+        assert op.lambda_value / op.eps**3 < 0
+        calls, slots = [], []
+        diagonal_slots = fd_mod._diagonal_slots
+
+        def counting_splu(A, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return splu(A, **kwargs)
+
+        def counting_slots(A):
+            slots.append(A.shape)
+            return diagonal_slots(A)
+
+        monkeypatch.setattr(fd_mod, "splu", counting_splu)
+        monkeypatch.setattr(fd_mod, "_diagonal_slots", counting_slots)
+        L, h = aligned_grid(op.eps, 10.0, 5e-3)
+        assert discrete_eigenvalue(op, L, h) is None
+        assert calls == [None]
+        assert len(slots) == 1
+
     def test_secular_root_factorizes_each_matrix_once(self, op_eig, monkeypatch):
         # per grid: one default-order factorization, and no matrix T - mu I
         # twice (its off-diagonal part is fixed, so the sorted diagonal

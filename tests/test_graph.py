@@ -208,6 +208,23 @@ class TestCheckSelfadjoint:
         bp = sc.BoundaryPair(Amat=np.eye(3), Bmat=np.zeros((3, 3)))
         assert sc.check_selfadjoint(bp)
 
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e50, 1e150])
+    def test_independent_of_the_potential_scale(self, c):
+        # (Amat|Bmat) has full rank for (c, -c, 0) at every c, but its rows
+        # scale like 1/c and c^-3
+        cc = sc.coupling_constants(
+            StarPotential.from_constants([c, -c, 0.0]),
+            ScalingFunction(lambda1=-1.0, resonant=True),
+        )
+        assert sc.check_selfadjoint(sc.boundary_matrices(cc.theta, cc.beta))
+
+    @pytest.mark.parametrize("c", [1.0, 1e50])
+    def test_scaled_duplicate_row_fails_rank(self, c):
+        # A B^T = [[1, c], [c, c^2]] is symmetric; the second row is c times the first
+        A = np.array([[1.0, 0.0], [c, 0.0]])
+        bp = sc.BoundaryPair(Amat=A, Bmat=A)
+        assert not sc.check_selfadjoint(bp)
+
     def test_asymmetric_product_fails(self):
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         B = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -108,8 +108,16 @@ class TestKernelGrids:
             limit.on_grid(op.n + 1, 1, XS, YS, Momentum.resolvent(1j))
 
 
+def _unit_panel_breaks(profile, eps, L):
+    # unit panels over the whole window [0, L], split at eps and at the
+    # scaled breakpoints: no use of the far-field form of the difference
+    pts = [0.0, min(eps, L), 1.0] + [float(t) for t in range(2, math.ceil(L))] + [L]
+    pts += [eps * t for t in profile.breakpoints if 0.0 < eps * t < L]
+    return np.array(sorted({p for p in pts if 0.0 <= p <= L}))
+
+
 def _hs_all_pairs(op, kappa):
-    # every one of the n^2 edge pairs, each on its full grid in one piece
+    # every one of the n^2 edge pairs on unit panels over all of [0, L]^2
     eps_kernel = sc.resolvent_eps_kernel(op, kappa)
     lim_kernel = sc.resolvent_kernel_limit(op.constants)
     mom = Momentum.resolvent(1j * kappa)
@@ -117,7 +125,7 @@ def _hs_all_pairs(op, kappa):
     rule = QuadratureRule(order=ex.HS_PANEL_ORDER)
     grids = []
     for profile in op.potential.profiles:
-        breaks = ex._hs_breaks(profile, op.eps, L)
+        breaks = _unit_panel_breaks(profile, op.eps, L)
         cells = [rule.points(a, b) for a, b in zip(breaks[:-1], breaks[1:])]
         grids.append(tuple(np.concatenate(part) for part in zip(*cells)))
     total = 0.0
@@ -154,43 +162,44 @@ class TestHSDistance:
         assert abs(value - full) <= 1e-13 * full
         assert tail == _tail_with_own_zeta(op, 1.0)
 
-    def test_row_blocks_equal_one_block(self, vstar, lam_neg, monkeypatch):
+    def test_grid_size_independent_of_kappa(self, vstar, lam_neg, monkeypatch):
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=EPS)
-        sizes, factor_calls = [], []
+        sizes, factor_calls = {}, []
         on_grid = LimitKernel.on_grid
         factor = eps_mod.rank_one_factor
-
-        def spy_grid(self, i, j, xs, ys, k):
-            sizes.append(np.size(xs) * np.size(ys))
-            return on_grid(self, i, j, xs, ys, k)
 
         def spy_factor(*args, **kwargs):
             factor_calls.append(args)
             return factor(*args, **kwargs)
 
-        monkeypatch.setattr(LimitKernel, "on_grid", spy_grid)
         monkeypatch.setattr(eps_mod, "rank_one_factor", spy_factor)
-        whole = sc.hs_distance(op, 1.0)
-        # the shipped grid size (kappa = 1) is one block per pair, and the
-        # pairs share one factor per edge
-        assert len(sizes) == op.n * (op.n + 1) // 2
-        assert len(factor_calls) == op.n
-        sizes.clear()
-        monkeypatch.setattr(ex, "HS_BLOCK_POINTS", 2000)
-        blocked = sc.hs_distance(op, 1.0)
-        assert len(sizes) > 10 * op.n * (op.n + 1) // 2
-        assert max(sizes) <= 2000
-        assert abs(blocked[0] - whole[0]) <= 1e-13 * whole[0]
-        assert blocked[1] == whole[1]
+        for kappa in (1e-3, 1.0, 30.0):
+            grids = sizes.setdefault(kappa, [])
+
+            def spy_grid(self, i, j, xs, ys, k, grids=grids):
+                grids.append((np.size(xs), np.size(ys)))
+                return on_grid(self, i, j, xs, ys, k)
+
+            monkeypatch.setattr(LimitKernel, "on_grid", spy_grid)
+            factor_calls.clear()
+            value, _ = sc.hs_distance(op, kappa)
+            assert math.isfinite(value)
+            # one call per pair i <= j, and the pairs share one factor per edge
+            assert len(grids) == op.n * (op.n + 1) // 2
+            assert len(factor_calls) == op.n
+        # 16 Gauss nodes plus the anchor on each supported edge, the anchor
+        # alone on the zero edge, at every kappa
+        assert sizes[1e-3] == sizes[1.0] == sizes[30.0]
+        assert sizes[1.0] == [(17, 17), (17, 17), (17, 1), (17, 17), (17, 1), (1, 1)]
 
     def test_memory_bounded_at_small_kappa(self, vstar, lam_neg):
-        # the pair grids grow like 1/kappa^2; the row blocks cap them
+        # the grids cover the scaled support only, whatever L = 1 + 8/kappa
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=EPS)
         tracemalloc.start()
         try:
-            value, _ = sc.hs_distance(op, 0.1)
+            value, _ = sc.hs_distance(op, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert math.isfinite(value)
-        assert peak <= 48 * 2**20
+        assert peak <= 2**20

@@ -572,6 +572,27 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, 1e-300, 9e-7, 101.0, 1e3, 1e300])
+    def test_kappa_outside_range_exit_two(
+        self, tmp_path, capsys, no_rule, command, kappa
+    ):
+        cfg = write_config(tmp_path, {"kappa": kappa})
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "kappa must lie in [1e-06, 100]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_at_small_kappa_runs(self, tmp_path, capsys):
+        # L = 1 + 8/kappa is 8001, but the grids cover the scaled support only
+        cfg = write_config(tmp_path, {"kappa": 1e-3})
+        out = tmp_path / "out"
+        assert run(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        report = [r.split(",") for r in (out / "converge.csv").read_text().splitlines()]
+        cells = [float(r[4]) for r in report if r[0] == "hs_distance"]
+        assert len(cells) == 4
+        assert all(math.isfinite(c) and c > 0 for c in cells)
+
     @pytest.mark.parametrize("command", ["constants", "converge"])
     @pytest.mark.parametrize("coeff", [1e300, -1e300])
     def test_overflowing_constants_exit_two(
@@ -749,14 +770,19 @@ class TestStartup:
         one_eps = tmp_path / "one_eps.json"
         one_eps.write_text(json.dumps(raw))
         # parse_config checks the config itself, so neither jsonschema nor
-        # the packages it brings (referencing, rpds) may load either
+        # the packages it brings (referencing, rpds) may load either; nor
+        # may numpy.ma, which np.unique imports on its first call
         script = f"""
 import sys
 from starcoupling import cli
 
 def unused_modules():
     unused = ("scipy", "jsonschema", "referencing", "rpds")
-    return sorted(m for m in sys.modules if m.split(".")[0] in unused)
+    return sorted(
+        m
+        for m in sys.modules
+        if m.split(".")[0] in unused or m.split(".")[:2] == ["numpy", "ma"]
+    )
 
 assert not unused_modules(), unused_modules()
 for command in ("constants", "converge"):
