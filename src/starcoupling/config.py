@@ -15,18 +15,13 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import (
-    ScalingFunction,
-    StarPotential,
-    constant_A,
-    constants_B_Pi,
-    moments_theta,
-)
+from .graph import ScalingFunction, StarPotential, constants_B_Pi
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 
@@ -37,6 +32,9 @@ MAX_QUAD_ORDER = 256
 #: admissible kappa: far below 1e-6 the distances (~1/kappa) overflow; above
 #: 1e2 the order-32 rule misses e^{-eps kappa v} at eps = 1 (exit 3)
 KAPPA_MIN, KAPPA_MAX = 1e-6, 1e2
+#: largest admissible scattering momentum (``momenta``, oracle ``smatrix_k``):
+#: at eps = 1 the order-32 rule misses e^{i k eps v} from k = 35.7 on (exit 3)
+MOMENTUM_MAX = 20.0
 
 _ORACLE_DEFAULTS = {
     "L": 40.0,
@@ -100,6 +98,10 @@ class ExperimentConfig:
             lambda0=spec.get("lambda0"),
             higher=tuple(spec.get("higher", ())),
         )
+
+    # built once, so that every member of a command shares them and their work
+    potential = cached_property(build_potential)
+    scaling = cached_property(build_scaling)
 
 
 def _object(value, path, required=(), optional=()):
@@ -187,8 +189,8 @@ def parse_config(raw):
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
     momenta = [float(k) for k in _numbers(raw["momenta"], "momenta", 1)]
-    if any(k <= 0 for k in momenta):
-        raise ConfigError("momenta must be positive")
+    if any(not 0 < k <= MOMENTUM_MAX for k in momenta):
+        raise ConfigError(f"momenta must lie in (0, {MOMENTUM_MAX:g}]")
     if not KAPPA_MIN <= _number(raw["kappa"], "kappa") <= KAPPA_MAX:
         raise ConfigError(f"kappa must lie in [{KAPPA_MIN:g}, {KAPPA_MAX:g}]")
 
@@ -212,6 +214,8 @@ def parse_config(raw):
     for key in ("L", "h", "L_scattering", "smatrix_k", "resolvent_kappa"):
         if not oracle[key] > 0:
             raise ConfigError(f"oracle {key} must be positive")
+    if not oracle["smatrix_k"] <= MOMENTUM_MAX:
+        raise ConfigError(f"oracle smatrix_k must lie in (0, {MOMENTUM_MAX:g}]")
     for key in ("epsilon_eigenvalue", "epsilon_smatrix"):
         if not 0 < oracle[key] <= 1:
             raise ConfigError(f"oracle {key} must lie in (0, 1]")
@@ -242,18 +246,17 @@ def parse_config(raw):
         tolerances=tolerances,
         **settings,
     )
-    # the constructors' own rules: consecutive pieces, lambda1 and lambda0
-    parts = {"potential": config.build_potential, "scaling": config.build_scaling}
-    built = {}
-    for key, build in parts.items():
+    # the constructors' own rules: consecutive pieces, lambda1 and lambda0;
+    # the objects they build are the ones every command then uses
+    for key in ("potential", "scaling"):
         try:
-            built[key] = build()
+            getattr(config, key)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     # finite but huge coefficients overflow the derived constants
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = moments_theta(built["potential"])
-        derived = (*theta, constant_A(built["potential"]), constants_B_Pi(theta)[0])
+        theta = config.potential.theta
+        derived = (*theta, config.potential.A, constants_B_Pi(theta)[0])
     if not all(math.isfinite(value) for value in derived):
         raise ConfigError("potential: theta, A or B is not finite")
     return config

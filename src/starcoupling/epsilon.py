@@ -84,37 +84,6 @@ class EpsOperator:
     def lambda_value(self):
         return self.scaling.value(self.eps, A=self.constants.A)
 
-    @cached_property
-    def edge_means(self):
-        """Exact per-edge means int V_j, shift independent."""
-        return tuple(p.integral() for p in self.potential.profiles)
-
-    @cached_property
-    def _node_values(self):
-        """Per edge, the profile's values at the pairing and moment nodes."""
-        return tuple(_NodeValues(p) for p in self.potential.profiles)
-
-
-class _NodeValues:
-    """One profile's values at quadrature nodes, evaluated once per node array.
-
-    The nodes of the pairing and of the edge moments depend only on the
-    rule and the breakpoints, never on eps or the momentum, so a root
-    search meets the same few node arrays at every momentum it tries.
-    """
-
-    def __init__(self, profile):
-        self.profile = profile
-        self._values = {}
-
-    def __call__(self, x):
-        key = (x.shape, x.tobytes())
-        if key not in self._values:
-            values = self.profile.evaluate(x)
-            values.setflags(write=False)
-            self._values[key] = values
-        return self._values[key]
-
 
 @dataclass(frozen=True)
 class PoleResult:
@@ -136,14 +105,33 @@ def _decay_rate(k):
     return a.real if not np.any(a.imag) else a
 
 
-def _moment_residuals(op, a, rule):
-    # int V_j (e^{-a eps v} - 1) dv per edge: the moment less its exact mean,
-    # through expm1 so that it keeps full relative precision as a eps -> 0;
-    # edges lead, then any momentum axes of a
-    c = np.asarray(a * op.eps)[..., None]
+def _node_values(op, j):
+    # profile j at an array of pairing or moment nodes, evaluated once per
+    # node array for the potential: the nodes depend only on the rule and the
+    # breakpoints, never on eps or the momentum
+    p = op.potential.profiles[j]
+    return lambda x: op.potential.shared(
+        ("nodes", j, x.shape, x.tobytes()), lambda: p.evaluate(x)
+    )
+
+
+def _shared_in_c(op, integrals, a, rule, axes):
+    # integrals(op, c, rule) depends on a and eps only through c = a eps (with
+    # ``axes`` trailing axes for the nodes), so the potential keeps it per
+    # exact c and rule: every member and momentum meeting that c reuses it
+    c = np.asarray(a * op.eps)[(...,) + (None,) * axes]
+    key = (integrals, c.dtype.str, c.shape, c.tobytes(), rule)
+    return op.potential.shared(key, lambda: integrals(op, c, rule))
+
+
+def _moment_residuals(op, c, rule):
+    # int V_j (e^{-c v} - 1) dv per edge: the moment less its exact mean,
+    # through expm1 so that it keeps full relative precision as c -> 0;
+    # edges lead, then any momentum axes of c
     out = np.zeros((op.n,) + c.shape[:-1], dtype=np.result_type(c, 1.0))
-    for j, (p, V) in enumerate(zip(op.potential.profiles, op._node_values)):
+    for j, p in enumerate(op.potential.profiles):
         if not p.is_zero():
+            V = _node_values(op, j)
             out[j] = rule.integrate(lambda v: V(v) * np.expm1(-c * v), p.breakpoints)
     return out
 
@@ -158,13 +146,16 @@ def _edge_moments(op, k, rule):
     """
     a = _decay_rate(k)
     return converged_value(
-        lambda r: _moment_residuals(op, a, r), rule, rtol=1e-10, context="edge moments"
+        lambda r: _shared_in_c(op, _moment_residuals, a, r, 1),
+        rule,
+        rtol=1e-10,
+        context="edge moments",
     )
 
 
 def _moment_sum(op, residuals):
     # sum_j m_j: the exact total mean plus the residuals, free of cancellation
-    return sum(residuals) + sum(op.edge_means)
+    return sum(residuals) + sum(op.potential.edge_means)
 
 
 def _pairing_raw(op, a, rule):
@@ -172,13 +163,18 @@ def _pairing_raw(op, a, rule):
     # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
     # moment sum is the exact total mean plus the expm1 residuals, so the
     # value keeps full relative precision down to c -> 0
-    c = np.asarray(a * op.eps)[..., None, None]
+    diag = _shared_in_c(op, _same_edge_integrals, a, rule, 2)
+    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule, 1))
+    return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
+
+
+def _same_edge_integrals(op, c, rule):
     diag = 0.0
-    for p, V in zip(op.potential.profiles, op._node_values):
+    for j, p in enumerate(op.potential.profiles):
         if p.is_zero():
             continue
 
-        def f(x, y, V=V):
+        def f(x, y, V=_node_values(op, j)):
             return (
                 V(x)
                 * V(y)
@@ -187,8 +183,7 @@ def _pairing_raw(op, a, rule):
             )
 
         diag += rule.double_integral(f, p.breakpoints)
-    smoment = _moment_sum(op, _moment_residuals(op, a, rule))
-    return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
+    return diag
 
 
 def _pairing(op, k, rule):
@@ -233,7 +228,7 @@ def _factor(op, k, edge, xs, rule):
     r = _edge_moments(op, k, rule)
     shared = (2.0 / op.n) * _moment_sum(op, r)
     decay = np.exp(-a * xs)
-    bracket = decay * (shared - op.edge_means[i] - r[i])
+    bracket = decay * (shared - op.potential.edge_means[i] - r[i])
     if not profile.is_zero():
         outside = xs >= eps * profile.support[1]
         if outside.any():

@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +53,13 @@ from .quadrature import QuadratureRule, merge_breaks
 from .scattering import smatrix_eps
 
 CSV_COLUMNS = ("quantity", "epsilon", "k", "kappa", "value", "error", "tail_bound")
+
+
+def ProcessPoolExecutor(max_workers):
+    """``concurrent.futures.ProcessPoolExecutor``, imported by the first parallel sweep."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 @dataclass(frozen=True)
@@ -212,9 +218,7 @@ def hs_distance(op, kappa):
 
 def cmd_constants(config):
     """Derived constants, boundary matrices, and the self-adjointness verdict."""
-    potential = config.build_potential()
-    scaling = config.build_scaling()
-    cc = coupling_constants(potential, scaling)
+    cc = coupling_constants(config.potential, config.scaling)
     bp = boundary_matrices(cc.theta, cc.beta)
     selfadjoint = check_selfadjoint(bp)
 
@@ -251,13 +255,14 @@ def cmd_constants(config):
 
 
 def _member(config, eps, free=False):
-    """The family member at eps with the configured quadrature order; with
-    ``free``, the zero potential at unit non-resonant scaling instead."""
+    """The family member at eps with the configured quadrature order, on the
+    config's one potential and scaling; with ``free``, the zero potential at
+    unit non-resonant scaling instead."""
     if free:
         potential = StarPotential([PiecewisePolynomial.zero() for _ in range(config.n)])
         scaling = ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
     else:
-        potential, scaling = config.build_potential(), config.build_scaling()
+        potential, scaling = config.potential, config.scaling
     return EpsOperator(potential, scaling, eps, QuadratureRule(order=config.quad_order))
 
 
@@ -287,7 +292,7 @@ def _spectrum_one_eps(config, eps):
 
 def cmd_spectrum(config, parallel=1):
     """Limit eigenvalue, per-eps root-found pole, predictor, and FD oracle."""
-    cc = coupling_constants(config.build_potential(), config.build_scaling())
+    cc = coupling_constants(config.potential, config.scaling)
     limit_ev = limit_point_spectrum(cc)
     results = _sweep(_spectrum_one_eps, config, parallel)
 

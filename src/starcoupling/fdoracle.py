@@ -51,7 +51,13 @@ resonant family, and a banded route (tridiagonal edge solves and a Schur
 complement at the vertex) moved the Richardson eigenvalue of
 vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and by 4.0e-8 at eps = 2^-7,
 where the stored benchmark references allow 1e-10 relative. Any other
-secular route needs those references re-recorded first.
+secular route needs those references re-recorded first. The resolvent
+columns are pinned the same way: an O(N) solve of S + z W (one tridiagonal
+factor shared by the edge blocks and a Schur complement at the vertex) was
+4-6 times faster per solve, but its rounding moved the free-column error of
+both L = 40 references from 1.4215e-11 to 7.687e-12, a cell held to 1e-14
+absolute, and the eps-column error of vstar_nonresonant from 1.43422903e-06
+to 1.43422746e-06.
 
 SciPy is imported inside the functions that assemble or factorize, so
 importing the package (and every command but the oracle's) costs no SciPy
@@ -271,24 +277,24 @@ def discrete_eigenvalue(op, L, h):
     # takes as many values as T's diagonal (a handful); brentq's last steps
     # fall below that resolution, so one matrix recurs at several shifts
     levels = np.unique(d0)
-    perm = None
-    permuted = False
+    order = perm = None
     values = {}
 
     def solve(mu):
         # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and a
-        # second one (none without a bound state) permutes T into that order
-        nonlocal T, perm, permuted, slots, d0
-        if perm is None:
+        # second one (none without a bound state) inverts it and permutes T
+        # into it; the order is copied, since a view would keep the factors
+        nonlocal T, order, perm, slots, d0
+        if order is None:
             T.data[slots] = d0 - mu
             lu = splu(T, panel_size=1)
-            perm = lu.perm_c.argsort()
+            order = lu.perm_c.copy()
             return lu.solve(q)
-        if not permuted:
+        if perm is None:
+            perm = order.argsort()
             T = T[perm][:, perm]
             T.sort_indices()
             slots, d0 = _diagonal_slots(T), d0[perm]
-            permuted = True
         T.data[slots] = d0 - mu
         x = np.empty_like(q)
         x[perm] = splu(T, permc_spec="NATURAL", panel_size=1).solve(q[perm])

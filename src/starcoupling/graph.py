@@ -19,6 +19,7 @@ piecewise-polynomial representation; no quadrature enters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,7 @@ class StarPotential:
             if p.degree > 3:
                 raise ValueError("profile pieces must have degree <= 3")
         object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "_shared", {})
 
     @classmethod
     def from_constants(cls, values, support=(0.0, 1.0)):
@@ -80,8 +82,27 @@ class StarPotential:
     def n(self):
         return len(self.profiles)
 
+    @cached_property
+    def edge_means(self):
+        """Exact per-edge means int V_i."""
+        return tuple(p.integral() for p in self.profiles)
+
     def total_mean(self):
-        return sum(p.integral() for p in self.profiles)
+        return sum(self.edge_means)
+
+    # the exact constants, computed once per potential
+    theta = cached_property(lambda self: moments_theta(self))
+    A = cached_property(lambda self: constant_A(self))
+
+    def shared(self, key, compute):
+        """compute(), once per key for this potential: work that depends on
+        the potential alone is reused by every member built on it, at any eps.
+        Every caller gets the same value, so arrays are made read-only."""
+        if key not in self._shared:
+            value = self._shared[key] = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return self._shared[key]
 
 
 @dataclass(frozen=True)
@@ -217,8 +238,7 @@ def coupling_beta(scaling, A):
 def coupling_constants(potential, scaling):
     """All derived constants for a validated potential and scaling."""
     validate_potential(potential)
-    theta = moments_theta(potential)
-    A = constant_A(potential)
+    theta, A = potential.theta, potential.A
     B, Pi = constants_B_Pi(theta)
     beta = coupling_beta(scaling, A)
     return CouplingConstants(theta=theta, A=A, B=B, Pi=Pi, beta=beta)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import starcoupling as sc
+import starcoupling.epsilon as eps_mod
 import starcoupling.experiments as experiments
 import starcoupling.quadrature as quadrature
 from starcoupling import ConfigError
@@ -360,6 +361,136 @@ class TestConvergeCommand:
         assert serial.rows == fanned.rows
 
 
+#: five edges, one with an interior breakpoint, one zero, total mean zero
+FIVE_EDGES = {
+    **BASE_CONFIG,
+    "n": 5,
+    "potential": [
+        [
+            {"interval": [0.0, 0.5], "coeffs": [1.0]},
+            {"interval": [0.5, 1.0], "coeffs": [0.5, -1.0]},
+        ],
+        [{"interval": [0.0, 1.0], "coeffs": [-1.0, 0.5]}],
+        [{"interval": [0.0, 0.6], "coeffs": [0.2, 0.0, 1.0]}],
+        [],
+        [{"interval": [0.0, 1.0], "coeffs": [0.183]}],
+    ],
+    "momenta": [0.5, 1.0],
+}
+
+
+def _raw(name):
+    if name == "five_edges":
+        return copy.deepcopy(FIVE_EDGES)
+    return json.loads((BUNDLE_DIR / f"{name}.json").read_text())
+
+
+class TestSharedPotentialWork:
+    """The potential, its constants and its eps-independent quadrature work
+    are built once per command and shared by every rung."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant", "five_edges"],
+    )
+    def test_rows_equal_fresh_operators_per_rung(self, name, monkeypatch):
+        raw = _raw(name)
+        one_rung = {**raw, "epsilons": raw["epsilons"][:1]}
+        converge = sc.cmd_converge(parse_config(raw)).rows
+        spectrum = sc.cmd_spectrum(parse_config(one_rung)).rows
+        member = experiments._member
+
+        def fresh_member(config, eps, free=False):
+            # each rung on a potential and scaling of its own: nothing shared
+            op = member(config, eps, free)
+            if free:
+                return op
+            potential, scaling = config.build_potential(), config.build_scaling()
+            return sc.EpsOperator(potential, scaling, eps, op.quad)
+
+        monkeypatch.setattr(experiments, "_member", fresh_member)
+        assert sc.cmd_converge(parse_config(raw)).rows == converge
+        assert sc.cmd_spectrum(parse_config(one_rung)).rows == spectrum
+
+    def test_potential_work_done_once_per_command(self, monkeypatch):
+        calls = {"moment": 0, "min_kernel": 0}
+        moment = sc.PiecewisePolynomial.moment
+        min_kernel = sc.PiecewisePolynomial.min_kernel_self_integral
+
+        def counted_moment(self, order):
+            calls["moment"] += 1
+            return moment(self, order)
+
+        def counted_min_kernel(self):
+            calls["min_kernel"] += 1
+            return min_kernel(self)
+
+        integrals = []
+
+        def recording(compute):
+            def wrapper(op, c, rule):
+                key = (compute.__name__, c.dtype.str, c.shape, c.tobytes(), rule.order)
+                integrals.append(key)
+                return compute(op, c, rule)
+
+            return wrapper
+
+        evaluated = {}
+        evaluate = sc.PiecewisePolynomial.evaluate
+
+        def counted_evaluate(self, x):
+            x = np.asarray(x)
+            key = (id(self), x.shape, x.tobytes())
+            evaluated[key] = evaluated.get(key, 0) + 1
+            return evaluate(self, x)
+
+        monkeypatch.setattr(sc.PiecewisePolynomial, "moment", counted_moment)
+        monkeypatch.setattr(
+            sc.PiecewisePolynomial, "min_kernel_self_integral", counted_min_kernel
+        )
+        monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", counted_evaluate)
+        for name in ("_moment_residuals", "_same_edge_integrals"):
+            monkeypatch.setattr(eps_mod, name, recording(getattr(eps_mod, name)))
+
+        config = parse_config(FIVE_EDGES)
+        sc.cmd_converge(config)
+        # theta and A: once per edge for the whole command, parse_config included
+        assert calls == {"moment": config.n, "min_kernel": config.n}
+        # each raw integral once per exact c and rule order; the ladder's
+        # k eps values coincide (k = 0.5 at eps, k = 1 at eps / 2)
+        assert integrals and len(set(integrals)) == len(integrals)
+        # the pairing and moment nodes: evaluated once per config, not per rung
+        profiles = config.potential.profiles
+        nodes = [
+            (id(profiles[key[1]]), *key[2:])
+            for key in config.potential._shared
+            if key[0] == "nodes"
+        ]
+        assert nodes and all(evaluated[key] == 1 for key in nodes)
+
+    def test_configs_run_alternately_give_their_own_rows(self):
+        other = {**BASE_CONFIG, "potential": FIVE_EDGES["potential"], "n": 5}
+        alone = [sc.cmd_converge(parse_config(raw)).rows for raw in (BASE_CONFIG, other)]
+        configs = [parse_config(BASE_CONFIG), parse_config(other)]
+        for _ in range(2):
+            for config, rows in zip(configs, alone):
+                assert sc.cmd_converge(config).rows == rows
+
+    def test_members_on_one_potential_share_its_work(self, vstar, lam_neg, monkeypatch):
+        # operators built directly, outside any command, reuse the node
+        # values of the potential they are built on, at any eps, and give
+        # the bits of an operator on a potential of its own
+        own = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
+        fresh = sc.inner_RV_V(1.0, sc.EpsOperator(own, lam_neg, 0.0625))
+        sc.inner_RV_V(3.0, sc.EpsOperator(vstar, lam_neg, 0.125))
+
+        def no_evaluate(self, x):
+            raise AssertionError("a profile was evaluated at the same nodes again")
+
+        monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", no_evaluate)
+        assert sc.inner_RV_V(1.0, sc.EpsOperator(vstar, lam_neg, 0.0625)) == fresh
+
+
 class TestOracleCommand:
     def test_default_checks_pass(self, tmp_path):
         config = sc.load_config(
@@ -583,6 +714,33 @@ class TestCli:
         assert "kappa must lie in [1e-06, 100]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"momenta": [20.5]}, "momenta"),
+            ({"momenta": [1.0, 50.0]}, "momenta"),
+            ({"momenta": [1e3]}, "momenta"),
+            ({"momenta": [1e300]}, "momenta"),
+            ({"oracle": {**BASE_CONFIG["oracle"], "smatrix_k": 21.0}}, "oracle smatrix_k"),
+            ({"oracle": {**BASE_CONFIG["oracle"], "smatrix_k": 1e3}}, "oracle smatrix_k"),
+        ],
+    )
+    def test_momenta_outside_range_exit_two(
+        self, tmp_path, capsys, no_rule, command, overrides, key
+    ):
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: {key} must lie in (0, 20]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_at_largest_momentum_runs(self, tmp_path, capsys):
+        # the bound's own case: k = 20 at eps = 1 is resolved by the order-32 rule
+        cfg = write_config(tmp_path, {"epsilons": [1.0, 0.5, 0.25, 0.125], "momenta": [20]})
+        out = tmp_path / "out"
+        assert run(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_converge_at_small_kappa_runs(self, tmp_path, capsys):
         # L = 1 + 8/kappa is 8001, but the grids cover the scaled support only
         cfg = write_config(tmp_path, {"kappa": 1e-3})
@@ -771,17 +929,20 @@ class TestStartup:
         one_eps.write_text(json.dumps(raw))
         # parse_config checks the config itself, so neither jsonschema nor
         # the packages it brings (referencing, rpds) may load either; nor
-        # may numpy.ma, which np.unique imports on its first call
+        # may numpy.ma, which np.unique imports on its first call, nor the
+        # process pool, which only --parallel > 1 starts
         script = f"""
 import sys
 from starcoupling import cli
 
 def unused_modules():
-    unused = ("scipy", "jsonschema", "referencing", "rpds")
+    unused = ("scipy", "jsonschema", "referencing", "rpds", "multiprocessing")
     return sorted(
         m
         for m in sys.modules
-        if m.split(".")[0] in unused or m.split(".")[:2] == ["numpy", "ma"]
+        if m.split(".")[0] in unused
+        or m.split(".")[:2] == ["numpy", "ma"]
+        or m == "concurrent.futures.process"
     )
 
 assert not unused_modules(), unused_modules()
