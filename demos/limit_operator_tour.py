@@ -43,17 +43,18 @@ print(f"negative eigenvalue: {ev:.10f}  (= -64/81 = {-64/81:.10f})")
 print(f"resolvent pole: kappa = {kappa_pole:.6f} ({kind}); eigenvalue = -kappa^2")
 
 print("\n--- resolvent kernel (rank-one correction of the free kernel) ---")
-kernel = sc.resolvent_kernel_limit(cc)
-free = sc.free_kernel(3)
-k = sc.Momentum.resolvent(1j)
-p, q = sc.EdgeCoordinate(1, 0.4), sc.EdgeCoordinate(2, 1.1)
-print(f"free kernel  at ((1,0.4),(2,1.1)), k=i: {free(p, q, k):+.6f}")
-print(f"limit kernel at the same arguments:     {kernel(p, q, k):+.6f}")
-print(f"swap symmetry residual: {abs(kernel(p, q, k) - kernel(q, p, k)):.2e}")
+kernel = sc.LimitKernel(cc, 1.0)
+free = sc.FreeKernel(3, 1.0)
+pq = kernel.on_grid(1, 2, [0.4], [1.1])[0, 0]
+qp = kernel.on_grid(2, 1, [1.1], [0.4])[0, 0]
+free_pq = free.on_grid(1, 2, [0.4], [1.1])[0, 0]
+print(f"free kernel  at ((1,0.4),(2,1.1)), k=i: {free_pq:+.6f}")
+print(f"limit kernel at the same arguments:     {pq:+.6f}")
+print(f"swap symmetry residual: {abs(pq - qp):.2e}")
 
 print("\n--- closed-form vs dense-solve cross-checks ---")
-lam_closed = sc.lambda_matrix(-1.0 + 0j, cc)
-lam_direct = sc.lambda_matrix_direct(sc.Momentum.resolvent(1j), bp)
+lam_closed = sc.lambda_matrix(1.0, cc)
+lam_direct = sc.lambda_matrix_direct(1.0, bp)
 print(f"kernel correction matrices agree to {np.max(np.abs(lam_closed - lam_direct)):.2e}")
 
 for kk in (0.5, 1.0, 5.0):

@@ -42,10 +42,9 @@ op_free = sc.EpsOperator(
     eps=0.1,
 )
 col = sc.oracle_resolvent_column(op_free, 1.0, sc.EdgeCoordinate(1, 0.7), L=20.0, h=5e-3)
-kernel = sc.free_kernel(3)
-mom = sc.Momentum.resolvent(1j)
+kernel = sc.FreeKernel(3, 1.0)
 for j in (1, 2, 3):
-    exact = kernel.on_grid(1, j, np.array([0.7]), col.x, mom)[0].real
+    exact = kernel.on_grid(1, j, np.array([0.7]), col.x)[0].real
     sup = float(np.max(np.abs(col.values[j - 1] - exact)))
     print(f"edge {j}: sup |grid - closed form| = {sup:.2e}")
 

@@ -10,6 +10,7 @@ independent finite-difference oracle.
 
 from .config import ExperimentConfig, load_config, parse_config
 from .epsilon import (
+    EpsKernel,
     EpsOperator,
     PoleResult,
     find_pole,
@@ -17,7 +18,6 @@ from .epsilon import (
     pole_asymptotic,
     pole_equation,
     rank_one_factor,
-    resolvent_eps_kernel,
     zeta,
 )
 from .errors import (
@@ -71,15 +71,13 @@ from .graph import (
     validate_potential,
 )
 from .limit import (
-    KernelEvaluator,
-    Momentum,
+    FreeKernel,
+    LimitKernel,
     SMatrix,
-    free_kernel,
     lambda_matrix,
     lambda_matrix_direct,
     limit_point_spectrum,
     limit_pole,
-    resolvent_kernel_limit,
     smatrix_direct,
     smatrix_limit,
 )

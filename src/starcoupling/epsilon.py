@@ -11,9 +11,11 @@ rank-one correction of the free kernel,
 
     zeta_eps = (eps^3/lambda(eps) + <R0 V_eps, V_eps>)^{-1},
 
-where R0 is the free resolvent. The resolvent (k = i kappa) and stationary
-scattering (real k, see ``scattering``) share one rank-one algebra of the
-complex momentum k, Im k >= 0, kept here as three verified routines:
+where R0 is the free resolvent; ``EpsKernel(op, kappa)`` evaluates this
+kernel at the kappa it is built with. The resolvent (k = i kappa) and
+stationary scattering (real k, see ``scattering``) share one rank-one
+algebra of the complex momentum k, Im k >= 0, kept here as three verified
+routines:
 
     m_j(k)   = int V_j e^{i k eps v} dv                       (edge moments)
     P(k)     = <R0(k) V_eps, V_eps>
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import AtPole, MultipleSignChanges, ZeroB
 from .graph import ScalingFunction, StarPotential, coupling_constants, validate_potential
-from .limit import TOL_POLE, TOL_ZERO_B, KernelEvaluator, Momentum, _free_kernel_grid
+from .limit import TOL_POLE, TOL_ZERO_B, _free_kernel_grid, _positive
 from .quadrature import QuadratureRule, converged_value, merge_breaks
 from .roots import brentq
 
@@ -294,54 +296,29 @@ def smeared_factor_coefficients(op, kappa):
     return _edge_moments(op, -1j * kappa, op.quad) - r + shared
 
 
-class EpsKernel(KernelEvaluator):
-    """Resolvent kernel of the finite-eps operator at fixed kappa."""
-
-    operator = "eps"
+class EpsKernel:
+    """Resolvent kernel of the finite-eps operator at energy -kappa^2."""
 
     def __init__(self, op, kappa):
         self.op = op
         self.n = op.n
-        self.kappa = float(kappa)
-        self._state = {}
+        self.kappa = _positive(kappa)
+        self.zeta = zeta(op, self.kappa)
         self._factors = {}
-        self.zeta_at(self.kappa)
 
-    def zeta_at(self, kappa):
-        """zeta(op, kappa), computed once per kappa."""
-        if kappa not in self._state:
-            self._state[kappa] = zeta(self.op, kappa)
-        return self._state[kappa]
-
-    def _factor(self, kappa, edge, xs):
+    def _factor(self, edge, xs):
         # each edge's factor depends on its own grid only, so the edge pairs
         # of one grid share n factors
-        key = (kappa, edge, xs.tobytes())
+        key = (edge, xs.tobytes())
         if key not in self._factors:
-            self._factors[key] = rank_one_factor(self.op, kappa, edge, xs)
+            self._factors[key] = rank_one_factor(self.op, self.kappa, edge, xs)
         return self._factors[key]
 
-    def _resolve_kappa(self, k):
-        if k is None:
-            return self.kappa
-        if isinstance(k, Momentum):
-            if k.regime != "resolvent" or abs(k.k.real) > 1e-14:
-                raise ValueError("eps kernel is evaluated at k = i kappa, kappa > 0")
-            return float(k.k.imag)
-        return float(k)
-
-    def on_grid(self, i, j, xs, ys, k=None):
-        kappa = self._resolve_kappa(k)
-        z = self.zeta_at(kappa)
+    def on_grid(self, i, j, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        free = _free_kernel_grid(1j * kappa, i, j, xs, ys, self.n)
-        return free - z * np.outer(self._factor(kappa, i, xs), self._factor(kappa, j, ys))
-
-
-def resolvent_eps_kernel(op, kappa):
-    """Kernel evaluator of the finite-eps resolvent at energy -kappa^2."""
-    return EpsKernel(op, kappa)
+        free = _free_kernel_grid(self.kappa, i, j, xs, ys, self.n)
+        return free - self.zeta * np.outer(self._factor(i, xs), self._factor(j, ys))
 
 
 def pole_equation(op, kappa):

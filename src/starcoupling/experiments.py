@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .epsilon import (
+    EpsKernel,
     EpsOperator,
     find_pole,
     pole_asymptotic,
-    resolvent_eps_kernel,
     smeared_factor_coefficients,
 )
 from .errors import ConfigError
@@ -41,11 +41,10 @@ from .graph import (
     coupling_constants,
 )
 from .limit import (
-    Momentum,
-    free_kernel,
+    FreeKernel,
+    LimitKernel,
     lambda_matrix,
     limit_point_spectrum,
-    resolvent_kernel_limit,
     smatrix_limit,
 )
 from .piecewise import PiecewisePolynomial
@@ -188,24 +187,22 @@ def hs_distance(op, kappa):
     integral is O(eps). Off the scaled support the difference is
     E_ij e^{-kappa(x+y)} with a coefficient matrix E that is O(eps).
     """
-    eps_kernel = resolvent_eps_kernel(op, kappa)
-    lim_kernel = resolvent_kernel_limit(op.constants)
-    mom = Momentum.resolvent(1j * kappa)
+    eps_kernel = EpsKernel(op, kappa)
+    lim_kernel = LimitKernel(op.constants, kappa)
     L = 1.0 + 8.0 / kappa
     grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
 
     total = 0.0
     for i, (x, wx) in enumerate(grids, start=1):
         for j, (y, wy) in enumerate(grids[i - 1 :], start=i):
-            diff = eps_kernel.on_grid(i, j, x, y) - lim_kernel.on_grid(i, j, x, y, mom)
+            diff = eps_kernel.on_grid(i, j, x, y) - lim_kernel.on_grid(i, j, x, y)
             pair = float(np.sum(wx[:, None] * wy[None, :] * np.abs(diff) ** 2))
             total += pair if i == j else 2.0 * pair
 
     # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
     b = smeared_factor_coefficients(op, kappa)
-    z = eps_kernel.zeta_at(kappa)
-    lam = lambda_matrix(-(kappa**2) + 0j, op.constants).real
-    E = z * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
+    lam = lambda_matrix(kappa, op.constants)
+    E = eps_kernel.zeta * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
     tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
     tail_sq *= 1.001  # headroom over the 1e-10-certified quadrature factors
     return math.sqrt(total), tail_sq
@@ -414,18 +411,17 @@ def cmd_oracle(config):
     source = EdgeCoordinate(source_edge, source_x)
     op_free = _member(config, eps_s, free=True)
     col = oracle_resolvent_column(op_free, config.kappa, source, L=L, h=h)
-    kernel = free_kernel(config.n)
-    mom = Momentum.resolvent(1j * config.kappa)
+    kernel = FreeKernel(config.n, config.kappa)
     free_err = 0.0
     for j in range(1, config.n + 1):
-        exact = kernel.on_grid(source_edge, j, np.array([source_x]), col.x, mom)[0]
+        exact = kernel.on_grid(source_edge, j, np.array([source_x]), col.x)[0]
         free_err = max(free_err, float(np.max(np.abs(col.values[j - 1] - exact.real))))
 
     # finite-eps resolvent column (kappa away from the bound-state pole)
     col_kappa = oracle["resolvent_kappa"]
     op_s = _member(config, eps_s)
     col = oracle_resolvent_column(op_s, col_kappa, source, L=L, h=h)
-    eps_k = resolvent_eps_kernel(op_s, col_kappa)
+    eps_k = EpsKernel(op_s, col_kappa)
     eps_err = 0.0
     for j in range(1, config.n + 1):
         exact = eps_k.on_grid(source_edge, j, np.array([source_x]), col.x)[0]

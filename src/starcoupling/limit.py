@@ -1,19 +1,19 @@
 """Closed-form resolvent, spectrum, and S-matrix of the limit operator.
 
-For momentum k (Im k > 0) the resolvent kernel of the limit coupling is a
-rank-one correction of the free (Kirchhoff) kernel
+At energy -kappa^2 (k = i kappa, kappa > 0) the resolvent kernel of the
+limit coupling is a rank-one correction of the free (Kirchhoff) kernel
 
-    Xi_k(x_i, y_j) = G_k(x_i, y_j) + Lambda_ij(k^2) exp(ik(x_i + y_j)),
+    Xi(x_i, y_j) = G(x_i, y_j) + Lambda_ij e^{-kappa (x_i + y_j)},
 
 with
 
-    G_k(x_i, y_j) = (i/2k) [delta_ij e^{ik|x-y|} + (2/n - delta_ij) e^{ik(x+y)}],
-    Lambda_ij     = beta Pi_ij / (1 + ik beta B).
+    G(x_i, y_j) = (1/2kappa) [delta_ij e^{-kappa|x-y|} + (2/n - delta_ij) e^{-kappa(x+y)}],
+    Lambda_ij   = beta Pi_ij / (1 - kappa beta B).
 
 Everything here is also computable by a dense solve against the boundary
-matrices, Lambda = -(Amat + ik Bmat)^{-1} Bmat - (i/kn) J and
-S(k) = -(Amat + ik Bmat)^{-1} (Amat - ik Bmat); the two routes cross-check
-each other and are both exposed.
+matrices, Lambda = -(Amat - kappa Bmat)^{-1} Bmat - J/(kappa n) and, at real
+k > 0, S(k) = -(Amat + ik Bmat)^{-1} (Amat - ik Bmat); the two routes
+cross-check each other and are both exposed.
 """
 
 from __future__ import annotations
@@ -23,46 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtPole, SingularSystem, ZeroB
-from .graph import CouplingConstants, EdgeCoordinate
+from .graph import CouplingConstants
 
-#: evaluation closer than this to 1 + ik beta B = 0 counts as "at the pole"
+#: a rank-one denominator (1 - kappa beta B here, eps^3/lambda + <R0 V, V>
+#: relative to eps^3 in ``epsilon.zeta``) this close to zero is "at the pole"
 TOL_POLE = 1e-12
 #: |B| below this is treated as vanishing for spectral formulas
 TOL_ZERO_B = 1e-12
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Momentum restricted to one of the two supported regimes.
-
-    resolvent:  Im k > 0 (kernel evaluations, k^2 in the resolvent set)
-    scattering: k real and positive (on-shell S-matrices)
-    """
-
-    k: complex
-    regime: str
-
-    def __post_init__(self):
-        k = complex(self.k)
-        if k == 0:
-            raise ValueError("momentum must be nonzero")
-        if self.regime == "resolvent":
-            if k.imag <= 0:
-                raise ValueError("resolvent regime needs Im k > 0")
-        elif self.regime == "scattering":
-            if k.imag != 0 or k.real <= 0:
-                raise ValueError("scattering regime needs real k > 0")
-        else:
-            raise ValueError(f"unknown momentum regime {self.regime!r}")
-        object.__setattr__(self, "k", k)
-
-    @classmethod
-    def resolvent(cls, k):
-        return cls(k=k, regime="resolvent")
-
-    @classmethod
-    def scattering(cls, k):
-        return cls(k=k, regime="scattering")
 
 
 @dataclass(frozen=True)
@@ -97,8 +64,15 @@ def _check_edges(n, *edges):
             raise ValueError(f"edge index {e} outside 1..{n}")
 
 
-def _free_kernel_grid(kc, i, j, xs, ys, n, rank_one=0.0):
-    """Vectorized free kernel on edge pair (i, j) over the grid xs x ys.
+def _positive(kappa):
+    kappa = float(kappa)
+    if not kappa > 0:
+        raise ValueError("kernels are evaluated at k = i kappa with kappa > 0")
+    return kappa
+
+
+def _free_kernel_grid(kappa, i, j, xs, ys, n, rank_one=0.0):
+    """Vectorized free kernel at k = i kappa on edge pair (i, j) over xs x ys.
 
     The reflected term e^{ik(x+y)} is the outer product of the 1-d
     exponentials e^{ikx} and e^{iky}; the direct term e^{ik|x-y|} is formed
@@ -108,6 +82,7 @@ def _free_kernel_grid(kc, i, j, xs, ys, n, rank_one=0.0):
     _check_edges(n, i, j)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    kc = 1j * kappa
     pref = 1j / (2.0 * kc)
     delta = 1.0 if i == j else 0.0
     coeff = pref * (2.0 / n - delta) + rank_one
@@ -117,97 +92,53 @@ def _free_kernel_grid(kc, i, j, xs, ys, n, rank_one=0.0):
     return grid
 
 
-class KernelEvaluator:
-    """Callable resolvent kernel on the graph, indexed by edge coordinates.
+class FreeKernel:
+    """Resolvent kernel of the free Kirchhoff operator at energy -kappa^2."""
 
-    Subclasses provide ``on_grid`` (vectorized over coordinate arrays) and
-    carry an ``operator`` tag saying which resolvent they represent.
-    """
-
-    operator = "abstract"
-
-    def on_grid(self, i, j, xs, ys, k):
-        raise NotImplementedError
-
-    def __call__(self, p: EdgeCoordinate, q: EdgeCoordinate, k: Momentum):
-        return complex(self.on_grid(p.edge, q.edge, np.array([p.x]), np.array([q.x]), k)[0, 0])
-
-
-class FreeKernel(KernelEvaluator):
-    """Resolvent kernel of the free Kirchhoff operator."""
-
-    operator = "free"
-
-    def __init__(self, n):
+    def __init__(self, n, kappa):
         self.n = n
+        self.kappa = _positive(kappa)
 
-    def on_grid(self, i, j, xs, ys, k):
-        if k.regime != "resolvent":
-            raise ValueError("free kernel is defined in the resolvent regime")
-        return _free_kernel_grid(k.k, i, j, np.atleast_1d(xs), np.atleast_1d(ys), self.n)
+    def on_grid(self, i, j, xs, ys):
+        return _free_kernel_grid(self.kappa, i, j, xs, ys, self.n)
 
 
-class LimitKernel(KernelEvaluator):
-    """Resolvent kernel of the limit operator (free part plus rank-one term)."""
+class LimitKernel:
+    """Limit-operator resolvent kernel at energy -kappa^2: free plus rank-one term."""
 
-    operator = "limit"
-
-    def __init__(self, cc: CouplingConstants):
-        self.cc = cc
+    def __init__(self, cc: CouplingConstants, kappa):
         self.n = cc.n
+        self.kappa = _positive(kappa)
+        self.lam = lambda_matrix(self.kappa, cc)
 
-    def on_grid(self, i, j, xs, ys, k):
-        if k.regime != "resolvent":
-            raise ValueError("limit kernel is defined in the resolvent regime")
+    def on_grid(self, i, j, xs, ys):
         _check_edges(self.n, i, j)
-        lam = lambda_matrix(k.k**2, self.cc)
-        return _free_kernel_grid(k.k, i, j, xs, ys, self.n, rank_one=lam[i - 1, j - 1])
+        rank_one = self.lam[i - 1, j - 1]
+        return _free_kernel_grid(self.kappa, i, j, xs, ys, self.n, rank_one=rank_one)
 
 
-def free_kernel(n):
-    """Evaluator for the free resolvent kernel."""
-    return FreeKernel(n)
-
-
-def resolvent_kernel_limit(cc):
-    """Evaluator for the limit-operator resolvent kernel."""
-    return LimitKernel(cc)
-
-
-def _momentum_from_ksq(ksq):
-    # resolvent-sheet branch: Im k >= 0, and k > 0 on the positive real axis
-    k = np.sqrt(complex(ksq))
-    if k.imag < 0 or (k.imag == 0 and k.real < 0):
-        k = -k
-    return k
-
-
-def lambda_matrix(ksq, cc):
-    """Rank-one resolvent correction beta Pi / (1 + ik beta B) at energy ksq.
-
-    The momentum is the resolvent-sheet root of ksq (Im k >= 0).
-    """
-    k = _momentum_from_ksq(ksq)
-    denom = 1.0 + 1j * k * cc.beta * cc.B
+def lambda_matrix(kappa, cc):
+    """Rank-one resolvent correction beta Pi / (1 - kappa beta B) at energy -kappa^2."""
+    denom = 1.0 - kappa * cc.beta * cc.B
     if abs(denom) <= TOL_POLE:
-        raise AtPole(f"1 + ik beta B = {denom:.3e} at k = {k}")
-    return (cc.beta / denom) * cc.Pi.astype(complex)
+        raise AtPole(f"1 - kappa beta B = {denom:.3e} at kappa = {kappa}")
+    # beta * (1/denom) rounds as numpy's complex quotient does, which the
+    # stored benchmark references were recorded with
+    return (cc.beta * (1.0 / denom)) * cc.Pi
 
 
-def lambda_matrix_direct(k, bp):
+def lambda_matrix_direct(kappa, bp):
     """The same correction computed from the boundary matrices by a dense solve.
 
-    Solves (Amat + ik Bmat) X = -Bmat and subtracts (i/kn) J; no closed form
-    is used, so this is an independent cross-check of :func:`lambda_matrix`.
+    Solves (Amat - kappa Bmat) X = -Bmat and subtracts J/(kappa n); no closed
+    form is used, so this is an independent cross-check of :func:`lambda_matrix`.
     """
-    kc = k.k
     n = bp.n
-    lhs = bp.Amat + 1j * kc * bp.Bmat
     try:
-        tilde = np.linalg.solve(lhs, -bp.Bmat.astype(complex))
+        tilde = np.linalg.solve(bp.Amat - kappa * bp.Bmat, -bp.Bmat)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Amat + ik Bmat singular at k = {kc}") from exc
-    return tilde - (1j / (kc * n)) * np.ones((n, n))
+        raise SingularSystem(f"Amat - kappa Bmat singular at kappa = {kappa}") from exc
+    return tilde - np.ones((n, n)) / (kappa * n)
 
 
 def limit_point_spectrum(cc):

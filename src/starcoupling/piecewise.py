@@ -45,6 +45,8 @@ class PiecewisePolynomial:
             c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", coeffs)
+        # immutable, so decided once: the pipeline asks per edge in every routine
+        object.__setattr__(self, "_zero", all(np.all(c == 0.0) for c in coeffs))
 
     # -- constructors -------------------------------------------------
 
@@ -87,7 +89,7 @@ class PiecewisePolynomial:
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
     def is_zero(self):
-        return all(np.all(c == 0.0) for c in self.coefficients)
+        return self._zero
 
     def evaluate(self, x):
         """Pointwise values; zero outside the breakpoint span.

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 import starcoupling as sc
-from starcoupling import EdgeCoordinate, Momentum
+from starcoupling import EdgeCoordinate
 from conftest import distinct_theta
 
 
@@ -109,8 +109,8 @@ def test_criterion_3_closed_form_vs_linear_solve():
         cc = sc.CouplingConstants(theta=theta, A=0.0, B=B, Pi=Pi, beta=beta)
         bp = sc.boundary_matrices(theta, beta)
         for k in (0.1, 1.0, 10.0):
-            lam_closed = sc.lambda_matrix(-(k**2) + 0j, cc)
-            lam_direct = sc.lambda_matrix_direct(Momentum.resolvent(1j * k), bp)
+            lam_closed = sc.lambda_matrix(k, cc)
+            lam_direct = sc.lambda_matrix_direct(k, bp)
             worst_lambda = max(worst_lambda, float(np.max(np.abs(lam_closed - lam_direct))))
             s_closed = sc.smatrix_limit(k, cc)
             s_direct = sc.smatrix_direct(k, bp)
@@ -226,10 +226,9 @@ def test_criterion_7_norm_resolvent_convergence(vstar_module, lam_neg_module):
     kappa = 1.0
     epss = [2**-3, 2**-4, 2**-5, 2**-6, 2**-7]
     cc = sc.coupling_constants(vstar_module, lam_neg_module)
-    lim_kernel = sc.resolvent_kernel_limit(cc)
-    mom = Momentum.resolvent(1j * kappa)
+    lim_kernel = sc.LimitKernel(cc, kappa)
     edges = range(1, cc.n + 1)
-    lam = sc.lambda_matrix(-(kappa**2) + 0j, cc).real
+    lam = sc.lambda_matrix(kappa, cc)
     # the profiles are constant with zero total mean, so the rank-one factor
     # vanishes at the vertex: G_eps(1,1,0,0) = 1/(n kappa) and the mismatch
     # there is |Lambda_11|, 4.5 for this potential
@@ -244,13 +243,11 @@ def test_criterion_7_norm_resolvent_convergence(vstar_module, lam_neg_module):
         value, tail = sc.hs_distance(op, kappa)
         values.append(value)
         tails.append(tail)
-        eps_kernel = sc.resolvent_eps_kernel(op, kappa)
+        eps_kernel = sc.EpsKernel(op, kappa)
 
         def diff(i, j, x, eps_kernel=eps_kernel):
-            return (
-                eps_kernel.on_grid(i, j, [x], [x], mom)
-                - lim_kernel.on_grid(i, j, [x], [x], mom)
-            )[0, 0]
+            gap = eps_kernel.on_grid(i, j, [x], [x]) - lim_kernel.on_grid(i, j, [x], [x])
+            return gap[0, 0]
 
         off = [[diff(i, j, 0.5) for j in edges] for i in edges]
         off_support.append(float(np.linalg.norm(off)))
@@ -331,11 +328,10 @@ def test_criterion_9_oracle_cross_validation(vstar_module, lam_neg_module):
         eps=0.1,
     )
     col = sc.oracle_resolvent_column(op_free, 1.0, EdgeCoordinate(1, 0.7), L=40.0, h=5e-3)
-    kernel = sc.free_kernel(3)
-    mom = Momentum.resolvent(1j)
+    kernel = sc.FreeKernel(3, 1.0)
     col_err = 0.0
     for j in (1, 2, 3):
-        exact = kernel.on_grid(1, j, np.array([0.7]), col.x, mom)[0].real
+        exact = kernel.on_grid(1, j, np.array([0.7]), col.x)[0].real
         col_err = max(col_err, float(np.max(np.abs(col.values[j - 1] - exact))))
 
     elapsed = time.perf_counter() - start

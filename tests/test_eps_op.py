@@ -8,8 +8,6 @@ from scipy.optimize import brentq
 import starcoupling as sc
 from starcoupling import (
     AtPole,
-    EdgeCoordinate,
-    Momentum,
     MultipleSignChanges,
     PiecewisePolynomial,
     QuadratureNotConverged,
@@ -207,26 +205,29 @@ class TestZeta:
 class TestEpsKernel:
     def test_zero_potential_reduces_to_free(self, zero_potential, free_scaling):
         op = sc.EpsOperator(potential=zero_potential, scaling=free_scaling, eps=0.25)
-        ek = sc.resolvent_eps_kernel(op, 1.0)
-        fk = sc.free_kernel(3)
-        k = Momentum.resolvent(1j)
+        ek = sc.EpsKernel(op, 1.0)
+        fk = sc.FreeKernel(3, 1.0)
         for (i, x), (j, y) in [((1, 0.1), (2, 2.0)), ((3, 0.5), (3, 0.5))]:
-            assert ek(EdgeCoordinate(i, x), EdgeCoordinate(j, y), k) == pytest.approx(
-                fk(EdgeCoordinate(i, x), EdgeCoordinate(j, y), k), abs=1e-15
+            assert ek.on_grid(i, j, [x], [y])[0, 0] == pytest.approx(
+                fk.on_grid(i, j, [x], [y])[0, 0], abs=1e-15
             )
 
     def test_pointwise_limit_off_support(self, op_factory, cc_neg):
-        lk = sc.resolvent_kernel_limit(cc_neg)
-        mom = Momentum.resolvent(1j)
-        target = lk(EdgeCoordinate(1, 2.0), EdgeCoordinate(2, 3.0), mom)
+        lk = sc.LimitKernel(cc_neg, 1.0)
+        target = lk.on_grid(1, 2, [2.0], [3.0])[0, 0]
         errors = []
         for eps in (2**-3, 2**-4, 2**-5, 2**-6):
-            ek = sc.resolvent_eps_kernel(op_factory(eps), 1.0)
-            got = ek(EdgeCoordinate(1, 2.0), EdgeCoordinate(2, 3.0), mom)
+            ek = sc.EpsKernel(op_factory(eps), 1.0)
+            got = ek.on_grid(1, 2, [2.0], [3.0])[0, 0]
             errors.append(abs(got - target))
         # linear-in-eps convergence: error drops by roughly half per halving
         assert all(e2 < 0.75 * e1 for e1, e2 in zip(errors, errors[1:]))
         assert errors[-1] <= 8.0 * (2**-6) * errors[0] / (2**-3)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+    def test_needs_positive_kappa(self, op_factory, kappa):
+        with pytest.raises(ValueError):
+            sc.EpsKernel(op_factory(0.1), kappa)
 
     def test_rank_one_factor_asymptotics(self, op_factory):
         op = op_factory(1e-3)
@@ -268,13 +269,13 @@ class TestEpsKernel:
         assert all(abs(f - closed) <= tol for f in factors)
 
     def test_symmetry_under_swap(self, op_factory):
-        ek = sc.resolvent_eps_kernel(op_factory(0.1), 1.5)
+        ek = sc.EpsKernel(op_factory(0.1), 1.5)
         rng = np.random.default_rng(3)
         for _ in range(10):
             i, j = (int(v) for v in rng.integers(1, 4, 2))
             x, y = rng.uniform(0.0, 2.0, 2)
-            a = ek(EdgeCoordinate(i, x), EdgeCoordinate(j, y), None)
-            b = ek(EdgeCoordinate(j, y), EdgeCoordinate(i, x), None)
+            a = ek.on_grid(i, j, [x], [y])[0, 0]
+            b = ek.on_grid(j, i, [y], [x])[0, 0]
             assert a == pytest.approx(b, abs=1e-13)
 
     def test_column_solves_operator_equation(self, op_factory):
@@ -283,7 +284,7 @@ class TestEpsKernel:
         # checked by finite differences at a point inside the support
         op = op_factory(0.5)
         kappa = 1.1
-        ek = sc.resolvent_eps_kernel(op, kappa)
+        ek = sc.EpsKernel(op, kappa)
         j, y = 2, 1.7
 
         def column(edge, x):
@@ -310,14 +311,6 @@ class TestEpsKernel:
         residual = -d2 + kappa**2 * column(1, x0)[0] + rank_one
         scale = max(abs(rank_one), kappa**2 * abs(column(1, x0)[0]))
         assert abs(residual) <= 1e-5 * scale
-
-    def test_momentum_validation(self, op_factory):
-        ek = sc.resolvent_eps_kernel(op_factory(0.1), 1.0)
-        with pytest.raises(ValueError):
-            ek.on_grid(1, 1, [0.5], [0.5], Momentum.scattering(1.0))
-
-    def test_metadata(self, op_factory):
-        assert sc.resolvent_eps_kernel(op_factory(0.1), 1.0).operator == "eps"
 
 
 class TestFindPole:

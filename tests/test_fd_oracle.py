@@ -11,7 +11,7 @@ from scipy.sparse.linalg import splu
 
 import starcoupling as sc
 import starcoupling.fdoracle as fd_mod
-from starcoupling import EdgeCoordinate, GridTooCoarse, Momentum
+from starcoupling import EdgeCoordinate, GridTooCoarse
 from starcoupling.fdoracle import (
     aligned_grid,
     build_discrete_operator,
@@ -337,11 +337,10 @@ def _fresh_factorization_root(op, L, h, tau_e=fd_mod.TAU_EIGEN):
 class TestOracleResolventColumn:
     def test_free_column_matches_kernel(self, op_free):
         col = sc.oracle_resolvent_column(op_free, 1.0, EdgeCoordinate(1, 0.7), L=20.0, h=5e-3)
-        kernel = sc.free_kernel(3)
-        mom = Momentum.resolvent(1j)
+        kernel = sc.FreeKernel(3, 1.0)
         worst = 0.0
         for j in (1, 2, 3):
-            exact = kernel.on_grid(1, j, np.array([0.7]), col.x, mom)[0].real
+            exact = kernel.on_grid(1, j, np.array([0.7]), col.x)[0].real
             worst = max(worst, float(np.max(np.abs(col.values[j - 1] - exact))))
         assert worst <= 5e-4
 
@@ -350,7 +349,7 @@ class TestOracleResolventColumn:
         col = sc.oracle_resolvent_column(
             op_scatter, kappa, EdgeCoordinate(1, 0.7), L=20.0, h=5e-3
         )
-        ek = sc.resolvent_eps_kernel(op_scatter, kappa)
+        ek = sc.EpsKernel(op_scatter, kappa)
         worst = 0.0
         for j in (1, 2, 3):
             exact = ek.on_grid(1, j, np.array([0.7]), col.x)[0].real

@@ -11,7 +11,7 @@ import pytest
 
 import starcoupling as sc
 from conftest import pairing_of_W_with_potential
-from starcoupling import EdgeCoordinate, Momentum
+from starcoupling import EdgeCoordinate
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +40,8 @@ def test_closed_forms_match_dense_solves(bumpy_cc):
         s_closed = sc.smatrix_limit(k, bumpy_cc)
         s_direct = sc.smatrix_direct(k, bp)
         np.testing.assert_allclose(s_closed.entries, s_direct.entries, atol=1e-10)
-        lam_closed = sc.lambda_matrix(-(k**2) + 0j, bumpy_cc)
-        lam_direct = sc.lambda_matrix_direct(Momentum.resolvent(1j * k), bp)
+        lam_closed = sc.lambda_matrix(k, bumpy_cc)
+        lam_direct = sc.lambda_matrix_direct(k, bp)
         np.testing.assert_allclose(lam_closed, lam_direct, atol=1e-10)
 
 
@@ -73,14 +73,13 @@ def test_eps_smatrix_converges_linearly(bumpy_potential, bumpy_scaling, bumpy_cc
 
 
 def test_eps_kernel_pointwise_limit(bumpy_potential, bumpy_scaling, bumpy_cc):
-    lk = sc.resolvent_kernel_limit(bumpy_cc)
-    mom = Momentum.resolvent(1.0j)
-    target = lk(EdgeCoordinate(1, 1.5), EdgeCoordinate(2, 2.5), mom)
+    lk = sc.LimitKernel(bumpy_cc, 1.0)
+    target = lk.on_grid(1, 2, [1.5], [2.5])[0, 0]
     gaps = []
     for eps in (0.1, 0.05, 0.025):
         op = sc.EpsOperator(potential=bumpy_potential, scaling=bumpy_scaling, eps=eps)
-        ek = sc.resolvent_eps_kernel(op, 1.0)
-        gaps.append(abs(ek(EdgeCoordinate(1, 1.5), EdgeCoordinate(2, 2.5), mom) - target))
+        ek = sc.EpsKernel(op, 1.0)
+        gaps.append(abs(ek.on_grid(1, 2, [1.5], [2.5])[0, 0] - target))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] <= 0.35 * gaps[0]
 

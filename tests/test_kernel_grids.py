@@ -9,8 +9,7 @@ import pytest
 import starcoupling as sc
 import starcoupling.epsilon as eps_mod
 import starcoupling.experiments as ex
-from starcoupling import Momentum, PiecewisePolynomial, StarPotential
-from starcoupling.limit import LimitKernel
+from starcoupling import EpsKernel, FreeKernel, LimitKernel, PiecewisePolynomial, StarPotential
 from starcoupling.quadrature import QuadratureRule
 
 EPS = 2**-3
@@ -49,23 +48,25 @@ YS = np.concatenate([EPS * np.linspace(0.05, 0.95, 7), np.linspace(0.0, 6.0, 11)
 
 
 @pytest.fixture(params=[2, 3, 5], scope="module")
-def kernels(request):
-    n = request.param
-    op = sc.EpsOperator(
-        potential=_drawn_constants(n),
+def op(request):
+    return sc.EpsOperator(
+        potential=_drawn_constants(request.param),
         scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
         eps=EPS,
     )
-    return op, sc.free_kernel(n), sc.resolvent_kernel_limit(op.constants)
+
+
+def _kernels(op, kappa):
+    return FreeKernel(op.n, kappa), LimitKernel(op.constants, kappa), EpsKernel(op, kappa)
 
 
 def _reference_terms(op, kernel, kappa, i, j, xs, ys):
     kc = 1j * kappa
     terms = _free_terms(kc, i, j, xs, ys, op.n)
-    if kernel.operator == "limit":
-        lam = sc.lambda_matrix(kc**2, op.constants)
+    if isinstance(kernel, LimitKernel):
+        lam = sc.lambda_matrix(kappa, op.constants)
         terms.append(lam[i - 1, j - 1] * _grid(kc, xs, ys))
-    elif kernel.operator == "eps":
+    elif isinstance(kernel, EpsKernel):
         z = sc.zeta(op, kappa)
         fi = sc.rank_one_factor(op, kappa, i, xs)
         fj = sc.rank_one_factor(op, kappa, j, ys)
@@ -75,37 +76,32 @@ def _reference_terms(op, kernel, kappa, i, j, xs, ys):
 
 class TestKernelGrids:
     @pytest.mark.parametrize("kappa", [0.3, 1.0, 5.0])
-    def test_outer_product_grids_match_2d_exponentials(self, kernels, kappa):
+    def test_outer_product_grids_match_2d_exponentials(self, op, kappa):
         # relative to the size of the terms both forms round: where the limit
         # kernel's reflected and rank-one terms nearly cancel (n = 2 at
         # kappa = 5, n = 5 at kappa = 0.3) the 2-d form itself is 1.3e-14
         # from the exact value, relative to the result, and the folded
         # coefficient 4e-15
-        op, free, limit = kernels
-        mom = Momentum.resolvent(1j * kappa)
-        for kernel in (free, limit, sc.resolvent_eps_kernel(op, kappa)):
+        for kernel in _kernels(op, kappa):
             for i in range(1, op.n + 1):
                 for j in range(1, op.n + 1):
                     terms = _reference_terms(op, kernel, kappa, i, j, XS, YS)
-                    gap = kernel.on_grid(i, j, XS, YS, mom) - sum(terms)
+                    gap = kernel.on_grid(i, j, XS, YS) - sum(terms)
                     assert np.max(np.abs(gap)) <= 1e-14 * np.max(sum(map(np.abs, terms)))
 
     @pytest.mark.parametrize("kappa", [0.3, 1.0, 5.0])
-    def test_swap_symmetry(self, kernels, kappa):
+    def test_swap_symmetry(self, op, kappa):
         # K_ij(x, y) = K_ji(y, x): hs_distance folds the pairs i > j onto i < j
-        op, free, limit = kernels
-        mom = Momentum.resolvent(1j * kappa)
-        for kernel in (free, limit, sc.resolvent_eps_kernel(op, kappa)):
+        for kernel in _kernels(op, kappa):
             for i in range(1, op.n + 1):
                 for j in range(i, op.n + 1):
-                    a = kernel.on_grid(i, j, XS, YS, mom)
-                    b = kernel.on_grid(j, i, YS, XS, mom).T
+                    a = kernel.on_grid(i, j, XS, YS)
+                    b = kernel.on_grid(j, i, YS, XS).T
                     assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
 
-    def test_limit_kernel_rejects_bad_edge(self, kernels):
-        op, _, limit = kernels
+    def test_limit_kernel_rejects_bad_edge(self, op):
         with pytest.raises(ValueError):
-            limit.on_grid(op.n + 1, 1, XS, YS, Momentum.resolvent(1j))
+            LimitKernel(op.constants, 1.0).on_grid(op.n + 1, 1, XS, YS)
 
 
 def _unit_panel_breaks(profile, eps, L):
@@ -118,9 +114,8 @@ def _unit_panel_breaks(profile, eps, L):
 
 def _hs_all_pairs(op, kappa):
     # every one of the n^2 edge pairs on unit panels over all of [0, L]^2
-    eps_kernel = sc.resolvent_eps_kernel(op, kappa)
-    lim_kernel = sc.resolvent_kernel_limit(op.constants)
-    mom = Momentum.resolvent(1j * kappa)
+    eps_kernel = EpsKernel(op, kappa)
+    lim_kernel = LimitKernel(op.constants, kappa)
     L = 1.0 + 8.0 / kappa
     rule = QuadratureRule(order=ex.HS_PANEL_ORDER)
     grids = []
@@ -131,7 +126,7 @@ def _hs_all_pairs(op, kappa):
     total = 0.0
     for i, (xi, wi) in enumerate(grids, start=1):
         for j, (yj, wj) in enumerate(grids, start=1):
-            diff = eps_kernel.on_grid(i, j, xi, yj) - lim_kernel.on_grid(i, j, xi, yj, mom)
+            diff = eps_kernel.on_grid(i, j, xi, yj) - lim_kernel.on_grid(i, j, xi, yj)
             total += float(np.sum(wi[:, None] * wj[None, :] * np.abs(diff) ** 2))
     return math.sqrt(total)
 
@@ -139,7 +134,7 @@ def _hs_all_pairs(op, kappa):
 def _tail_with_own_zeta(op, kappa):
     b = eps_mod.smeared_factor_coefficients(op, kappa)
     z = sc.zeta(op, kappa)
-    lam = sc.lambda_matrix(-(kappa**2) + 0j, op.constants).real
+    lam = sc.lambda_matrix(kappa, op.constants)
     E = z * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
     L = 1.0 + 8.0 / kappa
     tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
@@ -176,9 +171,9 @@ class TestHSDistance:
         for kappa in (1e-3, 1.0, 30.0):
             grids = sizes.setdefault(kappa, [])
 
-            def spy_grid(self, i, j, xs, ys, k, grids=grids):
+            def spy_grid(self, i, j, xs, ys, grids=grids):
                 grids.append((np.size(xs), np.size(ys)))
-                return on_grid(self, i, j, xs, ys, k)
+                return on_grid(self, i, j, xs, ys)
 
             monkeypatch.setattr(LimitKernel, "on_grid", spy_grid)
             factor_calls.clear()

@@ -186,9 +186,8 @@ class TestShippedBundle:
 
 class TestEdgeValidation:
     def test_free_green_rejects_bad_edge(self):
-        k = sc.Momentum.resolvent(1j)
         with pytest.raises(ValueError):
-            sc.free_kernel(3)(sc.EdgeCoordinate(4, 0.1), sc.EdgeCoordinate(1, 0.1), k)
+            sc.FreeKernel(3, 1.0).on_grid(4, 1, [0.1], [0.1])
 
     def test_assemble_F_rejects_bad_edge(self):
         with pytest.raises(ValueError):

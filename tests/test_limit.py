@@ -2,77 +2,51 @@ import numpy as np
 import pytest
 
 import starcoupling as sc
-from starcoupling import AtPole, EdgeCoordinate, Momentum, SingularSystem, ZeroB
+from starcoupling import AtPole, SingularSystem, ZeroB
 from conftest import distinct_theta
-
-
-class TestMomentum:
-    def test_regimes(self):
-        k = Momentum.resolvent(2j)
-        assert k.regime == "resolvent"
-        k = Momentum.scattering(1.5)
-        assert k.regime == "scattering"
-
-    def test_rejects_wrong_half_plane(self):
-        with pytest.raises(ValueError):
-            Momentum.resolvent(1.0)
-        with pytest.raises(ValueError):
-            Momentum.scattering(-1.0)
-        with pytest.raises(ValueError):
-            Momentum.scattering(1.0 + 1j)
-        with pytest.raises(ValueError):
-            Momentum.resolvent(0.0)
 
 
 class TestFreeGreen:
     def test_vertex_value_two_edges(self):
-        k = Momentum.resolvent(1j)
-        val = sc.free_kernel(2)(EdgeCoordinate(1, 0.0), EdgeCoordinate(2, 0.0), k)
+        val = sc.FreeKernel(2, 1.0).on_grid(1, 2, [0.0], [0.0])[0, 0]
         assert val == pytest.approx(0.5)
 
     def test_two_edge_reduction_to_free_line(self):
         # across the vertex of a 2-star the kernel is the free-line kernel
-        k = Momentum.resolvent(0.7j)
         kc = 0.7j
         for x, y in [(0.3, 0.9), (1.2, 0.1)]:
-            val = sc.free_kernel(2)(EdgeCoordinate(1, x), EdgeCoordinate(2, y), k)
+            val = sc.FreeKernel(2, 0.7).on_grid(1, 2, [x], [y])[0, 0]
             line = 1j / (2 * kc) * np.exp(1j * kc * abs(x - (-y)))
             assert val == pytest.approx(line, abs=1e-15)
 
     def test_vertex_derivative_sum_vanishes(self):
         # sum over edges of the outward derivative at the vertex is zero
-        kc = 1.3j
-        k = Momentum.resolvent(kc)
         n, ell, y = 3, 2, 0.8
         h = 1e-6
+        kernel = sc.FreeKernel(n, 1.3)
         total = 0.0
         for j in range(1, n + 1):
-            g0 = sc.free_kernel(n)(EdgeCoordinate(j, 0.0), EdgeCoordinate(ell, y), k)
-            g1 = sc.free_kernel(n)(EdgeCoordinate(j, h), EdgeCoordinate(ell, y), k)
+            g0 = kernel.on_grid(j, ell, [0.0], [y])[0, 0]
+            g1 = kernel.on_grid(j, ell, [h], [y])[0, 0]
             total += (g1 - g0) / h
         assert abs(total) < 1e-5
-
-    def test_requires_resolvent_regime(self):
-        k = Momentum.scattering(1.0)
-        with pytest.raises(ValueError):
-            sc.free_kernel(2)(EdgeCoordinate(1, 0), EdgeCoordinate(1, 0), k)
 
 
 class TestLambdaMatrix:
     def test_zero_coupling_gives_zero(self, vstar, free_scaling):
         cc = sc.coupling_constants(vstar, free_scaling)
-        lam = sc.lambda_matrix(-1.0 + 0j, cc)
+        lam = sc.lambda_matrix(1.0, cc)
         np.testing.assert_allclose(lam, 0.0, atol=0.0)
 
     def test_reference_value_at_unit_kappa(self, cc_pos):
-        lam = sc.lambda_matrix(-1.0 + 0j, cc_pos)
+        lam = sc.lambda_matrix(1.0, cc_pos)
         np.testing.assert_allclose(lam, (18.0 / 17.0) * cc_pos.Pi, atol=1e-14)
 
     def test_matches_direct_solve(self, cc_pos):
         bp = sc.boundary_matrices(cc_pos.theta, cc_pos.beta)
         for kappa in (0.1, 1.0, 10.0):
-            closed = sc.lambda_matrix(-(kappa**2) + 0j, cc_pos)
-            direct = sc.lambda_matrix_direct(Momentum.resolvent(1j * kappa), bp)
+            closed = sc.lambda_matrix(kappa, cc_pos)
+            direct = sc.lambda_matrix_direct(kappa, bp)
             np.testing.assert_allclose(closed, direct, atol=1e-10)
 
     def test_random_draws_match_direct(self):
@@ -84,46 +58,73 @@ class TestLambdaMatrix:
             B, Pi = sc.constants_B_Pi(theta)
             cc = sc.CouplingConstants(theta=theta, A=0.0, B=B, Pi=Pi, beta=beta)
             bp = sc.boundary_matrices(theta, beta)
-            closed = sc.lambda_matrix(-4.0 + 0j, cc)
-            direct = sc.lambda_matrix_direct(Momentum.resolvent(2j), bp)
+            closed = sc.lambda_matrix(2.0, cc)
+            direct = sc.lambda_matrix_direct(2.0, bp)
             np.testing.assert_allclose(closed, direct, atol=1e-10)
 
+    def test_real_and_equal_to_complex_quotient(self):
+        # the closed form is real at k = i kappa, and gives the bits of the
+        # complex quotient beta Pi / (1 + ik beta B) with k the resolvent-sheet
+        # root of -kappa^2
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(2, 6))
+            theta = distinct_theta(rng, n)
+            beta = rng.uniform(-3, 3)
+            B, Pi = sc.constants_B_Pi(theta)
+            cc = sc.CouplingConstants(theta=theta, A=0.0, B=B, Pi=Pi, beta=beta)
+            kappa = 10.0 ** rng.uniform(-6, 2)
+            k = np.sqrt(complex(-(kappa**2)))
+            denom = 1.0 + 1j * k * beta * B
+            if abs(denom) <= 1e-10:
+                continue
+            quotient = (beta / denom) * Pi.astype(complex)
+            lam = sc.lambda_matrix(kappa, cc)
+            assert lam.dtype == np.float64
+            assert np.all(quotient.imag == 0.0)
+            assert np.array_equal(lam, quotient.real)
+
     def test_rank_at_most_one(self, cc_pos):
-        lam = sc.lambda_matrix(-2.25 + 0j, cc_pos)
+        lam = sc.lambda_matrix(1.5, cc_pos)
         s = np.linalg.svd(lam, compute_uv=False)
         assert np.sum(s > 1e-12) <= 1
 
     def test_pole_guard(self, cc_neg):
         kappa_pole = 1.0 / (cc_neg.beta * cc_neg.B)
         with pytest.raises(AtPole):
-            sc.lambda_matrix(-(kappa_pole**2) + 0j, cc_neg)
+            sc.lambda_matrix(kappa_pole, cc_neg)
 
     def test_direct_singular_system(self):
         bp = sc.BoundaryPair(Amat=np.zeros((2, 2)), Bmat=np.zeros((2, 2)))
         with pytest.raises(SingularSystem):
-            sc.lambda_matrix_direct(Momentum.resolvent(1j), bp)
+            sc.lambda_matrix_direct(1.0, bp)
 
 
 class TestLimitKernel:
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan")])
+    def test_kernels_need_positive_kappa(self, cc_neg, kappa):
+        with pytest.raises(ValueError):
+            sc.FreeKernel(3, kappa)
+        with pytest.raises(ValueError):
+            sc.LimitKernel(cc_neg, kappa)
+
     def test_zero_coupling_reduces_to_free(self, vstar, free_scaling):
         cc = sc.coupling_constants(vstar, free_scaling)
-        lk = sc.resolvent_kernel_limit(cc)
-        fk = sc.free_kernel(3)
-        k = Momentum.resolvent(1.3j)
+        lk = sc.LimitKernel(cc, 1.3)
+        fk = sc.FreeKernel(3, 1.3)
         for (i, x), (j, y) in [((1, 0.2), (2, 1.7)), ((3, 0.0), (3, 2.0))]:
-            a = lk(EdgeCoordinate(i, x), EdgeCoordinate(j, y), k)
-            b = fk(EdgeCoordinate(i, x), EdgeCoordinate(j, y), k)
+            a = lk.on_grid(i, j, [x], [y])[0, 0]
+            b = fk.on_grid(i, j, [x], [y])[0, 0]
             assert a == pytest.approx(b, abs=1e-15)
 
     def test_symmetric_under_argument_swap(self, cc_neg):
-        lk = sc.resolvent_kernel_limit(cc_neg)
-        k = Momentum.resolvent(2j)
+        lk = sc.LimitKernel(cc_neg, 2.0)
         rng = np.random.default_rng(5)
         for _ in range(20):
             i, j = rng.integers(1, 4, 2)
             x, y = rng.uniform(0, 3, 2)
-            a = lk(EdgeCoordinate(int(i), x), EdgeCoordinate(int(j), y), k)
-            b = lk(EdgeCoordinate(int(j), y), EdgeCoordinate(int(i), x), k)
+            a = lk.on_grid(int(i), int(j), [x], [y])[0, 0]
+            b = lk.on_grid(int(j), int(i), [y], [x])[0, 0]
             assert a == pytest.approx(b, abs=1e-14)
 
     def test_vertex_condition_residual(self, cc_neg):
@@ -134,7 +135,7 @@ class TestLimitKernel:
         n = cc_neg.n
         for kappa in (0.5, 2.0):
             kc = 1j * kappa
-            lam = sc.lambda_matrix(kc**2, cc_neg)
+            lam = sc.lambda_matrix(kappa, cc_neg)
             for j in range(1, n + 1):
                 for y in (0.4, 1.9):
                     phase = np.exp(1j * kc * y)
@@ -146,12 +147,6 @@ class TestLimitKernel:
                     ) * phase
                     residual = np.linalg.norm(bp.Amat @ psi0 + bp.Bmat @ dpsi0)
                     assert residual <= 1e-8
-
-    def test_free_kernel_metadata(self):
-        assert sc.free_kernel(3).operator == "free"
-
-    def test_limit_kernel_metadata(self, cc_neg):
-        assert sc.resolvent_kernel_limit(cc_neg).operator == "limit"
 
 
 class TestLimitSpectrum:

@@ -31,6 +31,15 @@ def test_evaluate_inside_outside():
     assert vals[1, 0] == 0.0 and vals[1, 1] == 0.0
 
 
+def test_is_zero_looks_at_every_piece():
+    assert PiecewisePolynomial.zero().is_zero()
+    assert PiecewisePolynomial([0.0, 0.3, 0.6, 1.0], [[0.0], [0.0, 0.0], [0.0]]).is_zero()
+    # the only nonzero coefficient is the last one of the last piece
+    last = PiecewisePolynomial([0.0, 0.3, 0.6, 1.0], [[0.0], [0.0, 0.0], [0.0, 0.0, 1e-300]])
+    assert not last.is_zero()
+    assert not last.antiderivative().is_zero()
+
+
 def test_evaluate_symmetric_averages_jumps():
     p = PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0], [3.0]])
     assert p.evaluate_symmetric(0.5) == pytest.approx(2.0)
