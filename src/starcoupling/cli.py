@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from functools import lru_cache
 
 from .config import load_config
 from .errors import StarCouplingError
@@ -21,7 +22,9 @@ from .experiments import cmd_constants, cmd_converge, cmd_oracle, cmd_spectrum, 
 ENV_OUT = "STARCOUPLING_OUT"
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    # built on the first run() and reused: parse_args keeps no state
     parser = argparse.ArgumentParser(
         prog="starcoupling",
         description="Vertex-coupling approximation experiments on star graphs",

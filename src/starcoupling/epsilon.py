@@ -196,21 +196,43 @@ def _pairing(op, k, rule):
     )
 
 
-def _direct_raw(profile, a, eps, xs, rule):
-    # int V_i e^{-a |x - eps v|} dv at each x, the crease split at v = x/eps;
-    # points whose split has the same number of cells share one 2-d node
-    # array, each row summed panel by panel as its one-point call would be
-    lo, hi = profile.support
-    breaks = [merge_breaks(lo, hi, profile.breakpoints, [x / eps]) for x in xs]
-    sizes = np.array([b.size for b in breaks])
+def _crease_cells(op, i, u, rule):
+    # the cells of edge i's direct integrals at the scaled points u = x/eps,
+    # the crease split at v = u: points whose split has the same number of
+    # cells form one group, kept with its nodes, weights and profile values.
+    # None of them depends on eps or the momentum, and on power-of-two
+    # ladders u repeats bit for bit, so the potential keeps them per
+    # (edge, rule, u)
+    def build():
+        profile = op.potential.profiles[i]
+        lo, hi = profile.support
+        breaks = [merge_breaks(lo, hi, profile.breakpoints, [t]) for t in u]
+        sizes = np.array([b.size for b in breaks])
+        groups = []
+        for size in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == size)
+            edges = np.array([breaks[r] for r in rows]).T[..., None]
+            v, w = rule.points(edges[:-1], edges[1:])
+            group = (rows, v, w, profile.evaluate(v))
+            for arr in group:
+                arr.setflags(write=False)
+            groups.append(group)
+        return groups
+
+    return op.potential.shared((_crease_cells, i, rule, u.tobytes()), build)
+
+
+def _direct_raw(op, i, a, xs, rule):
+    # int V_i e^{-a |x - eps v|} dv at each x over the crease-split cells,
+    # each row summed cell by cell as rule.integrate sums its one-point call
+    eps = op.eps
     out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
-    for size in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == size)
-        x = xs[rows, None]
-        out[rows] = rule.integrate(
-            lambda v: profile.evaluate(v) * np.exp(-a * np.abs(x - eps * v)),
-            np.array([breaks[r] for r in rows]),
-        )
+    for rows, v, w, V in _crease_cells(op, i, xs / eps, rule):
+        terms = w * (V * np.exp(-a * np.abs(xs[rows, None] - eps * v)))
+        total = 0.0
+        for cell in np.sum(terms, axis=-1):
+            total = total + cell
+        out[rows] = total
     return out
 
 
@@ -239,7 +261,7 @@ def _factor(op, k, edge, xs, rule):
         inside = xs[~outside]
         if inside.size:
             bracket[~outside] += converged_value(
-                lambda q: _direct_raw(profile, a, eps, inside, q),
+                lambda q: _direct_raw(op, i, a, inside, q),
                 rule,
                 rtol=1e-10,
                 context=f"direct integrals of the factor on edge {edge}",
@@ -327,10 +349,16 @@ def pole_equation(op, kappa):
 
 
 def pole_asymptotic(op, cc=None):
-    """Two-term predictor of the pole location.
+    """Two-term predictor of the pole location, used to seed brackets.
 
-    kappa ~ (1/B) ((A - 1/lambda0)/eps + lambda1/lambda0^2); in the resonant
-    case this collapses to 1/(beta B), the limit-operator pole.
+    kappa_pred = (1/B) ((A - 1/lambda0)/eps + lambda1/lambda0^2); in the
+    resonant case this collapses to 1/(beta B), the limit-operator pole.
+    In the nonresonant case it is not the eps -> 0 asymptote. The pairing
+    is eps^3 P_1(i eps kappa), P_1 the pairing at eps = 1, so the pole
+    equation reads 1/lambda(eps) + P_1(i eps kappa) = 0 and eps kappa tends
+    to the root C* of 1/lambda0 + P_1(iC) = 0 (C* = 0.0867 on
+    vstar_nonresonant); (A - 1/lambda0)/B (0.0833 there) is only the
+    first-order expansion of that root in C.
     """
     cc = cc if cc is not None else op.constants
     if abs(cc.B) <= TOL_ZERO_B:

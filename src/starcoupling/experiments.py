@@ -394,6 +394,22 @@ def cmd_oracle(config):
     oracle = config.oracle
     eps_eig, eps_s = oracle["epsilon_eigenvalue"], oracle["epsilon_smatrix"]
     L, h = oracle["L"], oracle["h"]
+    source_edge = oracle["resolvent_source_edge"]
+    source_x = oracle["resolvent_source_x"]
+    source = EdgeCoordinate(source_edge, source_x)
+
+    # the FD columns vanish at x = L, where the free column's error is the
+    # exact kernel itself: when that exceeds its tolerance, L is too short
+    # for kappa and no grid can pass the check
+    kernel = FreeKernel(config.n, config.kappa)
+    at_L = abs(kernel.on_grid(source_edge, source_edge, [source_x], [L])[0, 0].real)
+    tol = config.tolerances["oracle_free_column_sup"]
+    if at_L > tol:
+        raise ConfigError(
+            f"oracle L = {L:g} is too short for kappa = {config.kappa:g}: the free "
+            f"column's exact value at x = L is {at_L:.4g}, above "
+            f"oracle_free_column_sup = {tol:g}"
+        )
 
     # bound-state eigenvalue; no pole and no discrete bound state agree
     op_eig = _member(config, eps_eig)
@@ -406,12 +422,8 @@ def cmd_oracle(config):
         eig_err = abs(fd_ev - pole.eigenvalue) / abs(pole.eigenvalue)
 
     # free resolvent column against the closed-form kernel
-    source_edge = oracle["resolvent_source_edge"]
-    source_x = oracle["resolvent_source_x"]
-    source = EdgeCoordinate(source_edge, source_x)
     op_free = _member(config, eps_s, free=True)
     col = oracle_resolvent_column(op_free, config.kappa, source, L=L, h=h)
-    kernel = FreeKernel(config.n, config.kappa)
     free_err = 0.0
     for j in range(1, config.n + 1):
         exact = kernel.on_grid(source_edge, j, np.array([source_x]), col.x)[0]

@@ -23,6 +23,23 @@ def _gauss01(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@lru_cache(maxsize=64)
+def _lower_triangle(rule, a, b):
+    # nodes and weights of the lower triangle a<=y<=x<=b via x = a+(b-a)s,
+    # y = a+(b-a)s*t, Jacobian (b-a)^2 s, with s and t the rule's nodes on
+    # [0, 1]; the same few cells recur in every pairing call, so they are
+    # kept per rule (not per order: a rule with other nodes gets its own)
+    s, ws = rule.points(0.0, 1.0)
+    h = b - a
+    S = s[:, None]
+    X = a + h * S
+    Y = a + h * S * s[None, :]
+    wgt = (h * h) * (ws[:, None] * ws[None, :]) * S
+    for arr in (X, Y, wgt):
+        arr.setflags(write=False)
+    return X, Y, wgt
+
+
 def merge_breaks(lo, hi, *extra):
     """Sorted unique breakpoints covering [lo, hi], including any of
     ``extra`` that fall strictly inside."""
@@ -71,17 +88,9 @@ class QuadratureRule:
         return np.sum(wx[:, None] * wy[None, :] * vals, axis=(-2, -1))
 
     def _triangle_pair(self, f, a, b):
-        # lower triangle a<=y<=x<=b via x = a+(b-a)s, y = a+(b-a)s*t,
-        # Jacobian (b-a)^2 s; the upper triangle is its mirror image, and
-        # since f(x, y) == f(y, x) its sum is the lower one's, bit for bit
-        s, ws = _gauss01(self.order)
-        t, wt = _gauss01(self.order)
-        h = b - a
-        S = s[:, None]
-        T = t[None, :]
-        X = a + h * S
-        Y = a + h * S * T
-        wgt = (h * h) * (ws[:, None] * wt[None, :]) * S
+        # the upper triangle is the lower one's mirror image, and since
+        # f(x, y) == f(y, x) its sum is the lower one's, bit for bit
+        X, Y, wgt = _lower_triangle(self, a, b)
         return 2.0 * np.sum(wgt * f(X, Y), axis=(-2, -1))
 
     def double_integral(self, f, breaks):

@@ -506,13 +506,16 @@ class TestBatchedCreaseIntegrals:
             for a in (0.7, 3.0, -0.5j, -5.0j, 1.0 - 2.0j):
                 for r in (rule, rule.doubled()):
                     assert np.array_equal(
-                        eps_mod._direct_raw(profile, a, eps, xs, r),
+                        eps_mod._direct_raw(op, edge - 1, a, xs, r),
                         _direct_loop(profile, a, eps, xs, r),
                     )
             batched = {kappa: sc.rank_one_factor(op, kappa, edge, xs) for kappa in (0.7, 3.0)}
             W = {k: [sc.assemble_W(op, k, edge, x) for x in xs[::3]] for k in (0.5, 5.0)}
             with monkeypatch.context() as m:
-                m.setattr(eps_mod, "_direct_raw", _direct_loop)
+                def loop(op, i, a, xs, r):
+                    return _direct_loop(op.potential.profiles[i], a, op.eps, xs, r)
+
+                m.setattr(eps_mod, "_direct_raw", loop)
                 for kappa, values in batched.items():
                     assert np.array_equal(values, sc.rank_one_factor(op, kappa, edge, xs))
                 for k, values in W.items():

@@ -489,6 +489,60 @@ class TestSharedPotentialWork:
         monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", no_evaluate)
         assert sc.inner_RV_V(1.0, sc.EpsOperator(vstar, lam_neg, 0.0625)) == fresh
 
+    def test_table_keys_hold_the_rule_not_its_order(self, vstar, lam_neg):
+        # after the base rule has filled the table, a rule of the same order
+        # with other nodes must get its own pairing, moments and crease cells,
+        # the values it gives on a potential of its own
+        class HalfNodes(sc.QuadratureRule):
+            def points(self, a, b):
+                x, w = quadrature._gauss01(self.order // 2)
+                return a + (b - a) * x, (b - a) * w
+
+        eps, a = 0.125, 40.0
+        xs = eps * np.linspace(0.0, 1.0, 9)
+
+        def values(potential, rule):
+            op = sc.EpsOperator(potential, lam_neg, eps, rule)
+            return (
+                eps_mod._pairing_raw(op, a, rule),
+                eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule, 1),
+                eps_mod._direct_raw(op, 0, a, xs, rule),
+            )
+
+        base = values(vstar, sc.QuadratureRule(order=32))
+        other = values(vstar, HalfNodes(order=32))
+        own = values(sc.StarPotential.from_constants([1.0, -1.0, 0.0]), HalfNodes(order=32))
+        for got, want, first in zip(other, own, base):
+            assert np.array_equal(got, want)
+            assert not np.array_equal(got, first)
+
+    def test_factor_work_does_not_grow_with_the_ladder(self, monkeypatch):
+        # the crease-split cells and their profile values are built once per
+        # command: a power-of-two ladder's scaled HS points repeat every rung
+        calls = {"evaluate": 0, "merge_breaks": 0}
+        evaluate, merge_breaks = sc.PiecewisePolynomial.evaluate, eps_mod.merge_breaks
+
+        def counted_evaluate(self, x):
+            calls["evaluate"] += 1
+            return evaluate(self, x)
+
+        def counted_merge_breaks(*args):
+            calls["merge_breaks"] += 1
+            return merge_breaks(*args)
+
+        monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", counted_evaluate)
+        monkeypatch.setattr(eps_mod, "merge_breaks", counted_merge_breaks)
+        raw = _raw("vstar_resonant_neg")
+        counts = set()
+        for rungs in (4, 5, 7):
+            ladder = [2.0**-e for e in range(3, 3 + rungs)]
+            config = parse_config({**raw, "epsilons": ladder})
+            calls.update(evaluate=0, merge_breaks=0)
+            sc.cmd_converge(config)
+            counts.add((calls["evaluate"], calls["merge_breaks"]))
+        ((evaluated, merged),) = counts
+        assert evaluated and merged
+
 
 class TestOracleCommand:
     def test_default_checks_pass(self, tmp_path):
@@ -554,6 +608,36 @@ class TestOracleCommand:
         if not bound_state:
             assert checks[0]["passed"] is True
             assert rows[0]["value"] is None
+
+    @pytest.fixture
+    def no_fd(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("FD work started")
+
+        for name in ("oracle_eigenvalue", "oracle_resolvent_column", "oracle_smatrix"):
+            monkeypatch.setattr(experiments, name, fail)
+
+    @pytest.mark.parametrize("kappa, at_L", [(1e-3, "320.7"), (1e-6, "3.333e+05")])
+    def test_L_too_short_for_kappa_exit_two(self, tmp_path, capsys, no_fd, kappa, at_L):
+        # the FD column is 0 at x = L, where the exact kernel is
+        # (e^{-kappa(L-y)} + (2/n - 1) e^{-kappa(L+y)})/(2 kappa): 320.7 at
+        # kappa = 1e-3, L = 40, y = 0.7, far above the 5e-4 tolerance
+        cfg = write_config(tmp_path, {"kappa": kappa, "oracle": {"L": 40.0, "h": 0.005}})
+        out = tmp_path / "out"
+        assert run(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: oracle L = 40 is too short for kappa = {kappa:g}")
+        assert f"x = L is {at_L}," in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", [None, "vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
+    )
+    def test_admissible_L_reaches_the_fd_oracle(self, tmp_path, no_fd, name):
+        # BASE_CONFIG's L = 8 at kappa = 1 leaves 3.1e-4 at x = L, below 5e-4
+        path = write_config(tmp_path) if name is None else BUNDLE_DIR / f"{name}.json"
+        with pytest.raises(AssertionError, match="FD work started"):
+            sc.cmd_oracle(sc.load_config(path))
 
 
 class TestReportWriting:
