@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .graph import ScalingFunction, StarPotential, constants_B_Pi
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
+from .scattering import MOMENTUM_MIN
 
 #: largest admissible quadrature order: the batched pole scan holds
 #: 65 (2 order)^2 values per temporary, about 0.4 GiB at order 256 and four
@@ -33,7 +34,8 @@ MAX_QUAD_ORDER = 256
 #: 1e2 the order-32 rule misses e^{-eps kappa v} at eps = 1 (exit 3)
 KAPPA_MIN, KAPPA_MAX = 1e-6, 1e2
 #: largest admissible scattering momentum (``momenta``, oracle ``smatrix_k``):
-#: at eps = 1 the order-32 rule misses e^{i k eps v} from k = 35.7 on (exit 3)
+#: at eps = 1 the order-32 rule misses e^{i k eps v} from k = 35.7 on (exit 3);
+#: the smallest is the scattering module's MOMENTUM_MIN
 MOMENTUM_MAX = 20.0
 
 _ORACLE_DEFAULTS = {
@@ -189,8 +191,8 @@ def parse_config(raw):
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
     momenta = [float(k) for k in _numbers(raw["momenta"], "momenta", 1)]
-    if any(not 0 < k <= MOMENTUM_MAX for k in momenta):
-        raise ConfigError(f"momenta must lie in (0, {MOMENTUM_MAX:g}]")
+    if any(not MOMENTUM_MIN <= k <= MOMENTUM_MAX for k in momenta):
+        raise ConfigError(f"momenta must lie in [{MOMENTUM_MIN:g}, {MOMENTUM_MAX:g}]")
     if not KAPPA_MIN <= _number(raw["kappa"], "kappa") <= KAPPA_MAX:
         raise ConfigError(f"kappa must lie in [{KAPPA_MIN:g}, {KAPPA_MAX:g}]")
 
@@ -214,8 +216,10 @@ def parse_config(raw):
     for key in ("L", "h", "L_scattering", "smatrix_k", "resolvent_kappa"):
         if not oracle[key] > 0:
             raise ConfigError(f"oracle {key} must be positive")
-    if not oracle["smatrix_k"] <= MOMENTUM_MAX:
-        raise ConfigError(f"oracle smatrix_k must lie in (0, {MOMENTUM_MAX:g}]")
+    if not MOMENTUM_MIN <= oracle["smatrix_k"] <= MOMENTUM_MAX:
+        raise ConfigError(
+            f"oracle smatrix_k must lie in [{MOMENTUM_MIN:g}, {MOMENTUM_MAX:g}]"
+        )
     for key in ("epsilon_eigenvalue", "epsilon_smatrix"):
         if not 0 < oracle[key] <= 1:
             raise ConfigError(f"oracle {key} must lie in (0, 1]")

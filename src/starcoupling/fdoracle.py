@@ -36,7 +36,9 @@ between the two arithmetic routes; the eigenvalues keep the symmetric one.
 Each matrix is assembled once, in final form: S as CSC arrays, T by scaling
 S's data in the product order of W^{-1/2} S W^{-1/2}, and each shift written
 over the diagonal slots of one copy. The secular root factorizes T - mu I at
-some thirty shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern.
+shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern: 8 to 16 per grid
+on the shipped spectrum ladders (eps >= 2^-5) with a bound state, and one
+without, where the first shift already shows g(-TAU_EIGEN) >= 0.
 SuperLU's fill-reducing column order is therefore computed once per grid, at
 the first shift; T is then kept only as its symmetric permutation in that
 order, and each later shift is factorized in the natural order. Every

@@ -39,6 +39,10 @@ from .quadrature import converged_value, merge_breaks
 
 #: relative floor for |1 - D| below which the solve is a resonance
 TOL_FREDHOLM = 1e-12
+#: smallest scattering momentum, the floor of kappa as well: far below it
+#: the amplitude factor lambda/(2ik eps^3) overflows (from k ~ 1e-307 on)
+#: and S comes out NaN
+MOMENTUM_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,18 @@ def fredholm_D_direct(op, k):
     D = (lambda/(2ik eps)) [ sum_j II V_j V_j e^{ik eps |u-v|}
         + (2/n)(sum_j h_j)^2 - sum_j h_j^2 ],  h_j = int V_j e^{ik eps v} dv,
 
-    that is -(lambda/eps^3) P(k); k may be complex with Im k >= 0.
+    that is -(lambda/eps^3) P(k); k may be complex with Im k >= 0 and
+    |k| >= MOMENTUM_MIN.
     """
+    if not abs(k) >= MOMENTUM_MIN:
+        raise ValueError(f"|k| must be at least {MOMENTUM_MIN:g}")
     return -(op.lambda_value / op.eps**3) * _pairing(op, k, op.quad)
 
 
 def _fredholm(op, k):
     # numerators N_i of every incoming edge and D
-    if k <= 0:
-        raise ValueError("scattering momentum must be positive")
+    if not k >= MOMENTUM_MIN:
+        raise ValueError(f"scattering momentum must be at least {MOMENTUM_MIN:g}")
     r = _edge_moments(op, k, op.quad)
     N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r))
     return N, fredholm_D_direct(op, k)

@@ -15,7 +15,7 @@ from starcoupling import (
     ZeroB,
 )
 import starcoupling.epsilon as eps_mod
-from starcoupling.quadrature import converged_value, merge_breaks
+from starcoupling.quadrature import _lower_triangle, converged_value, merge_breaks
 
 
 @pytest.fixture
@@ -136,24 +136,63 @@ def _direct_moments(op, a, rule):
 
 
 def _direct_pairing(op, a, rule):
-    # the pairing bracket at decay rate a, profiles evaluated in the integrand
+    # the pairing bracket at decay rate a, profiles evaluated in the
+    # integrand; the same-edge integrand is the one the pairing takes at
+    # this kind of momentum (TestSameEdgeIntegrand pins both kinds)
     c = a * op.eps
+    g = eps_mod._same_edge_integrand(c)
     diag = 0.0
     for p in op.potential.profiles:
         if p.is_zero():
             continue
 
         def f(x, y, p=p):
-            return (
-                p.evaluate(x)
-                * p.evaluate(y)
-                * np.exp(-c * (x + y))
-                * np.expm1(2.0 * c * np.minimum(x, y))
-            )
+            return g(p.evaluate(x), p.evaluate(y), x, y)
 
         diag += rule.double_integral(f, p.breakpoints)
     smoment = sum(_direct_moments(op, a, rule)) + op.potential.total_mean()
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
+
+
+class TestSameEdgeIntegrand:
+    # the pairing's same-edge integrand V(x) V(y) e^{-c(x+y)} expm1(2c min)
+    # on the nodes of a triangle cell and of a tensor cell
+    @staticmethod
+    def _cells(rule):
+        X, Y, _ = _lower_triangle(rule, 0.25, 0.75)
+        x, _ = rule.points(0.5, 1.0)
+        y, _ = rule.points(0.0, 0.5)
+        return [(X, Y), (x[:, None], y[None, :])]
+
+    @staticmethod
+    def _complex_form(c, Vx, Vy, x, y):
+        return Vx * Vy * np.exp(-c * (x + y)) * np.expm1(2.0 * c * np.minimum(x, y))
+
+    @pytest.mark.parametrize("theta", np.geomspace(1e-4, 20.0, 13))
+    def test_real_k_matches_the_complex_form(self, bumpy_potential, theta):
+        # at real k, c = -i theta and the integrand is evaluated in real
+        # arithmetic; it must agree with the complex exp/expm1 form per node
+        # and stay symmetric bit for bit, as double_integral requires
+        p = bumpy_potential.profiles[0]
+        c = np.array([[-1j * theta]])
+        g = eps_mod._same_edge_integrand(c)
+        for x, y in self._cells(sc.QuadratureRule(order=32)):
+            Vx, Vy = p.evaluate(x), p.evaluate(y)
+            got = g(Vx, Vy, x, y)
+            want = self._complex_form(c, Vx, Vy, x, y)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            assert np.array_equal(got, g(Vy, Vx, y, x))
+
+    @pytest.mark.parametrize("c", [0.3, 2.0, 0.2 - 0.5j, -0.1 + 1j])
+    def test_other_c_keeps_the_complex_form(self, bumpy_potential, c):
+        # real c (the resolvent) and c with both parts nonzero keep the
+        # complex form, in the same product order, bit for bit
+        p = bumpy_potential.profiles[0]
+        c = np.array([[c]])
+        g = eps_mod._same_edge_integrand(c)
+        for x, y in self._cells(sc.QuadratureRule(order=32)):
+            Vx, Vy = p.evaluate(x), p.evaluate(y)
+            assert np.array_equal(g(Vx, Vy, x, y), self._complex_form(c, Vx, Vy, x, y))
 
 
 class TestZeta:

@@ -805,8 +805,12 @@ class TestCli:
             ({"momenta": [1.0, 50.0]}, "momenta"),
             ({"momenta": [1e3]}, "momenta"),
             ({"momenta": [1e300]}, "momenta"),
+            # far below the floor the S-matrix overflows to NaN
+            ({"momenta": [1.0, 1e-310]}, "momenta"),
+            ({"momenta": [5e-7]}, "momenta"),
             ({"oracle": {**BASE_CONFIG["oracle"], "smatrix_k": 21.0}}, "oracle smatrix_k"),
             ({"oracle": {**BASE_CONFIG["oracle"], "smatrix_k": 1e3}}, "oracle smatrix_k"),
+            ({"oracle": {**BASE_CONFIG["oracle"], "smatrix_k": 1e-9}}, "oracle smatrix_k"),
         ],
     )
     def test_momenta_outside_range_exit_two(
@@ -815,7 +819,7 @@ class TestCli:
         cfg = write_config(tmp_path, overrides)
         out = tmp_path / "out"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"error: {key} must lie in (0, 20]" in capsys.readouterr().err
+        assert f"error: {key} must lie in [1e-06, 20]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_converge_at_largest_momentum_runs(self, tmp_path, capsys):
