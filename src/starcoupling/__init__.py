@@ -8,7 +8,7 @@ and verifies the norm-resolvent and S-matrix convergence rates against an
 independent finite-difference oracle.
 """
 
-from .config import ExperimentConfig, load_config, parse_config
+from .config import load_config
 from .epsilon import (
     EpsKernel,
     EpsOperator,
@@ -37,8 +37,6 @@ from .errors import (
     ZeroB,
 )
 from .experiments import (
-    RateFit,
-    Report,
     cmd_constants,
     cmd_converge,
     cmd_oracle,
@@ -48,9 +46,7 @@ from .experiments import (
     write_report,
 )
 from .fdoracle import (
-    DiscreteOperator,
     DiscreteStarGraph,
-    build_discrete_operator,
     oracle_eigenvalue,
     oracle_resolvent_column,
     oracle_smatrix,
@@ -73,7 +69,6 @@ from .graph import (
 from .limit import (
     FreeKernel,
     LimitKernel,
-    SMatrix,
     lambda_matrix,
     lambda_matrix_direct,
     limit_point_spectrum,
@@ -84,16 +79,14 @@ from .limit import (
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 from .scattering import (
-    ScatteringSolution,
     assemble_F,
     assemble_W,
-    compute_ND,
+    fredholm,
     fredholm_D_direct,
     scattering_solution,
     scattering_solution_deriv,
     scattering_solution_eval,
     smatrix_eps,
-    solve_inner,
 )
 
 __version__ = "0.1.0"

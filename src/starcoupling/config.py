@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .graph import ScalingFunction, StarPotential, constants_B_Pi
+from .graph import ScalingFunction, StarPotential, constants_B_Pi, coupling_beta
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 from .scattering import MOMENTUM_MIN
@@ -257,13 +257,41 @@ def parse_config(raw):
             getattr(config, key)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    # finite but huge coefficients overflow the derived constants
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = config.potential.theta
-        derived = (*theta, config.potential.A, constants_B_Pi(theta)[0])
-    if not all(math.isfinite(value) for value in derived):
-        raise ConfigError("potential: theta, A or B is not finite")
+    _check_derived(config)
     return config
+
+
+def _check_derived(config):
+    """Refuse derived constants that are not finite: theta, A, B, beta, lambda0,
+    the predictor's 1/lambda0 and lambda1/lambda0^2, and, also nonzero, the
+    limit eigenvalue and lambda(eps) at every ladder and oracle eps. They are
+    formed in numpy floats, where overflow reads inf instead of raising."""
+    scaling, oracle = config.scaling, config.oracle
+    with np.errstate(all="ignore"):
+        theta = config.potential.theta
+        A, B = np.float64(config.potential.A), constants_B_Pi(theta)[0]
+        if not all(math.isfinite(value) for value in (*theta, A, B)):
+            raise ConfigError("potential: theta, A or B is not finite")
+        beta = coupling_beta(scaling, A)
+        lam0 = np.float64(scaling.resolve_lambda0(A))
+        finite = {
+            "beta = 1/(lambda1 A^2)": beta,
+            "lambda0": lam0,
+            "1/lambda0": 1.0 / lam0,
+            "lambda0^2": lam0**2,
+            "lambda1/lambda0^2": scaling.lambda1 / lam0**2,
+        }
+        nonzero = {}
+        if beta < 0:
+            nonzero["limit eigenvalue -1/(beta B)^2"] = -1.0 / (beta * B) ** 2
+        ladder = (*config.epsilons, oracle["epsilon_eigenvalue"], oracle["epsilon_smatrix"])
+        for eps in ladder:
+            nonzero[f"lambda({eps:g})"] = scaling.value(eps, A=A)
+    for name, value in {**finite, **nonzero}.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"scaling: {name} is not finite")
+        if name in nonzero and value == 0:
+            raise ConfigError(f"scaling: {name} vanishes")
 
 
 def load_config(path):

@@ -269,6 +269,13 @@ def _direct_raw(op, i, a, xs, rule):
     return out
 
 
+def _far_field(op, k, rule, r):
+    # b_i = m_i(-k) - m_i(k) + (2/n) sum_j m_j(k) per edge, from the moment
+    # residuals r = m(k) - int V: beyond the scaled support f_i(x; k) is
+    # exactly (i eps/2k) b_i e^{ikx}
+    return _edge_moments(op, -k, rule) - r + (2.0 / op.n) * _moment_sum(op, r)
+
+
 def _factor(op, k, edge, xs, rule):
     """The factor f_i(x; k) = (R0(k) V_eps)_i(x) on one edge at the points xs.
 
@@ -276,7 +283,7 @@ def _factor(op, k, edge, xs, rule):
     and only then summed, so no check is relative to their sum, which the
     zero total mean cancels at the vertex. Beyond the scaled support the
     direct integral is exactly e^{ikx} m_i(-k), and f_i = (i eps/2k) b_i e^{ikx}
-    with b_i = m_i(-k) - m_i(k) + (2/n) sum_j m_j(k) formed from residuals.
+    with the far-field b_i of ``_far_field``.
     """
     a = _decay_rate(k)
     eps = op.eps
@@ -289,8 +296,7 @@ def _factor(op, k, edge, xs, rule):
     if not profile.is_zero():
         outside = xs >= eps * profile.support[1]
         if outside.any():
-            b = _edge_moments(op, -k, rule)[i] - r[i] + shared
-            bracket[outside] = b * decay[outside]
+            bracket[outside] = _far_field(op, k, rule, r)[i] * decay[outside]
         inside = xs[~outside]
         if inside.size:
             bracket[~outside] += converged_value(
@@ -305,15 +311,9 @@ def _factor(op, k, edge, xs, rule):
 def inner_RV_V(kappa, op):
     """The pairing <(free resolvent at -kappa^2) V_eps, V_eps> = P(i kappa).
 
-    Rescaled to [0,1]^2 this is
-
-        (eps^2/2kappa) [ sum_i II V_i V_i e^{-eps kappa |x-y|}
-                         - sum_i (int V_i e^{-eps kappa x})^2
-                         + (2/n) (sum_i int V_i e^{-eps kappa x})^2 ],
-
-    evaluated with the diagonal-split rule and verified by order doubling,
-    in the cancellation-free arrangement of the shared pairing routine.
-    ``kappa`` may be a 1-d array, each value bit-equal to its scalar call.
+    P is the module's formula, verified by order doubling in the
+    cancellation-free arrangement of ``_pairing``. ``kappa`` may be a 1-d
+    array, each value bit-equal to its scalar call.
     """
     if np.any(np.asarray(kappa) <= 0):
         raise ValueError("kappa must be positive")
@@ -322,7 +322,7 @@ def inner_RV_V(kappa, op):
 
 def zeta(op, kappa):
     """The scalar strength of the rank-one resolvent correction."""
-    denom = op.eps**3 / op.lambda_value + inner_RV_V(kappa, op)
+    denom = pole_equation(op, kappa)
     if abs(denom) <= TOL_POLE * op.eps**3:
         raise AtPole(f"zeta denominator {denom:.3e} at kappa = {kappa}")
     return 1.0 / denom
@@ -331,10 +331,9 @@ def zeta(op, kappa):
 def rank_one_factor(op, kappa, edge, xs):
     """(R0 V_eps) on an edge at the points xs: the factor f(x; i kappa).
 
-    For x beyond the scaled support this is exactly
-    (eps/2kappa) e^{-kappa x} [int V_i e^{eps kappa v} dv
-    + sum_j (2/n - delta_ij) int V_j e^{-eps kappa v} dv]; inside the
-    support the |x - eps v| crease is split at v = x/eps.
+    Beyond the scaled support this is exactly (eps/2kappa) b_i e^{-kappa x},
+    b_i the ``smeared_factor_coefficients``; inside it the |x - eps v|
+    crease is split at v = x/eps.
     """
     if not 1 <= edge <= op.n:
         raise ValueError(f"edge index {edge} outside 1..{op.n}")
@@ -346,9 +345,7 @@ def smeared_factor_coefficients(op, kappa):
     """Per-edge numbers b_i with (R0 V_eps)(x) = (eps/2kappa) b_i e^{-kappa x}
     exactly for x beyond the scaled support:
     b_i = m_i(-i kappa) + sum_j (2/n - delta_ij) m_j(i kappa)."""
-    r = _edge_moments(op, 1j * kappa, op.quad)
-    shared = (2.0 / op.n) * _moment_sum(op, r)
-    return _edge_moments(op, -1j * kappa, op.quad) - r + shared
+    return _far_field(op, 1j * kappa, op.quad, _edge_moments(op, 1j * kappa, op.quad))
 
 
 class EpsKernel:

@@ -13,7 +13,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,15 +71,6 @@ class RateFit:
     intercept: float
     r_squared: float
 
-    def as_dict(self):
-        return {
-            "quantity": self.quantity,
-            "pairs": [[e, v] for e, v in self.pairs],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
-
 
 def fit_rate(quantity, eps_values, errors):
     """Fit error ~ C * eps^slope by least squares in log-log coordinates."""
@@ -114,15 +105,7 @@ class Report:
 
 
 def _row(quantity, epsilon=None, k=None, kappa=None, value=None, error=None, tail=None):
-    return {
-        "quantity": quantity,
-        "epsilon": epsilon,
-        "k": k,
-        "kappa": kappa,
-        "value": value,
-        "error": error,
-        "tail_bound": tail,
-    }
+    return dict(zip(CSV_COLUMNS, (quantity, epsilon, k, kappa, value, error, tail)))
 
 
 def _fmt(cell):
@@ -214,30 +197,14 @@ def hs_distance(op, kappa):
 
 
 def cmd_constants(config):
-    """Derived constants, boundary matrices, and the self-adjointness verdict."""
+    """Derived constants, boundary matrices, and the self-adjointness verdict.
+
+    The rows flatten the summary: theta_i, A, B, beta, Pi_i_j, then
+    boundary_A_i_j and boundary_B_i_j per (i, j), then selfadjoint.
+    """
     cc = coupling_constants(config.potential, config.scaling)
     bp = boundary_matrices(cc.theta, cc.beta)
-    selfadjoint = check_selfadjoint(bp)
-
-    report = Report(command="constants")
-    for i, t in enumerate(cc.theta, start=1):
-        report.rows.append(_row(f"theta_{i}", value=float(t)))
-    report.rows.append(_row("A", value=cc.A))
-    report.rows.append(_row("B", value=cc.B))
-    report.rows.append(_row("beta", value=cc.beta))
-    for i in range(cc.n):
-        for j in range(cc.n):
-            report.rows.append(_row(f"Pi_{i + 1}_{j + 1}", value=float(cc.Pi[i, j])))
-    for i in range(cc.n):
-        for j in range(cc.n):
-            report.rows.append(
-                _row(f"boundary_A_{i + 1}_{j + 1}", value=float(bp.Amat[i, j]))
-            )
-            report.rows.append(
-                _row(f"boundary_B_{i + 1}_{j + 1}", value=float(bp.Bmat[i, j]))
-            )
-    report.rows.append(_row("selfadjoint", value=1.0 if selfadjoint else 0.0))
-    report.summary = {
+    summary = {
         "n": cc.n,
         "theta": [float(t) for t in cc.theta],
         "A": cc.A,
@@ -246,9 +213,19 @@ def cmd_constants(config):
         "Pi": cc.Pi.tolist(),
         "boundary_A": bp.Amat.tolist(),
         "boundary_B": bp.Bmat.tolist(),
-        "selfadjoint": bool(selfadjoint),
+        "selfadjoint": check_selfadjoint(bp),
     }
-    return report
+    pairs = list(itertools.product(range(cc.n), repeat=2))
+    rows = [_row(f"theta_{i}", value=t) for i, t in enumerate(summary["theta"], start=1)]
+    rows += [_row(name, value=summary[name]) for name in ("A", "B", "beta")]
+    rows += [_row(f"Pi_{i + 1}_{j + 1}", value=summary["Pi"][i][j]) for i, j in pairs]
+    rows += [
+        _row(f"{name}_{i + 1}_{j + 1}", value=summary[name][i][j])
+        for i, j in pairs
+        for name in ("boundary_A", "boundary_B")
+    ]
+    rows.append(_row("selfadjoint", value=float(summary["selfadjoint"])))
+    return Report(command="constants", rows=rows, summary=summary)
 
 
 def _member(config, eps, free=False):
@@ -367,7 +344,7 @@ def cmd_converge(config, parallel=1):
             # identically vanishing distances (e.g. zero potential): no rate
             fits.append({"quantity": name, "degenerate": True, "max_error": max(errors)})
         else:
-            fits.append(fit_rate(name, [p[0] for p in pairs], errors).as_dict())
+            fits.append(asdict(fit_rate(name, [p[0] for p in pairs], errors)))
     report.summary = {
         "kappa": config.kappa,
         "momenta": list(config.momenta),
@@ -389,20 +366,31 @@ _ORACLE_CHECKS = (
 )
 
 
+def _column_error(col, kernel, source, cutoff):
+    """Largest deviation of an FD resolvent column from the exact kernel,
+    leaving out the points of the source edge within ``cutoff`` of the source."""
+    err = 0.0
+    for j in range(1, len(col.values) + 1):
+        exact = kernel.on_grid(source.edge, j, np.array([source.x]), col.x)[0]
+        diff = np.abs(col.values[j - 1] - exact.real)
+        if j == source.edge:
+            diff = diff[np.abs(col.x - source.x) >= cutoff]
+        err = max(err, float(np.max(diff)))
+    return err
+
+
 def cmd_oracle(config):
     """Cross-validate analytic routes against the finite-difference oracle."""
     oracle = config.oracle
     eps_eig, eps_s = oracle["epsilon_eigenvalue"], oracle["epsilon_smatrix"]
     L, h = oracle["L"], oracle["h"]
-    source_edge = oracle["resolvent_source_edge"]
-    source_x = oracle["resolvent_source_x"]
-    source = EdgeCoordinate(source_edge, source_x)
+    source = EdgeCoordinate(oracle["resolvent_source_edge"], oracle["resolvent_source_x"])
 
     # the FD columns vanish at x = L, where the free column's error is the
     # exact kernel itself: when that exceeds its tolerance, L is too short
     # for kappa and no grid can pass the check
     kernel = FreeKernel(config.n, config.kappa)
-    at_L = abs(kernel.on_grid(source_edge, source_edge, [source_x], [L])[0, 0].real)
+    at_L = abs(kernel.on_grid(source.edge, source.edge, [source.x], [L])[0, 0].real)
     tol = config.tolerances["oracle_free_column_sup"]
     if at_L > tol:
         raise ConfigError(
@@ -424,23 +412,13 @@ def cmd_oracle(config):
     # free resolvent column against the closed-form kernel
     op_free = _member(config, eps_s, free=True)
     col = oracle_resolvent_column(op_free, config.kappa, source, L=L, h=h)
-    free_err = 0.0
-    for j in range(1, config.n + 1):
-        exact = kernel.on_grid(source_edge, j, np.array([source_x]), col.x)[0]
-        free_err = max(free_err, float(np.max(np.abs(col.values[j - 1] - exact.real))))
+    free_err = _column_error(col, kernel, source, cutoff=0.0)
 
     # finite-eps resolvent column (kappa away from the bound-state pole)
     col_kappa = oracle["resolvent_kappa"]
     op_s = _member(config, eps_s)
     col = oracle_resolvent_column(op_s, col_kappa, source, L=L, h=h)
-    eps_k = EpsKernel(op_s, col_kappa)
-    eps_err = 0.0
-    for j in range(1, config.n + 1):
-        exact = eps_k.on_grid(source_edge, j, np.array([source_x]), col.x)[0]
-        diff = np.abs(col.values[j - 1] - exact.real)
-        if j == source_edge:
-            diff = diff[np.abs(col.x - source_x) >= 0.1]
-        eps_err = max(eps_err, float(np.max(diff)))
+    eps_err = _column_error(col, EpsKernel(op_s, col_kappa), source, cutoff=0.1)
 
     # scattering matrix
     k = oracle["smatrix_k"]

@@ -48,18 +48,10 @@ arrow matrices factor without fill, so wider panels bought no speed. The
 pivots stay on the diagonal, so the root is bit for bit that of a fresh
 default factorization at every shift (a solve of S + z W rounds its last
 pivots, the vertex among them, by about an ulp differently from the default
-panel). The root is not reproducible much beyond that: g' is small in the
-resonant family, and a banded route (tridiagonal edge solves and a Schur
-complement at the vertex) moved the Richardson eigenvalue of
-vstar_resonant_neg by 7.8e-11 at eps = 2^-3 and by 4.0e-8 at eps = 2^-7,
-where the stored benchmark references allow 1e-10 relative. Any other
-secular route needs those references re-recorded first. The resolvent
-columns are pinned the same way: an O(N) solve of S + z W (one tridiagonal
-factor shared by the edge blocks and a Schur complement at the vertex) was
-4-6 times faster per solve, but its rounding moved the free-column error of
-both L = 40 references from 1.4215e-11 to 7.687e-12, a cell held to 1e-14
-absolute, and the eps-column error of vstar_nonresonant from 1.43422903e-06
-to 1.43422746e-06.
+panel). The root is not reproducible much beyond that, since g' is small in
+the resonant family, and the stored benchmark references pin the
+eigenvalues and the resolvent columns: any other secular route or column
+solve needs those references re-recorded first.
 
 SciPy is imported inside the functions that assemble or factorize, so
 importing the package (and every command but the oracle's) costs no SciPy

@@ -139,8 +139,7 @@ class ScalingFunction:
 
     def value(self, eps, A=None):
         """lambda(eps); the resonant branch needs A to resolve lambda0."""
-        lam0 = self.resolve_lambda0(A) if self.resonant else self.lambda0
-        acc = lam0 + self.lambda1 * eps
+        acc = self.resolve_lambda0(A) + self.lambda1 * eps
         for m, c in enumerate(self.higher):
             acc += c * eps ** (m + 2)
         return acc

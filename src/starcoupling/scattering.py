@@ -89,12 +89,8 @@ def assemble_W(op, k, j, x):
 
 
 def fredholm_D_direct(op, k):
-    """The Fredholm denominator D of every solve, from its closed bilinear form.
-
-    D = (lambda/(2ik eps)) [ sum_j II V_j V_j e^{ik eps |u-v|}
-        + (2/n)(sum_j h_j)^2 - sum_j h_j^2 ],  h_j = int V_j e^{ik eps v} dv,
-
-    that is -(lambda/eps^3) P(k); k may be complex with Im k >= 0 and
+    """The Fredholm denominator D = -(lambda/eps^3) P(k) of every solve, from
+    the pairing P of ``epsilon``; k may be complex with Im k >= 0 and
     |k| >= MOMENTUM_MIN.
     """
     if not abs(k) >= MOMENTUM_MIN:
@@ -102,8 +98,13 @@ def fredholm_D_direct(op, k):
     return -(op.lambda_value / op.eps**3) * _pairing(op, k, op.quad)
 
 
-def _fredholm(op, k):
-    # numerators N_i of every incoming edge and D
+def fredholm(op, k):
+    """The numerators N_i of every incoming edge i and the one denominator D.
+
+    N_i = sum_j int_0^eps F V_eps from the verified edge moments and
+    D = sum_j int_0^eps W V_eps from the verified pairing; the scalar
+    unknown of incoming edge i is <psi_i, V_eps> = N_i/(1 - D).
+    """
     if not k >= MOMENTUM_MIN:
         raise ValueError(f"scattering momentum must be at least {MOMENTUM_MIN:g}")
     r = _edge_moments(op, k, op.quad)
@@ -116,22 +117,6 @@ def _solve(N, D, k):
     if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
         raise FredholmSingular(k, denom)
     return N / denom
-
-
-def compute_ND(op, i, k):
-    """Numerator and denominator moments of the Fredholm solve.
-
-    N = sum_j int_0^eps F V_eps from the verified edge moments and
-    D = sum_j int_0^eps W V_eps from the verified pairing.
-    """
-    N, D = _fredholm(op, k)
-    return N[i - 1], D
-
-
-def solve_inner(op, i, k):
-    """The scalar unknown <psi, V_eps> = N/(1 - D) of the Fredholm equation."""
-    N, D = compute_ND(op, i, k)
-    return _solve(N, D, k)
 
 
 def _amplitudes(op, k, inner, N):
@@ -152,14 +137,14 @@ def smatrix_eps(op, k):
     whose bracket is N_j/2i; the O(eps) expansion of this formula is never
     used here.
     """
-    N, D = _fredholm(op, k)
+    N, D = fredholm(op, k)
     entries = _amplitudes(op, k, _solve(N, D, k), N) - np.eye(op.n)
     return SMatrix(k=float(k), entries=entries)
 
 
 def scattering_solution(op, i, k):
     """Solve the scattering problem for one incoming edge."""
-    N, D = _fredholm(op, k)
+    N, D = fredholm(op, k)
     inner = _solve(N[i - 1], D, k)
     amplitudes = _amplitudes(op, k, inner, N) - np.eye(op.n)[i - 1]
     return ScatteringSolution(op=op, incoming=i, k=k, inner_v=inner, amplitudes=amplitudes)
@@ -189,31 +174,27 @@ def _interior_term(sol, x: EdgeCoordinate, trig):
     )
 
 
+def _wave(sol, x, deriv):
+    # d/dx takes e^{-+ikx} to -+ik e^{-+ikx} and the tail's sin k(x - eps v)/k
+    # to cos k(x - eps v)
+    op, k = sol.op, sol.k
+    delta = 1.0 if x.edge == sol.incoming else 0.0
+    d_in, d_out, per_k = (-1j * k, 1j * k, 1.0) if deriv else (1.0, 1.0, k)
+    amplitude = sol.amplitudes[x.edge - 1]
+    plane = d_in * delta * np.exp(-1j * k * x.x) + d_out * amplitude * np.exp(1j * k * x.x)
+    tail = _interior_term(sol, x, np.cos if deriv else np.sin)
+    return complex(plane - op.lambda_value * sol.inner_v / (per_k * op.eps**2) * tail)
+
+
 def scattering_solution_eval(sol, x: EdgeCoordinate):
     """The scattering wave at a graph point (variation-of-constants form).
 
     Beyond the scaled support this is exactly the plane-wave combination
     delta_ij e^{-ikx} + S_ij e^{ikx}.
     """
-    op = sol.op
-    k = sol.k
-    j = x.edge
-    delta = 1.0 if j == sol.incoming else 0.0
-    plane = delta * np.exp(-1j * k * x.x) + sol.amplitudes[j - 1] * np.exp(1j * k * x.x)
-    tail = _interior_term(sol, x, np.sin)
-    return complex(
-        plane - op.lambda_value * sol.inner_v / (k * op.eps**2) * tail
-    )
+    return _wave(sol, x, deriv=False)
 
 
 def scattering_solution_deriv(sol, x: EdgeCoordinate):
     """Analytic x-derivative of the scattering wave (for vertex conditions)."""
-    op = sol.op
-    k = sol.k
-    j = x.edge
-    delta = 1.0 if j == sol.incoming else 0.0
-    plane = -1j * k * delta * np.exp(-1j * k * x.x) + 1j * k * sol.amplitudes[
-        j - 1
-    ] * np.exp(1j * k * x.x)
-    tail = _interior_term(sol, x, np.cos)
-    return complex(plane - op.lambda_value * sol.inner_v / op.eps**2 * tail)
+    return _wave(sol, x, deriv=True)

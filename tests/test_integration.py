@@ -86,10 +86,10 @@ def test_eps_kernel_pointwise_limit(bumpy_potential, bumpy_scaling, bumpy_cc):
 
 def test_fredholm_identity_holds(bumpy_potential, bumpy_scaling):
     op = sc.EpsOperator(potential=bumpy_potential, scaling=bumpy_scaling, eps=0.05)
+    N, D = sc.fredholm(op, 1.3)
     for i in (1, 2):
-        inner = sc.solve_inner(op, i, 1.3)
-        N, D = sc.compute_ND(op, i, 1.3)
-        assert abs(inner * (1.0 - D) - N) <= 1e-12
+        inner = sc.scattering_solution(op, i, 1.3).inner_v
+        assert abs(inner * (1.0 - D) - N[i - 1]) <= 1e-12
     assert D == pytest.approx(pairing_of_W_with_potential(op, 1.3), abs=1e-10)
 
 
@@ -103,7 +103,7 @@ def test_denominator_matches_adaptive_pairing(request, potential, k):
         scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
         eps=0.05,
     )
-    _, D = sc.compute_ND(op, 1, k)
+    _, D = sc.fredholm(op, k)
     assert pairing_of_W_with_potential(op, k) == pytest.approx(D, rel=1e-10, abs=1e-10)
 
 

@@ -231,6 +231,29 @@ class TestConstantsCommand:
         assert values["boundary_B_1_3"] == pytest.approx(-1.0)
         assert values["selfadjoint"] == 1.0
 
+    @pytest.mark.parametrize("name", ["vstar_resonant_neg", "vstar_nonresonant"])
+    def test_row_layout(self, name):
+        report = sc.cmd_constants(sc.load_config(BUNDLE_DIR / f"{name}.json"))
+        summary = report.summary
+        n = summary["n"]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        expected = [f"theta_{i}" for i in range(1, n + 1)] + ["A", "B", "beta"]
+        expected += [f"Pi_{i}_{j}" for i, j in pairs]
+        expected += [f"boundary_{m}_{i}_{j}" for i, j in pairs for m in ("A", "B")]
+        expected.append("selfadjoint")
+        assert [r["quantity"] for r in report.rows] == expected
+        for row in report.rows:
+            assert (row["epsilon"], row["k"], row["kappa"]) == (None, None, None)
+            assert (row["error"], row["tail_bound"]) == (None, None)
+            name, *index = row["quantity"].split("_")
+            if name == "boundary":
+                name = f"boundary_{index.pop(0)}"
+            entry = summary[name]
+            for i in index:
+                entry = entry[int(i) - 1]
+            assert row["value"] == entry
+            assert type(row["value"]) is float  # written with repr
+
 
 class TestSpectrumCommand:
     def test_resonant_table(self, tmp_path):
@@ -850,6 +873,56 @@ class TestCli:
         out = tmp_path / "out"
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert "theta, A or B is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"scaling": {"resonant": False, "lambda0": 1.0, "lambda1": -8.0}},
+                "lambda(0.125) vanishes",
+            ),
+            # A A underflows to 0, so beta = 1/(lambda1 A^2) divides by zero
+            (
+                {
+                    "potential": [
+                        [{"interval": [0.0, 1.0], "coeffs": [1e-100]}],
+                        [{"interval": [0.0, 1.0], "coeffs": [-1e-100]}],
+                        [],
+                    ]
+                },
+                "beta = 1/(lambda1 A^2) is not finite",
+            ),
+            (
+                {
+                    "scaling": {"resonant": False, "lambda0": 1e308, "lambda1": 1e308},
+                    "epsilons": [1.0, 0.5, 0.25, 0.125],
+                },
+                "lambda0^2 is not finite",
+            ),
+            (
+                {"scaling": {"resonant": False, "lambda0": 1e-200, "lambda1": 1.0}},
+                "lambda1/lambda0^2 is not finite",
+            ),
+            (
+                {"scaling": {"resonant": True, "lambda1": -1e197}},
+                "limit eigenvalue -1/(beta B)^2 is not finite",
+            ),
+            (
+                {"scaling": {"resonant": True, "lambda1": -2.5e-180}},
+                "limit eigenvalue -1/(beta B)^2 vanishes",
+            ),
+        ],
+    )
+    def test_non_finite_scaling_constants_exit_two(
+        self, tmp_path, capsys, no_rule, command, overrides, message
+    ):
+        # each of these crashed some command with a traceback
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: scaling: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integral_float_source_edge_runs(self, tmp_path, capsys):

@@ -5,9 +5,15 @@ Potentials have n = 2..6 edges, each zero or 1-3 cubic pieces on [0, 1]
 integrals), shifted to total mean zero. At eps in 2^-3..2^-8 and k in
 (0, 20] the finite-eps S-matrix must be unitary and symmetric, and the
 Fredholm denominator D must match a complex exp/expm1 evaluation of its
-bilinear form; below MOMENTUM_MIN both refuse the momentum. Draws are
-derandomized, so every run sees the same examples.
+bilinear form; below MOMENTUM_MIN both refuse the momentum. Drawn
+scalings with extreme finite numbers must leave every command with one of
+its documented exit codes. Draws are derandomized, so every run sees the
+same examples.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
+from starcoupling.cli import run
 from starcoupling.scattering import MOMENTUM_MIN
 
 #: coefficients on a grid of 1e-3, so that a drawn potential is either zero
@@ -109,3 +116,55 @@ def test_fredholm_D_matches_the_complex_form(potential, scaling, eps, k):
         return
     want = _D_oracle(op, k)
     assert abs(sc.fredholm_D_direct(op, k) - want) <= 1e-12 * abs(want)
+
+
+#: a finite number of either sign and magnitude 10^-300..10^300
+extreme = st.builds(
+    lambda sign, mantissa, power: sign * mantissa * 10.0**power,
+    st.sampled_from([-1.0, 1.0]),
+    st.sampled_from([1.0, 2.5, 7.0]),
+    st.integers(-300, 300),
+)
+
+
+@st.composite
+def extreme_scalings(draw):
+    scaling = {"resonant": draw(st.booleans()), "lambda1": draw(extreme)}
+    if not scaling["resonant"]:
+        scaling["lambda0"] = draw(extreme)
+    scaling["higher"] = draw(st.lists(extreme, max_size=2))
+    return scaling
+
+
+def _config(scaling, size, epsilons):
+    # the vstar potential scaled by size, on a star of three edges
+    return {
+        "n": 3,
+        "potential": [
+            [{"interval": [0.0, 1.0], "coeffs": [size]}],
+            [{"interval": [0.0, 1.0], "coeffs": [-size]}],
+            [],
+        ],
+        "scaling": scaling,
+        "epsilons": epsilons,
+        "momenta": [1.0],
+        "kappa": 1.0,
+        "oracle": {"L": 8.0, "h": 0.01},
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(scaling=extreme_scalings(), size=st.sampled_from([1.0, 1e-100]))
+def test_extreme_scalings_exit_with_a_documented_code(scaling, size):
+    ladder = [0.125, 0.0625, 0.03125, 0.015625]
+    runs = [
+        ("constants", ladder),
+        ("converge", ladder),
+        ("spectrum", ladder[:1]),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, epsilons in runs:
+            config = Path(tmp) / f"{command}.json"
+            config.write_text(json.dumps(_config(scaling, size, epsilons)))
+            out = str(Path(tmp) / "out")
+            assert run([command, "--config", str(config), "--out", out]) in (0, 2, 3, 4)

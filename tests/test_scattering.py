@@ -54,19 +54,19 @@ class TestAssembleW:
     def test_pairing_with_potential_matches_bilinear_form(self, op_small):
         # D from the bilinear form against sum_j int W V_eps integrated
         # adaptively from the W columns
-        _, D = sc.compute_ND(op_small, 1, 1.0)
+        _, D = sc.fredholm(op_small, 1.0)
         assert D == pytest.approx(pairing_of_W_with_potential(op_small, 1.0), abs=1e-10)
 
 
-class TestComputeND:
+class TestFredholm:
     def test_zero_potential(self, op_zero):
-        N, D = sc.compute_ND(op_zero, 1, 1.0)
-        assert N == 0.0 and D == 0.0
+        N, D = sc.fredholm(op_zero, 1.0)
+        assert np.all(N == 0.0) and D == 0.0
 
     def test_numerator_asymptotics(self, vstar, lam_neg):
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=1e-3)
         k, i = 1.0, 1
-        N, _ = sc.compute_ND(op, i, k)
+        N = sc.fredholm(op, k)[0][i - 1]
         theta = op.constants.theta
         weights = np.full(3, 1.0 / 3.0)
         weights[i - 1] -= 1.0
@@ -76,25 +76,28 @@ class TestComputeND:
     def test_denominator_asymptotics(self, vstar, lam_neg):
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=1e-3)
         k = 1.0
-        _, D = sc.compute_ND(op, 1, k)
+        _, D = sc.fredholm(op, k)
         cc = op.constants
         predicted = op.lambda_value * (cc.A + 1j * k * op.eps * cc.B)
         assert abs(D / predicted - 1.0) <= 0.01
 
-    def test_denominator_independent_of_incoming_edge(self, op_small):
-        _, d1 = sc.compute_ND(op_small, 1, 1.0)
-        _, d2 = sc.compute_ND(op_small, 3, 1.0)
-        assert d1 == pytest.approx(d2, abs=1e-14)
+    def test_one_denominator_serves_every_incoming_edge(self, op_small):
+        # every edge's solve divides by the one D of the bilinear form
+        N, D = sc.fredholm(op_small, 1.0)
+        assert D == sc.fredholm_D_direct(op_small, 1.0)
+        for i in (1, 3):
+            inner = sc.scattering_solution(op_small, i, 1.0).inner_v
+            assert abs(inner * (1.0 - D) - N[i - 1]) <= 1e-12
 
 
-class TestSolveInner:
+class TestFredholmSolve:
     def test_zero_potential(self, op_zero):
-        assert sc.solve_inner(op_zero, 1, 1.0) == 0.0
+        assert sc.scattering_solution(op_zero, 1, 1.0).inner_v == 0.0
 
     def test_fredholm_identity(self, op_small):
-        inner = sc.solve_inner(op_small, 1, 1.0)
-        N, D = sc.compute_ND(op_small, 1, 1.0)
-        assert abs(inner * (1.0 - D) - N) <= 1e-12
+        inner = sc.scattering_solution(op_small, 1, 1.0).inner_v
+        N, D = sc.fredholm(op_small, 1.0)
+        assert abs(inner * (1.0 - D) - N[0]) <= 1e-12
 
     def test_denominator_vanishes_at_resolvent_pole(self, vstar, lam_neg):
         # continue D to k = i kappa: 1 - D then equals (lambda/eps^3) times
@@ -113,9 +116,11 @@ class TestSolveInner:
     def test_singular_denominator_raises(self, op_small, monkeypatch):
         import starcoupling.scattering as scat
 
-        monkeypatch.setattr(scat, "compute_ND", lambda op, i, k: (1.0, 1.0))
+        monkeypatch.setattr(scat, "fredholm", lambda op, k: (np.ones(op.n), 1.0))
         with pytest.raises(FredholmSingular):
-            sc.solve_inner(op_small, 1, 1.0)
+            sc.scattering_solution(op_small, 1, 1.0)
+        with pytest.raises(FredholmSingular):
+            sc.smatrix_eps(op_small, 1.0)
 
 
 class TestSMatrixEps:
@@ -163,11 +168,11 @@ class TestScatteringSolution:
             assert got == pytest.approx(expected, abs=1e-14)
 
     def test_fredholm_identity_of_pieces(self, op_small):
-        N, D = sc.compute_ND(op_small, 1, 1.0)
-        inner = sc.solve_inner(op_small, 1, 1.0)
-        assert abs(inner * (1.0 - D) - N) <= 1e-12
-        # the pieces reproduce the solution pointwise inside the support
+        N, D = sc.fredholm(op_small, 1.0)
         sol = sc.scattering_solution(op_small, 1, 1.0)
+        inner = sol.inner_v
+        assert abs(inner * (1.0 - D) - N[0]) <= 1e-12
+        # the pieces reproduce the solution pointwise inside the support
         for j, x in [(1, 0.004), (2, 0.008)]:
             lhs = sc.scattering_solution_eval(sol, EdgeCoordinate(j, x))
             W = sc.assemble_W(op_small, 1.0, j, x)
