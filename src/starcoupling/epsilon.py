@@ -33,13 +33,13 @@ as predictors used to seed brackets and to cross-check rates, never as the
 computation itself.
 
 The same-edge part of P is integrated in the cancellation-free form
-V(u) V(v) e^{-c(u+v)} expm1(2c min(u, v)), c = -ik eps. At real k, c is
-purely imaginary and the integrand is evaluated in real arithmetic as a
-product of sines (``_same_edge_integrand``); any other c keeps the complex
-exp/expm1 form verbatim. That branch is pinned: the benchmark's stored
-spectrum references hold the pole search, which runs at real c, bit for
-bit, and a sinh form there moves them. The two branches can merge into
-one expression once those references are re-recorded.
+V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo), c = -ik eps, on the ordered nodes
+lo <= hi of ``double_integral``. At real k it is the real product of sines
+2 sin(theta lo) (sin(theta hi) - i cos(theta hi)), theta = k eps, with the hi
+factors on hi's own row or column; any other c keeps the complex exp/expm1
+form verbatim. That branch is pinned: the stored spectrum references hold
+the pole search, which runs at real c, bit for bit, and a sinh form there
+moves them; the branches can merge once those references are re-recorded.
 """
 
 from __future__ import annotations
@@ -118,12 +118,23 @@ def _decay_rate(k):
 
 def _node_values(op, j):
     # profile j at an array of pairing or moment nodes, evaluated once per
-    # node array for the potential: the nodes depend only on the rule and the
-    # breakpoints, never on eps or the momentum
+    # node array for the potential: the nodes never depend on eps or momentum
     p = op.potential.profiles[j]
     return lambda x: op.potential.shared(
         ("nodes", j, x.shape, x.tobytes()), lambda: p.evaluate(x)
     )
+
+
+def _cell_values(op, j, rule):
+    # profile j at the node arrays of ``rule.cells`` on edge j, keyed by id:
+    # the table keeps each array alive, so no other shares its id; nodes it
+    # lacks (a cell rebuilt after leaving the cache) go the _node_values way
+    V, breaks = _node_values(op, j), op.potential.profiles[j].breakpoints
+    table = op.potential.shared(
+        ("cells", j, rule),
+        lambda: {id(x): (x, V(x)) for cell in rule.cells(breaks) for x in cell[:2]},
+    )
+    return lambda x: table[id(x)][1] if id(x) in table else V(x)
 
 
 def _shared_in_c(op, integrals, a, rule, axes):
@@ -180,44 +191,37 @@ def _pairing_raw(op, a, rule):
 
 
 def _same_edge_integrand(c):
-    """V(x) V(y) e^{-c(x+y)} expm1(2c min(x, y)) as g(Vx, Vy, x, y), from
-    the profile values Vx, Vy at the nodes x, y; symmetric bit for bit.
+    """V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo) as g(Vlo, Vhi, lo, hi), from
+    the nodes lo <= hi of ``double_integral`` and the profile values there.
 
     At real k, c = -i theta is purely imaginary and the product is
-    2 sin(theta lo) (sin(theta hi) - i cos(theta hi)), lo = min(x, y) and
-    hi = max(x, y): a product of sines, free of cancellation, in three real
-    trig calls per node where the complex form takes a complex exp and
-    expm1. Any other c (real on the resolvent side) keeps the complex form.
+    2 sin(theta lo) (sin(theta hi) - i cos(theta hi)): a product of sines,
+    free of cancellation, in real arithmetic, with theta hi on hi's own row
+    or column, so an m x m cell takes m^2 + 2m trig values where the complex
+    form takes a complex exp and expm1. Any other c (real on the resolvent
+    side) keeps the complex form.
     """
     if np.iscomplexobj(c) and not np.any(c.real):
         theta = -c.imag
 
-        def real_k(Vx, Vy, x, y):
-            s = Vx * Vy * (2.0 * np.sin(theta * np.minimum(x, y)))
-            phase = theta * np.maximum(x, y)
+        def real_k(Vlo, Vhi, lo, hi):
+            s = Vlo * Vhi * (2.0 * np.sin(theta * lo))
             out = np.empty(s.shape, dtype=complex)
-            np.multiply(s, np.sin(phase), out=out.real)
-            np.multiply(s, np.cos(phase), out=out.imag)
-            np.negative(out.imag, out=out.imag)
+            np.multiply(s, np.sin(theta * hi), out=out.real)
+            np.multiply(s, np.negative(np.cos(theta * hi)), out=out.imag)
             return out
 
         return real_k
-    return lambda Vx, Vy, x, y: (
-        Vx * Vy * np.exp(-c * (x + y)) * np.expm1(2.0 * c * np.minimum(x, y))
-    )
+    return lambda Vlo, Vhi, lo, hi: Vlo * Vhi * np.exp(-c * (lo + hi)) * np.expm1(2.0 * c * lo)
 
 
 def _same_edge_integrals(op, c, rule):
     diag = 0.0
     g = _same_edge_integrand(c)
     for j, p in enumerate(op.potential.profiles):
-        if p.is_zero():
-            continue
-
-        def f(x, y, V=_node_values(op, j)):
-            return g(V(x), V(y), x, y)
-
-        diag += rule.double_integral(f, p.breakpoints)
+        if not p.is_zero():
+            V = _cell_values(op, j, rule)
+            diag += rule.double_integral(lambda lo, hi: g(V(lo), V(hi), lo, hi), p.breakpoints)
     return diag
 
 

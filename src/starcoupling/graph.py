@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateTheta,
@@ -31,9 +32,9 @@ from .errors import (
 )
 from .piecewise import PiecewisePolynomial
 
-#: tolerance on the total mean of an admissible potential
+#: tolerance on the total mean, relative to the size in validate_potential
 TOL_MEAN = 1e-12
-#: two first moments closer than this count as tied
+#: two first moments closer than this, relative to the largest, count as tied
 TOL_THETA_TIE = 1e-9
 #: allowed asymmetry of Amat @ Bmat.T
 TOL_SELFADJOINT = 1e-10
@@ -191,7 +192,8 @@ class BoundaryPair:
 
 
 def validate_potential(potential):
-    """Reject profiles leaving [0,1] or a nonzero total mean.
+    """Reject profiles leaving [0,1] or a total mean that is not zero up to
+    TOL_MEAN relative to the potential's size, which its rounding grows with.
 
     Raises SupportViolation or MeanViolation (with the residual).
     """
@@ -202,7 +204,13 @@ def validate_potential(potential):
                 f"edge {i + 1} profile supported on [{lo}, {hi}], not within [0, 1]"
             )
     residual = potential.total_mean()
-    if abs(residual) > TOL_MEAN:
+    # sum |c_k| h^(k+1) / (k+1) over the pieces: a bound on sum_i int |V_i|
+    size = sum(
+        npoly.polyval(h, npoly.polyint(np.abs(c)))
+        for p in potential.profiles
+        for h, c in zip(np.diff(p.breakpoints), p.coefficients)
+    )
+    if abs(residual) > TOL_MEAN * size:
         raise MeanViolation(residual)
 
 
@@ -254,7 +262,7 @@ def boundary_matrices(theta, beta):
     n = theta.size
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(theta[i] - theta[j]) <= TOL_THETA_TIE:
+            if abs(theta[i] - theta[j]) <= TOL_THETA_TIE * np.max(np.abs(theta)):
                 raise DegenerateTheta(
                     f"theta[{i + 1}] = {theta[i]} and theta[{j + 1}] = {theta[j]} are tied"
                 )

@@ -24,20 +24,21 @@ def _gauss01(order):
 
 
 @lru_cache(maxsize=64)
-def _lower_triangle(rule, a, b):
-    # nodes and weights of the lower triangle a<=y<=x<=b via x = a+(b-a)s,
-    # y = a+(b-a)s*t, Jacobian (b-a)^2 s, with s and t the rule's nodes on
-    # [0, 1]; the same few cells recur in every pairing call, so they are
-    # kept per rule (not per order: a rule with other nodes gets its own)
+def _cell(rule, a, b):
+    # the rule's nodes on [a, b] as a column X and a row, their weights, and
+    # the lower triangle a<=y<=x<=b via x = a+(b-a)s, y = a+(b-a)s*t,
+    # Jacobian (b-a)^2 s; the same few cells recur in every pairing call, so
+    # they are kept per rule (not per order: other nodes get their own)
+    x, w = rule.points(a, b)
     s, ws = rule.points(0.0, 1.0)
     h = b - a
     S = s[:, None]
-    X = a + h * S
     Y = a + h * S * s[None, :]
     wgt = (h * h) * (ws[:, None] * ws[None, :]) * S
-    for arr in (X, Y, wgt):
+    arrays = (x[:, None], x[None, :], w, Y, wgt)
+    for arr in arrays:
         arr.setflags(write=False)
-    return X, Y, wgt
+    return arrays
 
 
 def merge_breaks(lo, hi, *extra):
@@ -81,37 +82,34 @@ class QuadratureRule:
             total = total + np.sum(w * f(x), axis=-1)
         return total
 
-    def _tensor_cell(self, f, ax, bx, ay, by):
-        x, wx = self.points(ax, bx)
-        y, wy = self.points(ay, by)
-        vals = f(x[:, None], y[None, :])
-        return np.sum(wx[:, None] * wy[None, :] * vals, axis=(-2, -1))
-
-    def _triangle_pair(self, f, a, b):
-        # the upper triangle is the lower one's mirror image, and since
-        # f(x, y) == f(y, x) its sum is the lower one's, bit for bit
-        X, Y, wgt = _lower_triangle(self, a, b)
-        return 2.0 * np.sum(wgt * f(X, Y), axis=(-2, -1))
-
-    def double_integral(self, f, breaks):
-        """Integral of f(x, y) over the square spanned by ``breaks``^2.
-
-        ``f`` must accept broadcasting 2-d arrays and may add leading axes,
-        one integral each. It must be symmetric bit for bit,
-        f(x, y) == f(y, x): a diagonal cell is split into two triangles
-        and counts its lower one twice.
+    def cells(self, breaks):
+        """The cells of ``double_integral`` over ``breaks``^2 in its order, as
+        (lo, hi, weights, diagonal) with read-only nodes lo <= hi elementwise.
+        A diagonal cell is its lower triangle, lo the grid and hi the column
+        of shape (order, 1); an off-diagonal cell has the lower cell's nodes
+        as lo, the upper one's as hi, and rows indexing the first of the pair.
         """
         breaks = np.asarray(breaks, dtype=float)
-        total = 0.0
-        ncell = breaks.size - 1
-        for i in range(ncell):
-            for j in range(ncell):
+        for i in range(breaks.size - 1):
+            for j in range(breaks.size - 1):
                 if i == j:
-                    total = total + self._triangle_pair(f, breaks[i], breaks[i + 1])
+                    X, _, _, Y, wgt = _cell(self, breaks[i], breaks[i + 1])
+                    yield Y, X, wgt, True
                 else:
-                    total = total + self._tensor_cell(
-                        f, breaks[i], breaks[i + 1], breaks[j], breaks[j + 1]
-                    )
+                    x, _, wx = _cell(self, breaks[i], breaks[i + 1])[:3]
+                    _, y, wy = _cell(self, breaks[j], breaks[j + 1])[:3]
+                    yield *((x, y) if i < j else (y, x)), wx[:, None] * wy[None, :], False
+
+    def double_integral(self, f, breaks):
+        """Integral over ``breaks``^2 of a symmetric integrand that f(lo, hi)
+        gives at nodes lo <= hi: f is called once per cell of ``cells``, in
+        that order, and may add leading axes, one integral each. A diagonal
+        cell counts its lower triangle twice: the upper one mirrors it.
+        """
+        total = 0.0
+        for lo, hi, w, diagonal in self.cells(breaks):
+            part = np.sum(w * f(lo, hi), axis=(-2, -1))
+            total = total + (2.0 * part if diagonal else part)
         return total
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import starcoupling as sc
+import starcoupling.epsilon as eps_mod
 
 
 @pytest.fixture
@@ -91,3 +92,68 @@ def pairing_of_W_with_potential(op, k):
                 )
                 total += unit * op.eps * value
     return total
+
+
+def symmetric_same_edge_integrand(c):
+    """The pairing's same-edge integrand in the symmetric min/max form that
+    ``epsilon._same_edge_integrand`` took before its nodes came ordered:
+    g(Vx, Vy, x, y) == g(Vy, Vx, y, x) bit for bit, at any two nodes."""
+    if np.iscomplexobj(c) and not np.any(c.real):
+        theta = -c.imag
+
+        def real_k(Vx, Vy, x, y):
+            s = Vx * Vy * (2.0 * np.sin(theta * np.minimum(x, y)))
+            phase = theta * np.maximum(x, y)
+            out = np.empty(s.shape, dtype=complex)
+            np.multiply(s, np.sin(phase), out=out.real)
+            np.multiply(s, np.cos(phase), out=out.imag)
+            np.negative(out.imag, out=out.imag)
+            return out
+
+        return real_k
+    return lambda Vx, Vy, x, y: (
+        Vx * Vy * np.exp(-c * (x + y)) * np.expm1(2.0 * c * np.minimum(x, y))
+    )
+
+
+def symmetric_cell_loop(rule, f, breaks):
+    """The double integral of a symmetric f summed as the cell loop did
+    before it passed ordered nodes: a diagonal cell counts f(X, Y) on its
+    lower triangle twice, an off-diagonal cell takes f(x[:, None], y[None, :])."""
+    breaks = np.asarray(breaks, dtype=float)
+    total = 0.0
+    for i in range(breaks.size - 1):
+        for j in range(breaks.size - 1):
+            if i == j:
+                a, b = breaks[i], breaks[i + 1]
+                s, ws = rule.points(0.0, 1.0)
+                h = b - a
+                S = s[:, None]
+                X = a + h * S
+                Y = a + h * S * s[None, :]
+                wgt = (h * h) * (ws[:, None] * ws[None, :]) * S
+                total = total + 2.0 * np.sum(wgt * f(X, Y), axis=(-2, -1))
+            else:
+                x, wx = rule.points(breaks[i], breaks[i + 1])
+                y, wy = rule.points(breaks[j], breaks[j + 1])
+                vals = f(x[:, None], y[None, :])
+                total = total + np.sum(wx[:, None] * wy[None, :] * vals, axis=(-2, -1))
+    return total
+
+
+def symmetric_pairing_raw(op, a, rule, double_integral=symmetric_cell_loop):
+    """``epsilon._pairing_raw`` with the symmetric same-edge integrand summed
+    by ``double_integral(rule, f, breaks)``, profiles evaluated in place."""
+    c = np.asarray(a * op.eps)[..., None, None]
+    g = symmetric_same_edge_integrand(c)
+    diag = 0.0
+    for p in op.potential.profiles:
+        if not p.is_zero():
+
+            def f(x, y, p=p):
+                return g(p.evaluate(x), p.evaluate(y), x, y)
+
+            diag += double_integral(rule, f, p.breakpoints)
+    residuals = eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule, 1)
+    smoment = eps_mod._moment_sum(op, residuals)
+    return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)

@@ -15,7 +15,8 @@ from starcoupling import (
     ZeroB,
 )
 import starcoupling.epsilon as eps_mod
-from starcoupling.quadrature import _lower_triangle, converged_value, merge_breaks
+from starcoupling.quadrature import converged_value, merge_breaks
+from conftest import symmetric_same_edge_integrand
 
 
 @pytest.fixture
@@ -146,8 +147,8 @@ def _direct_pairing(op, a, rule):
         if p.is_zero():
             continue
 
-        def f(x, y, p=p):
-            return g(p.evaluate(x), p.evaluate(y), x, y)
+        def f(lo, hi, p=p):
+            return g(p.evaluate(lo), p.evaluate(hi), lo, hi)
 
         diag += rule.double_integral(f, p.breakpoints)
     smoment = sum(_direct_moments(op, a, rule)) + op.potential.total_mean()
@@ -155,14 +156,12 @@ def _direct_pairing(op, a, rule):
 
 
 class TestSameEdgeIntegrand:
-    # the pairing's same-edge integrand V(x) V(y) e^{-c(x+y)} expm1(2c min)
-    # on the nodes of a triangle cell and of a tensor cell
+    # the pairing's same-edge integrand V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo)
+    # on the ordered nodes lo <= hi that double_integral passes: triangle
+    # cells' grids and columns, and tensor cells' rows and columns
     @staticmethod
     def _cells(rule):
-        X, Y, _ = _lower_triangle(rule, 0.25, 0.75)
-        x, _ = rule.points(0.5, 1.0)
-        y, _ = rule.points(0.0, 0.5)
-        return [(X, Y), (x[:, None], y[None, :])]
+        return [cell[:2] for cell in rule.cells([0.0, 0.25, 0.75, 1.0])]
 
     @staticmethod
     def _complex_form(c, Vx, Vy, x, y):
@@ -172,27 +171,52 @@ class TestSameEdgeIntegrand:
     def test_real_k_matches_the_complex_form(self, bumpy_potential, theta):
         # at real k, c = -i theta and the integrand is evaluated in real
         # arithmetic; it must agree with the complex exp/expm1 form per node
-        # and stay symmetric bit for bit, as double_integral requires
+        # and equal the symmetric min/max form it replaced, taken at (x, y)
+        # and at (y, x), bit for bit
         p = bumpy_potential.profiles[0]
         c = np.array([[-1j * theta]])
         g = eps_mod._same_edge_integrand(c)
-        for x, y in self._cells(sc.QuadratureRule(order=32)):
-            Vx, Vy = p.evaluate(x), p.evaluate(y)
-            got = g(Vx, Vy, x, y)
-            want = self._complex_form(c, Vx, Vy, x, y)
+        symmetric = symmetric_same_edge_integrand(c)
+        for lo, hi in self._cells(sc.QuadratureRule(order=32)):
+            Vlo, Vhi = p.evaluate(lo), p.evaluate(hi)
+            got = g(Vlo, Vhi, lo, hi)
+            want = self._complex_form(c, Vlo, Vhi, lo, hi)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            assert np.array_equal(got, g(Vy, Vx, y, x))
+            assert np.array_equal(got, symmetric(Vlo, Vhi, lo, hi))
+            assert np.array_equal(got, symmetric(Vhi, Vlo, hi, lo))
 
     @pytest.mark.parametrize("c", [0.3, 2.0, 0.2 - 0.5j, -0.1 + 1j])
     def test_other_c_keeps_the_complex_form(self, bumpy_potential, c):
         # real c (the resolvent) and c with both parts nonzero keep the
-        # complex form, in the same product order, bit for bit
+        # complex form, in the same product order, bit for bit, with the
+        # nodes taken in either order
         p = bumpy_potential.profiles[0]
         c = np.array([[c]])
         g = eps_mod._same_edge_integrand(c)
-        for x, y in self._cells(sc.QuadratureRule(order=32)):
-            Vx, Vy = p.evaluate(x), p.evaluate(y)
-            assert np.array_equal(g(Vx, Vy, x, y), self._complex_form(c, Vx, Vy, x, y))
+        for lo, hi in self._cells(sc.QuadratureRule(order=32)):
+            Vlo, Vhi = p.evaluate(lo), p.evaluate(hi)
+            got = g(Vlo, Vhi, lo, hi)
+            assert np.array_equal(got, self._complex_form(c, Vlo, Vhi, lo, hi))
+            assert np.array_equal(got, self._complex_form(c, Vhi, Vlo, hi, lo))
+
+
+def test_real_k_pairing_trig_count(monkeypatch, vstar, lam_neg):
+    # sin(theta lo) on each triangle's grid, sin and cos of theta hi on its
+    # column only: 2 profiles x (m^2 + 2m) at m = 32 and at the doubled 64,
+    # where the min/max form took 3 m^2 each (30,720 values)
+    sc.fredholm_D_direct(sc.EpsOperator(vstar, lam_neg, 0.1), 1.0)  # rule caches warm
+    counted = []
+    for name in ("sin", "cos"):
+
+        def counting(x, *args, trig=getattr(np, name), **kwargs):
+            counted.append(np.size(x))
+            return trig(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    fresh = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
+    op = sc.EpsOperator(fresh, lam_neg, 0.1, sc.QuadratureRule(order=32))
+    sc.fredholm_D_direct(op, 1.0)
+    assert sum(counted) == 2 * ((32**2 + 2 * 32) + (64**2 + 2 * 64)) == 10_624
 
 
 class TestZeta:

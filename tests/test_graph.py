@@ -38,6 +38,27 @@ class TestValidatePotential:
             sc.validate_potential(V)
         assert err.value.residual == pytest.approx(1.0)
 
+    def test_mean_is_checked_relative_to_the_size(self):
+        # a mean that is zero up to rounding passes at any scale, though at
+        # 1e50 its residual is far above TOL_MEAN in absolute terms; a mean
+        # that is not zero fails at any scale, 1e-50 among them
+        residuals = {}
+        for scale in (1e-50, 1.0, 1e50, 1e250):
+            p = PiecewisePolynomial.from_global_coeffs(
+                [((0.0, 1.0), [scale * c for c in (0.37, -1.71, 2.93, 0.113)])]
+            )
+            q = PiecewisePolynomial.from_global_coeffs(
+                [((0.0, 0.5), [-0.7 * scale, 0.2 * scale]), ((0.5, 1.0), [0.1 * scale])]
+            )
+            rest = [scale * c for c in (0.61, -0.29, 0.07)]
+            mean = p.integral() + q.integral() + scale * (0.61 / 2 - 0.29 / 3 + 0.07 / 4)
+            r = PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [-mean, *rest])])
+            sc.validate_potential(StarPotential([p, q, r]))
+            residuals[scale] = StarPotential([p, q, r]).total_mean()
+            with pytest.raises(MeanViolation):
+                sc.validate_potential(StarPotential([p, q, PiecewisePolynomial.zero()]))
+        assert abs(residuals[1e50]) > 1e20 * sc.graph.TOL_MEAN
+
     def test_odd_profile_is_valid(self):
         odd = PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [-0.5, 1.0])])
         V = StarPotential([odd, PiecewisePolynomial.zero(), PiecewisePolynomial.zero()])
@@ -193,6 +214,13 @@ class TestBoundaryMatrices:
             sc.boundary_matrices([0.5, 0.5, 0.0], 1.0)
         with pytest.raises(DegenerateTheta):
             sc.boundary_matrices([0.1, 0.3, 0.3 + 1e-12], 1.0)
+
+    def test_ties_are_relative_to_the_largest_moment(self):
+        # the moments of a potential scaled by s scale by s: distinct ones
+        # stay distinct at 1e-12 and tied ones stay tied at 1e6
+        assert sc.check_selfadjoint(sc.boundary_matrices([1e-13, 3e-13, 2e-13], 1.0))
+        with pytest.raises(DegenerateTheta):
+            sc.boundary_matrices([1e5, 3e5, 3e5 + 1e-6], 1.0)
 
 
 class TestCheckSelfadjoint:

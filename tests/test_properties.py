@@ -5,15 +5,21 @@ Potentials have n = 2..6 edges, each zero or 1-3 cubic pieces on [0, 1]
 integrals), shifted to total mean zero. At eps in 2^-3..2^-8 and k in
 (0, 20] the finite-eps S-matrix must be unitary and symmetric, and the
 Fredholm denominator D must match a complex exp/expm1 evaluation of its
-bilinear form; below MOMENTUM_MIN both refuse the momentum. Drawn
-scalings with extreme finite numbers must leave every command with one of
-its documented exit codes. Draws are derandomized, so every run sees the
-same examples.
+bilinear form; below MOMENTUM_MIN both refuse the momentum. The pairing
+on the ordered nodes of ``double_integral`` must equal the symmetric
+min/max integrand summed cell by cell, bit for bit. Drawn scalings with
+extreme finite numbers, and admissible potentials with coefficients of
+magnitude 10^-300..10^300, must leave every command with one of its
+documented exit codes. Draws are derandomized, so every run sees the same
+examples.
 """
 
+import csv
 import json
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +27,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
+import starcoupling.epsilon as eps_mod
+from conftest import symmetric_pairing_raw
 from starcoupling.cli import run
 from starcoupling.scattering import MOMENTUM_MIN
 
@@ -118,6 +126,44 @@ def test_fredholm_D_matches_the_complex_form(potential, scaling, eps, k):
     assert abs(sc.fredholm_D_direct(op, k) - want) <= 1e-12 * abs(want)
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    potential=potentials(),
+    scaling=scalings,
+    eps=epsilons,
+    k=st.sampled_from([0.5, 3.0, 12.0]),
+)
+def test_pairing_on_ordered_nodes_equals_the_symmetric_form(potential, scaling, eps, k):
+    # P at real k (a = -ik) and at real c (k = i kappa, a = kappa) equals the
+    # symmetric min/max integrand summed by the cell loop it replaced, bit
+    # for bit; every cell passes nodes lo <= hi, and a diagonal cell's hi is
+    # its column of shape (order, 1)
+    op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
+    double_integral = sc.QuadratureRule.double_integral
+    seen = set()
+
+    def checked(rule, f, breaks):
+        m = rule.order
+
+        def g(lo, hi):
+            assert np.all(lo <= hi)
+            if lo.shape == (m, m):
+                assert hi.shape == (m, 1)
+            else:
+                assert {lo.shape, hi.shape} == {(m, 1), (1, m)}
+            seen.add(lo.shape == (m, m))
+            return f(lo, hi)
+
+        return double_integral(rule, g, breaks)
+
+    with mock.patch.object(sc.QuadratureRule, "double_integral", checked):
+        at_k, at_c = eps_mod._pairing(op, k, op.quad), sc.inner_RV_V(k, op)
+    assert True in seen
+    fine = op.quad.doubled()
+    assert at_k == symmetric_pairing_raw(op, -1j * k, fine)
+    assert at_c == symmetric_pairing_raw(op, k, fine)
+
+
 #: a finite number of either sign and magnitude 10^-300..10^300
 extreme = st.builds(
     lambda sign, mantissa, power: sign * mantissa * 10.0**power,
@@ -168,3 +214,79 @@ def test_extreme_scalings_exit_with_a_documented_code(scaling, size):
             config.write_text(json.dumps(_config(scaling, size, epsilons)))
             out = str(Path(tmp) / "out")
             assert run([command, "--config", str(config), "--out", out]) in (0, 2, 3, 4)
+
+
+@st.composite
+def extreme_potentials(draw):
+    # three edges of 1-2 cubic pieces in global powers of x (edges 2 and 3
+    # may be zero), coefficients of magnitude 10^-300..10^300: a power per
+    # potential, spread by up to 10^+-4 per coefficient. The constant terms
+    # of edge 1, supported on [0, 1], carry minus the rest's total mean
+    power = draw(st.integers(-296, 296))
+    coefficient = st.builds(
+        lambda sign, mantissa, spread: sign * mantissa * 10.0 ** (power + spread),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([1.0, 2.5, 7.0]),
+        st.integers(-4, 4),
+    )
+    edges = []
+    for _ in range(3):
+        breaks = [0.0, *draw(st.sampled_from([[], [0.5], [0.25]])), 1.0]
+        pieces = [
+            {"interval": [a, b], "coeffs": [draw(coefficient) for _ in range(4)]}
+            for a, b in zip(breaks[:-1], breaks[1:])
+        ]
+        edges.append(draw(st.sampled_from([pieces, []])) if edges else pieces)
+    for piece in edges[0]:
+        piece["coeffs"][0] = 0.0
+    total = sum(
+        sc.PiecewisePolynomial.from_global_coeffs(
+            [(tuple(p["interval"]), p["coeffs"]) for p in edge]
+        ).integral()
+        for edge in edges
+        if edge
+    )
+    for piece in edges[0]:
+        piece["coeffs"][0] = -total
+    return edges
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    potential=extreme_potentials(),
+    scaling=st.sampled_from(
+        [
+            {"resonant": True, "lambda1": -1.0},
+            {"resonant": True, "lambda1": 1.0},
+            {"resonant": False, "lambda0": -1.6, "lambda1": 0.1},
+        ]
+    ),
+)
+def test_extreme_coefficients_exit_with_a_documented_code(potential, scaling):
+    # admissible potentials with coefficients of magnitude 10^-300..10^300:
+    # every command exits 0, 2, 3 or 4, and a command that exits 0 writes
+    # finite numbers only
+    raw = {
+        "n": 3,
+        "potential": potential,
+        "scaling": scaling,
+        "epsilons": [0.125, 0.0625, 0.03125, 0.015625],
+        "momenta": [1.0],
+        "kappa": 1.0,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw))
+        for command in ("constants", "converge"):
+            out = Path(tmp) / command
+            code = run([command, "--config", str(config), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                with (out / f"{command}.csv").open() as fh:
+                    for row in csv.reader(fh):
+                        for cell in row:
+                            try:
+                                value = float(cell)
+                            except ValueError:
+                                continue
+                            assert math.isfinite(value), (command, row)

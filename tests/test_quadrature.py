@@ -4,7 +4,8 @@ import pytest
 import starcoupling as sc
 from starcoupling import QuadratureNotConverged, QuadratureRule
 from starcoupling.epsilon import _pairing_raw
-from starcoupling.quadrature import _gauss01, converged_value, merge_breaks
+from starcoupling.quadrature import _cell, converged_value, merge_breaks
+from conftest import symmetric_pairing_raw
 
 
 @pytest.mark.parametrize("order", [4, 8, 16, 32])
@@ -43,8 +44,8 @@ def test_double_integral_with_crease_closed_form():
 
 def test_double_integral_without_split_is_inaccurate_on_crease():
     # the diagonal cell summed as one tensor cell, without the triangle split
-    rule = QuadratureRule(order=32)
-    got = rule._tensor_cell(lambda x, y: np.abs(x - y), 0.0, 1.0, 0.0, 1.0)
+    x, w = QuadratureRule(order=32).points(0.0, 1.0)
+    got = np.sum(w[:, None] * w[None, :] * np.abs(x[:, None] - x[None, :]))
     assert abs(got - 1.0 / 3.0) > 1e-8  # the split exists for a reason
 
 
@@ -57,18 +58,17 @@ def test_double_integral_complex_kernel():
 
 
 class _TwoSumRule(QuadratureRule):
-    """The unfolded rule: a diagonal cell sums its two triangles apart."""
+    """The unfolded rule: a diagonal cell sums its two triangles apart, the
+    upper one as f at the mirrored nodes, so it needs a symmetric f."""
 
-    def _triangle_pair(self, f, a, b):
-        s, ws = _gauss01(self.order)
-        t, wt = _gauss01(self.order)
-        h = b - a
-        S = s[:, None]
-        T = t[None, :]
-        X = a + h * S
-        Y = a + h * S * T
-        wgt = (h * h) * (ws[:, None] * wt[None, :]) * S
-        return np.sum(wgt * f(X, Y)) + np.sum(wgt * f(Y, X))
+    def double_integral(self, f, breaks):
+        total = 0.0
+        for lo, hi, w, diagonal in self.cells(breaks):
+            part = np.sum(w * f(lo, hi), axis=(-2, -1))
+            if diagonal:
+                part = part + np.sum(w * f(hi, lo), axis=(-2, -1))
+            total = total + part
+        return total
 
 
 @pytest.mark.parametrize("order", [32, 64])
@@ -86,8 +86,10 @@ def test_mirror_fold_equals_two_sums_on_kernels(order):
 
 @pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
 def test_mirror_fold_equals_two_sums_on_pairing(request, potential):
-    # the pairing's integrand at real a (resolvent, a = kappa) and complex a
-    # (the scattering D at real k, a = -ik)
+    # the pairing on ordered nodes at real a (resolvent, a = kappa) and
+    # complex a (the scattering D at real k, a = -ik), folded, against the
+    # two-sum rule on the symmetric min/max integrand, which it can take
+    # at (x, y) and at (y, x)
     op = sc.EpsOperator(
         potential=request.getfixturevalue(potential),
         scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
@@ -96,7 +98,36 @@ def test_mirror_fold_equals_two_sums_on_pairing(request, potential):
     for order in (32, 64):
         folded, two_sums = QuadratureRule(order=order), _TwoSumRule(order=order)
         for a in (0.7, 3.0, -0.5j, -5.0j):
-            assert _pairing_raw(op, a, folded) == _pairing_raw(op, a, two_sums)
+            want = symmetric_pairing_raw(op, a, two_sums, _TwoSumRule.double_integral)
+            assert _pairing_raw(op, a, folded) == want
+
+
+class _ReversedRule(QuadratureRule):
+    """The folded rule visiting its cells last to first."""
+
+    def double_integral(self, f, breaks):
+        total = 0.0
+        for lo, hi, w, diagonal in reversed(list(self.cells(breaks))):
+            part = np.sum(w * f(lo, hi), axis=(-2, -1))
+            total = total + (2.0 * part if diagonal else part)
+        return total
+
+
+def test_pairing_finds_profile_values_by_their_nodes(bumpy_potential):
+    # the potential's table of pairing values is keyed by the cells' node
+    # arrays, not by the order of the calls: a rule visiting the cells last
+    # to first, and cells rebuilt after the table was filled, still give the
+    # symmetric form's bits with the profile evaluated in place
+    scaling = sc.ScalingFunction(lambda1=-1.0, resonant=True)
+    rule, backwards = QuadratureRule(order=32), _ReversedRule(order=32)
+    for a in (0.7, -0.5j):
+        op = sc.EpsOperator(potential=bumpy_potential, scaling=scaling, eps=0.1)
+        want = symmetric_pairing_raw(op, a, backwards, _ReversedRule.double_integral)
+        assert _pairing_raw(op, a, backwards) == want
+        _pairing_raw(op, a, rule)
+        _cell.cache_clear()
+        op = sc.EpsOperator(potential=bumpy_potential, scaling=scaling, eps=0.2)
+        assert _pairing_raw(op, a, rule) == symmetric_pairing_raw(op, a, rule)
 
 
 def test_merge_breaks_keeps_interior_points_only():
