@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AtPole, MultipleSignChanges, ZeroB
-from .graph import ScalingFunction, StarPotential, coupling_constants, validate_potential
+from .graph import ScalingFunction, StarPotential, coupling_constants
 from .limit import TOL_POLE, TOL_ZERO_B, _free_kernel_grid, _positive
 from .quadrature import QuadratureRule, converged_value, merge_breaks
 from .roots import brentq
@@ -75,7 +75,7 @@ class EpsOperator:
     def __post_init__(self):
         if not 0 < self.eps <= 1:
             raise ValueError("eps must lie in (0, 1]")
-        validate_potential(self.potential)
+        # lambda_value forms the constants, which validates the potential
         if self.lambda_value == 0:
             raise ValueError(f"lambda({self.eps}) vanishes")
 
@@ -85,7 +85,7 @@ class EpsOperator:
 
     @cached_property
     def constants(self):
-        return coupling_constants(self.potential, self.scaling)
+        return shared_constants(self.potential, self.scaling)
 
     @cached_property
     def lambda0(self):
@@ -94,6 +94,14 @@ class EpsOperator:
     @cached_property
     def lambda_value(self):
         return self.scaling.value(self.eps, A=self.constants.A)
+
+
+def shared_constants(potential, scaling):
+    """coupling_constants(potential, scaling), formed once per potential and
+    scaling: a command and every member it builds on them share the result."""
+    return potential.shared(
+        ("coupling_constants", scaling), lambda: coupling_constants(potential, scaling)
+    )
 
 
 @dataclass(frozen=True)
@@ -325,9 +333,16 @@ def inner_RV_V(kappa, op):
 
 
 def zeta(op, kappa):
-    """The scalar strength of the rank-one resolvent correction."""
+    """The scalar strength of the rank-one resolvent correction.
+
+    Raises AtPole when the denominator eps^3/lambda + P cancels to within
+    TOL_POLE of the size of its two terms. The bound is relative: on a
+    resonant ladder both terms scale like |V|^2 and the denominator, where
+    1/lambda0 + P_1(0) cancels, like eps^4 |V|^2, so a bound in absolute
+    units of eps^3 would fire on any small enough potential."""
+    lead = op.eps**3 / op.lambda_value
     denom = pole_equation(op, kappa)
-    if abs(denom) <= TOL_POLE * op.eps**3:
+    if abs(denom) <= TOL_POLE * (abs(lead) + abs(denom - lead)):
         raise AtPole(f"zeta denominator {denom:.3e} at kappa = {kappa}")
     return 1.0 / denom
 

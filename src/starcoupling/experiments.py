@@ -23,6 +23,7 @@ from .epsilon import (
     EpsOperator,
     find_pole,
     pole_asymptotic,
+    shared_constants,
     smeared_factor_coefficients,
 )
 from .errors import ConfigError
@@ -266,7 +267,7 @@ def _spectrum_one_eps(config, eps):
 
 def cmd_spectrum(config, parallel=1):
     """Limit eigenvalue, per-eps root-found pole, predictor, and FD oracle."""
-    cc = coupling_constants(config.potential, config.scaling)
+    cc = shared_constants(config.potential, config.scaling)
     limit_ev = limit_point_spectrum(cc)
     results = _sweep(_spectrum_one_eps, config, parallel)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DegenerateTheta,
@@ -30,7 +29,7 @@ from .errors import (
     ResonantWithZeroA,
     SupportViolation,
 )
-from .piecewise import PiecewisePolynomial
+from .piecewise import PiecewisePolynomial, definite_integral
 
 #: tolerance on the total mean, relative to the size in validate_potential
 TOL_MEAN = 1e-12
@@ -204,14 +203,18 @@ def validate_potential(potential):
                 f"edge {i + 1} profile supported on [{lo}, {hi}], not within [0, 1]"
             )
     residual = potential.total_mean()
-    # sum |c_k| h^(k+1) / (k+1) over the pieces: a bound on sum_i int |V_i|
-    size = sum(
-        npoly.polyval(h, npoly.polyint(np.abs(c)))
-        for p in potential.profiles
-        for h, c in zip(np.diff(p.breakpoints), p.coefficients)
-    )
-    if abs(residual) > TOL_MEAN * size:
+    if abs(residual) > TOL_MEAN * _size(potential):
         raise MeanViolation(residual)
+
+
+def _size(potential):
+    """sum |c_k| h^(k+1) / (k+1) over the pieces: a bound on sum_i int |V_i|,
+    summed piece after piece across the edges."""
+    size = 0.0
+    for p in potential.profiles:
+        for h, c in zip(np.diff(p.breakpoints).tolist(), p.coefficients):
+            size += definite_integral([abs(x) for x in c.tolist()], h)
+    return size
 
 
 def moments_theta(potential):

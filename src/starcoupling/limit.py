@@ -26,7 +26,8 @@ from .errors import AtPole, SingularSystem, ZeroB
 from .graph import CouplingConstants
 
 #: a rank-one denominator (1 - kappa beta B here, eps^3/lambda + <R0 V, V>
-#: relative to eps^3 in ``epsilon.zeta``) this close to zero is "at the pole"
+#: relative to the sum of its terms' sizes in ``epsilon.zeta``) this close
+#: to zero is "at the pole"
 TOL_POLE = 1e-12
 #: |B| below this is treated as vanishing for spectral formulas
 TOL_ZERO_B = 1e-12

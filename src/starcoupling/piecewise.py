@@ -5,6 +5,18 @@ derived constant (means, first moments, the min-kernel double integral)
 comes out of closed-form polynomial arithmetic instead of quadrature.
 Coefficients are stored per piece in ascending powers of the local
 variable ``u = x - breakpoints[j]``.
+
+The exact calculus (the local coefficients of ``from_global_coeffs``,
+``integral``, ``times_x``, ``antiderivative`` and the size bound of
+``graph.validate_potential``) runs in scalar float arithmetic on
+coefficient lists, repeating numpy.polynomial's own sequence of operations:
+Horner steps, sums of two-term products started at +0.0, and trailing-zero
+trimming. The stored benchmark references pin the bits of theta, A and the
+edge means, so the order cannot change. The scalar route takes microseconds
+a piece; the ``Polynomial`` composition it replaces in ``from_global_coeffs``
+took about 0.5 ms a piece. The general products (``multiply`` and the one
+inside ``min_kernel_self_integral``) keep ``npoly.polymul``: its sums of
+three or more products run in BLAS order.
 """
 
 from __future__ import annotations
@@ -45,6 +57,10 @@ class PiecewisePolynomial:
             c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", coeffs)
+        # the scalar calculus works on Python floats: widths bp[j+1] - bp[j]
+        # and one coefficient list per piece
+        object.__setattr__(self, "_widths", np.diff(bp).tolist())
+        object.__setattr__(self, "_lists", tuple(c.tolist() for c in coeffs))
         # immutable, so decided once: the pipeline asks per edge in every routine
         object.__setattr__(self, "_zero", all(np.all(c == 0.0) for c in coeffs))
 
@@ -65,17 +81,16 @@ class PiecewisePolynomial:
         ``coeffs`` are ascending powers of x itself; consecutive intervals
         must share endpoints.
         """
-        intervals = [p[0] for p in pieces]
-        bp = [intervals[0][0]]
+        bp = [pieces[0][0][0]]
         locals_ = []
         for (a, b), coeffs in pieces:
             if abs(a - bp[-1]) > 1e-14:
                 raise ValueError("pieces must cover consecutive intervals")
             bp.append(b)
-            shift = np.polynomial.Polynomial(np.atleast_1d(coeffs))(
-                np.polynomial.Polynomial([a, 1.0])
-            )
-            locals_.append(shift.coef)
+            coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
+            if coeffs.ndim != 1 or coeffs.size == 0:
+                raise ValueError("coefficients must be a nonempty 1-d array")
+            locals_.append(_shift(coeffs.tolist(), float(a)))
         return cls(bp, locals_)
 
     # -- basic queries ------------------------------------------------
@@ -144,26 +159,29 @@ class PiecewisePolynomial:
 
     def integral(self):
         """Exact integral over the whole support."""
-        total = 0.0
-        for j, c in enumerate(self.coefficients):
-            h = self.breakpoints[j + 1] - self.breakpoints[j]
-            total += npoly.polyval(h, npoly.polyint(c))
-        return float(total)
+        return _integral(self._widths, self._lists)
+
+    def _times_x(self, lists):
+        # pieces times the global coordinate x = breakpoints[j] + u
+        return [_times_line(c, a) for a, c in zip(self.breakpoints.tolist(), lists)]
 
     def times_x(self):
         """Exact product with the global coordinate x."""
-        coeffs = [
-            npoly.polymul([self.breakpoints[j], 1.0], c)
-            for j, c in enumerate(self.coefficients)
-        ]
-        return PiecewisePolynomial(self.breakpoints, coeffs)
+        return PiecewisePolynomial(self.breakpoints, self._times_x(self._lists))
 
     def moment(self, order):
         """Exact moment ``int x^order p(x) dx``."""
-        p = self
+        lists = self._lists
         for _ in range(order):
-            p = p.times_x()
-        return p.integral()
+            lists = self._times_x(lists)
+        return _integral(self._widths, lists)
+
+    def _antiderivative(self, lists):
+        out, acc = [], 0.0
+        for h, c in zip(self._widths, lists):
+            out.append([acc, *_polyint(c)[1:]])
+            acc = _polyval(h, out[-1])
+        return out
 
     def antiderivative(self):
         """Cumulative integral from the left end of the support.
@@ -171,15 +189,7 @@ class PiecewisePolynomial:
         The result is only meaningful on the breakpoint span (this class
         evaluates to zero outside it).
         """
-        coeffs = []
-        acc = 0.0
-        for j, c in enumerate(self.coefficients):
-            prim = npoly.polyint(c)
-            prim = np.concatenate(([acc], prim[1:])) if prim.size > 1 else np.array([acc])
-            coeffs.append(prim)
-            h = self.breakpoints[j + 1] - self.breakpoints[j]
-            acc = npoly.polyval(h, prim)
-        return PiecewisePolynomial(self.breakpoints, coeffs)
+        return PiecewisePolynomial(self.breakpoints, self._antiderivative(self._lists))
 
     def multiply(self, other):
         """Exact product with another piecewise polynomial on the same cells."""
@@ -198,5 +208,70 @@ class PiecewisePolynomial:
         Uses the symmetric split: twice the integral of ``p(x)`` against the
         cumulative first moment of ``p`` up to x.
         """
-        cumulative = self.times_x().antiderivative()
-        return 2.0 * self.multiply(cumulative).integral()
+        cumulative = self._antiderivative(self._times_x(self._lists))
+        product = [npoly.polymul(a, b).tolist() for a, b in zip(self._lists, cumulative)]
+        return 2.0 * _integral(self._widths, product)
+
+
+# -- scalar polynomial arithmetic in numpy.polynomial's order -----------
+
+
+def _trim(c):
+    # pu.trimseq: drop trailing zeros, keeping at least one coefficient
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _times_line(c, a):
+    """c times (a + u) as ``npoly.polymul`` forms it: the trimmed operands'
+    convolution, each sum of at most two products started at +0.0 the way
+    numpy's dot starts, then trimmed."""
+    c = _trim(c)
+    out = [0.0 + c[0] * a]
+    out += [0.0 + c[k] * a + c[k - 1] for k in range(1, len(c))]
+    out.append(0.0 + c[-1])
+    return _trim(out)
+
+
+def _shift(c, a):
+    """c(a + u) in powers of u, as ``Polynomial(c)(Polynomial([a, 1]))``
+    forms it: Horner's rule in Polynomial arithmetic, each step a product
+    by (a + u) and the next coefficient added to the constant term."""
+    out = [0.0 + c[-1]]
+    for ck in reversed(c[:-1]):
+        out = _times_line(out, a)
+        out[0] += ck
+    return out
+
+
+def _polyval(x, c):
+    """``npoly.polyval`` at one point x."""
+    acc = c[-1] + x * 0.0
+    for ck in reversed(c[:-1]):
+        acc = ck + acc * x
+    return acc
+
+
+def _polyint(c):
+    """``npoly.polyint(c)``: the primitive vanishing at 0. A lone zero
+    coefficient stays one coefficient, as numpy keeps it."""
+    if len(c) == 1 and c[0] == 0:
+        return [c[0] + 0.0]
+    prim = [c[0] * 0.0, c[0], *(ck / (k + 1) for k, ck in enumerate(c[1:], start=1))]
+    prim[0] += 0.0 - _polyval(0.0, prim)
+    return prim
+
+
+def definite_integral(c, h):
+    """int_0^h of the polynomial with ascending coefficient list c, as
+    ``npoly.polyval(h, npoly.polyint(c))`` forms it."""
+    return _polyval(h, _polyint(c))
+
+
+def _integral(widths, lists):
+    total = 0.0
+    for h, c in zip(widths, lists):
+        total += definite_integral(c, h)
+    return total

@@ -15,6 +15,7 @@ import pytest
 import starcoupling as sc
 import starcoupling.epsilon as eps_mod
 import starcoupling.experiments as experiments
+import starcoupling.graph as graph
 import starcoupling.quadrature as quadrature
 from starcoupling import ConfigError
 from starcoupling.config import parse_config
@@ -371,6 +372,19 @@ class TestConvergeCommand:
                 assert row["value"] <= 1e-12
         assert all(f.get("degenerate") for f in report.summary["rate_fits"])
 
+    def test_small_resonant_potential_runs(self, tmp_path):
+        # on a resonant ladder the pole equation's denominator shrinks with
+        # the potential like its two terms do: vstar_resonant_neg scaled by
+        # 1e-5 is as far from its pole as the shipped one
+        raw = json.loads((BUNDLE_DIR / "vstar_resonant_neg.json").read_text())
+        raw["epsilons"] = raw["epsilons"][:4]
+        for edge in raw["potential"]:
+            for piece in edge:
+                piece["coeffs"] = [1e-5 * c for c in piece["coeffs"]]
+        config = tmp_path / "small.json"
+        config.write_text(json.dumps(raw))
+        assert run(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
+
     def test_needs_four_epsilons(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.125, 0.0625]}))
         with pytest.raises(ConfigError):
@@ -435,7 +449,7 @@ class TestSharedPotentialWork:
         assert sc.cmd_spectrum(parse_config(one_rung)).rows == spectrum
 
     def test_potential_work_done_once_per_command(self, monkeypatch):
-        calls = {"moment": 0, "min_kernel": 0}
+        calls = {"moment": 0, "min_kernel": 0, "validate_potential": 0, "coupling_constants": 0}
         moment = sc.PiecewisePolynomial.moment
         min_kernel = sc.PiecewisePolynomial.min_kernel_self_integral
 
@@ -466,6 +480,21 @@ class TestSharedPotentialWork:
             evaluated[key] = evaluated.get(key, 0) + 1
             return evaluate(self, x)
 
+        # coupling_constants through the bindings the benchmark traces, and
+        # the validation of the potential inside it
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        validate = counted("validate_potential", graph.validate_potential)
+        monkeypatch.setattr(graph, "validate_potential", validate)
+        for module in (experiments, eps_mod):
+            constants = counted("coupling_constants", module.coupling_constants)
+            monkeypatch.setattr(module, "coupling_constants", constants)
+
         monkeypatch.setattr(sc.PiecewisePolynomial, "moment", counted_moment)
         monkeypatch.setattr(
             sc.PiecewisePolynomial, "min_kernel_self_integral", counted_min_kernel
@@ -476,8 +505,10 @@ class TestSharedPotentialWork:
 
         config = parse_config(FIVE_EDGES)
         sc.cmd_converge(config)
-        # theta and A: once per edge for the whole command, parse_config included
-        assert calls == {"moment": config.n, "min_kernel": config.n}
+        # theta and A: once per edge for the whole command, parse_config
+        # included; the constants and the validation once per command
+        once = {"validate_potential": 1, "coupling_constants": 1}
+        assert calls == {"moment": config.n, "min_kernel": config.n, **once}
         # each raw integral once per exact c and rule order; the ladder's
         # k eps values coincide (k = 0.5 at eps, k = 1 at eps / 2)
         assert integrals and len(set(integrals)) == len(integrals)
@@ -489,6 +520,11 @@ class TestSharedPotentialWork:
             if key[0] == "nodes"
         ]
         assert nodes and all(evaluated[key] == 1 for key in nodes)
+
+        # spectrum forms the constants itself and on every rung
+        calls.update(validate_potential=0, coupling_constants=0)
+        sc.cmd_spectrum(parse_config({**FIVE_EDGES, "epsilons": [0.125, 0.0625]}))
+        assert {name: calls[name] for name in once} == once
 
     def test_configs_run_alternately_give_their_own_rows(self):
         other = {**BASE_CONFIG, "potential": FIVE_EDGES["potential"], "n": 5}

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import polyutils as pu
 
-from starcoupling import PiecewisePolynomial
+from starcoupling import PiecewisePolynomial, StarPotential, piecewise
+from starcoupling.graph import _size
 
 
 def riemann(f, a, b, n=1_000_000):
@@ -104,3 +109,137 @@ def test_from_global_coeffs_shifts_correctly():
         PiecewisePolynomial.from_global_coeffs(
             [((0.0, 0.4), [1.0]), ((0.5, 1.0), [1.0])]
         )
+
+
+# -- the scalar calculus against numpy.polynomial, bit for bit ------------
+#
+# The references below are the numpy.polynomial forms the scalar routines
+# replace; the stored benchmark references pin their bits, signed zeros
+# included.
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _ref_local(coeffs, a):
+    return np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial([a, 1.0])).coef
+
+
+def _ref_integral(breaks, pieces):
+    total = 0.0
+    for h, c in zip(np.diff(breaks), pieces):
+        total += npoly.polyval(h, npoly.polyint(c))
+    return float(total)
+
+
+def _ref_times_x(breaks, pieces):
+    return [npoly.polymul([breaks[j], 1.0], c) for j, c in enumerate(pieces)]
+
+
+def _ref_antiderivative(breaks, pieces):
+    cumulative, acc = [], 0.0
+    for h, c in zip(np.diff(breaks), pieces):
+        prim = npoly.polyint(c)
+        prim = np.concatenate(([acc], prim[1:])) if prim.size > 1 else np.array([acc])
+        cumulative.append(prim)
+        acc = npoly.polyval(h, prim)
+    return cumulative
+
+
+def _ref_min_kernel(breaks, pieces):
+    cumulative = _ref_antiderivative(breaks, _ref_times_x(breaks, pieces))
+    product = [npoly.polymul(a, b) for a, b in zip(pieces, cumulative)]
+    return 2.0 * _ref_integral(breaks, product)
+
+
+def _ref_size(profiles):
+    return sum(
+        npoly.polyval(h, npoly.polyint(np.abs(c)))
+        for p in profiles
+        for h, c in zip(np.diff(p.breakpoints), p.coefficients)
+    )
+
+
+#: exact signed zeros, or magnitudes 1e-3..1e3 of either sign
+exact_coefficient = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda m, s: s * m, st.floats(1e-3, 1e3), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def global_profiles(draw):
+    """[(a, b), coeffs] pieces: 1-3 cubic pieces with interior breakpoints,
+    or every coefficient zero."""
+    pieces = draw(st.integers(1, 3))
+    inner = draw(
+        st.lists(st.integers(1, 19), min_size=pieces - 1, max_size=pieces - 1, unique=True)
+    )
+    breaks = [0.0, *sorted(m / 20.0 for m in inner), 1.0]
+    zero = draw(st.booleans()) and draw(st.booleans())
+    coeff = st.sampled_from([0.0, -0.0]) if zero else exact_coefficient
+    return [
+        ((a, b), draw(st.lists(coeff, min_size=1, max_size=4)))
+        for a, b in zip(breaks, breaks[1:])
+    ]
+
+
+exact = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@exact
+@given(
+    c=st.lists(exact_coefficient, min_size=1, max_size=7),
+    a=st.one_of(st.integers(0, 20).map(lambda m: m / 20.0), st.just(-0.0)),
+    x=st.floats(0.0, 1.0),
+)
+def test_scalar_helpers_equal_numpy_polynomial(c, a, x):
+    assert _bits(piecewise._trim(c)) == _bits(pu.trimseq(np.array(c)))
+    assert _bits(piecewise._times_line(c, a)) == _bits(npoly.polymul([a, 1.0], c))
+    assert _bits(piecewise._shift(c, a)) == _bits(_ref_local(c, a))
+    assert _bits(piecewise._polyval(x, c)) == _bits(npoly.polyval(np.float64(x), np.array(c)))
+    assert _bits(piecewise._polyint(c)) == _bits(npoly.polyint(c))
+
+
+@exact
+@given(pieces=global_profiles())
+def test_scalar_calculus_equals_numpy_polynomial(pieces):
+    p = PiecewisePolynomial.from_global_coeffs(pieces)
+    for ((a, _), coeffs), local in zip(pieces, p.coefficients):
+        assert _bits(local) == _bits(_ref_local(coeffs, a))
+    breaks, locals_ = p.breakpoints, p.coefficients
+    assert _bits(p.integral()) == _bits(_ref_integral(breaks, locals_))
+    assert _bits(p.moment(1)) == _bits(_ref_integral(breaks, _ref_times_x(breaks, locals_)))
+    assert _bits(p.min_kernel_self_integral()) == _bits(_ref_min_kernel(breaks, locals_))
+    for got, want in zip(p.times_x().coefficients, _ref_times_x(breaks, locals_)):
+        assert _bits(got) == _bits(want)
+    for got, want in zip(p.antiderivative().coefficients, _ref_antiderivative(breaks, locals_)):
+        assert _bits(got) == _bits(want)
+
+
+@exact
+@given(edges=st.lists(st.one_of(st.none(), global_profiles()), min_size=2, max_size=4))
+def test_validation_size_equals_numpy_polynomial(edges):
+    profiles = [
+        PiecewisePolynomial.zero() if e is None else PiecewisePolynomial.from_global_coeffs(e)
+        for e in edges
+    ]
+    assert _bits(_size(StarPotential(profiles))) == _bits(_ref_size(profiles))
+
+
+def test_non_finite_coefficients_propagate_as_in_numpy():
+    # inf * 0 in polyint's constant term makes the whole integral NaN there
+    for c in ([1.0, np.inf], [np.inf], [2.0, -np.inf, 1.0]):
+        p = PiecewisePolynomial([0.0, 0.5], [c])
+        with np.errstate(invalid="ignore"):
+            assert _bits(piecewise._polyint(c)) == _bits(npoly.polyint(c))
+            assert _bits(p.integral()) == _bits(_ref_integral(p.breakpoints, p.coefficients))
+
+
+def test_two_negative_zero_products_sum_to_positive_zero():
+    # numpy's dot starts each convolution sum at +0.0: (-0) * 1 + (-0) * 1
+    # is +0.0 there, and the scalar product by (a + u) must give it too
+    ref = npoly.polymul([0.0, 1.0], [-0.0, -0.0, 1.0])
+    assert _bits(ref[:2]) == _bits([0.0, 0.0])
+    assert _bits(piecewise._times_line([-0.0, -0.0, 1.0], 0.0)) == _bits(ref)
