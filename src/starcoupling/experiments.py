@@ -289,7 +289,15 @@ def cmd_spectrum(config, parallel=1):
             _row("eigenvalue_fd", epsilon=eps, value=fd, error=fd_err),
         ]
         report.rows += rows
-        entries.append({"epsilon": eps, **{r["quantity"]: r["value"] for r in rows}})
+        entries.append(
+            {
+                "epsilon": eps,
+                **{r["quantity"]: r["value"] for r in rows},
+                # whether the pole search and the FD oracle agree that a
+                # bound state exists at this eps
+                "bound_state_agrees": (pole is None) == (fd is None),
+            }
+        )
     report.summary = {
         "eigenvalue_limit": limit_ev,
         "note": "no eigenvalue" if limit_ev is None else "bound state present",

@@ -36,11 +36,18 @@ between the two arithmetic routes; the eigenvalues keep the symmetric one.
 Each matrix is assembled once, in final form: S as CSC arrays, T by scaling
 S's data in the product order of W^{-1/2} S W^{-1/2}, and each shift written
 over the diagonal slots of one copy. The secular root factorizes T - mu I at
-shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern: 8 to 16 per grid
-on the shipped spectrum ladders (eps >= 2^-5) with a bound state, and one
-without, where the first shift already shows g(-TAU_EIGEN) >= 0.
-SuperLU's fill-reducing column order is therefore computed once per grid, at
-the first shift; T is then kept only as its symmetric permutation in that
+shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern: only at the shifts
+whose value it reads, 8 to 16 per grid on the shipped spectrum ladders
+(eps >= 2^-5) with a bound state, and none without. A sign that no value
+depends on comes from ``_secular_sign``: the sign of an O(N) arrow solve
+(``_arrow_form``: one LAPACK ``dptsv`` per edge, then the vertex Schur
+complement), trusted only outside
+the margin SIGN_RTOL (1 + |c q.x|): g(-TAU_EIGEN) > 0 means no bound state,
+and g(lo) < 0 doubles the bracket end lo. Every value brentq reads, both
+bracket ends and any sign inside the margin come from SuperLU, so the
+eigenvalues are those of SuperLU alone.
+SuperLU's fill-reducing column order is computed once per grid, at the
+first shift; T is then kept only as its symmetric permutation in that
 order, and each later shift is factorized in the natural order. Every
 factorization uses single-column panels: SuperLU zero-fills a panel_size x N
 workspace, which at the default of 10 set a grid's peak memory, and these
@@ -53,7 +60,7 @@ the resonant family, and the stored benchmark references pin the
 eigenvalues and the resolvent columns: any other secular route or column
 solve needs those references re-recorded first.
 
-SciPy is imported inside the functions that assemble or factorize, so
+SciPy is imported inside the functions that assemble, solve or factorize, so
 importing the package (and every command but the oracle's) costs no SciPy
 start-up; ``splu`` stays one module-level function, never rebound, so a
 caller can wrap or count every factorization by patching it here.
@@ -84,6 +91,10 @@ MAX_UNKNOWNS = 2**21
 MIN_LENGTH = 2.0
 #: discrete spectrum above -TAU_EIGEN counts as "no bound state"
 TAU_EIGEN = 1e-3
+#: the O(N) secular sign is trusted only where |g| > SIGN_RTOL (1 + |c q.x|);
+#: it agreed with SuperLU's g to 1.7e-13 of that scale on shipped and drawn
+#: spectrum grids, where |g| was at least 4.1e-4 of it
+SIGN_RTOL = 1e-8
 #: relative h vs h/2 eigenvalue mismatch tolerated by the Richardson guard
 RICHARDSON_RTOL = 0.25
 
@@ -185,7 +196,7 @@ class DiscreteOperator:
         """Solve (S + shift W + c m m^T) u = rhs for one or several columns.
 
         S + shift W is factorized once; the rank-one term is applied by
-        Sherman-Morrison.
+        Sherman-Morrison, unless m = 0 (the free operator).
         """
         K = self.stiffness.copy()
         K.data[_diagonal_slots(K)] += shift * self.weights
@@ -195,6 +206,8 @@ class DiscreteOperator:
             raise SingularSystem(f"FD solve failed at shift = {shift}") from exc
         mvec = self.weighted_vector
         base = lu.solve(rhs)
+        if not np.any(mvec):
+            return base
         z = lu.solve(mvec)
         c = self.strength
         denom = 1.0 + c * (mvec @ z)
@@ -257,14 +270,26 @@ def discrete_eigenvalue(op, L, h):
 
     For negative coupling strength c the operator T + c q q^T has exactly
     one eigenvalue below min spec(T) >= 0; it is the root of the secular
-    function g(mu) = 1 + c q.(T - mu)^{-1} q, which is monotone there.
+    function g(mu) = 1 + c q.(T - mu)^{-1} q, which is monotone there. For
+    c >= 0 there is none, and the grid is not assembled.
+
+    Signs that no value depends on come from the O(N) ``_secular_sign``:
+    g(-TAU_EIGEN) > 0 (no bound state) ends the search with no
+    factorization, and g(lo) < 0 doubles the bracket end lo without one.
+    Every value brentq reads, both bracket ends and any sign inside
+    ``_secular_sign``'s margin come from SuperLU.
     """
+    c = op.lambda_value / op.eps**3
+    if c >= 0:
+        return None
     disc = build_discrete_operator(op, L, h)
     T, q = disc.symmetrized()
-    c = disc.strength
     del disc
-    if c >= 0 or not np.any(q):
+    if not np.any(q) or _secular_sign(T, q, c, -TAU_EIGEN) > 0:
         return None
+    lo = -max(1.0, 4.0 * TAU_EIGEN)
+    while _secular_sign(T, q, c, lo) < 0:
+        lo = _doubled(lo)
     slots = _diagonal_slots(T)
     d0 = T.data[slots]
     # g depends on mu only through the rounded diagonal of T - mu I, which
@@ -276,8 +301,8 @@ def discrete_eigenvalue(op, L, h):
 
     def solve(mu):
         # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and a
-        # second one (none without a bound state) inverts it and permutes T
-        # into it; the order is copied, since a view would keep the factors
+        # second one inverts it and permutes T into it; the order is copied,
+        # since a view would keep the factors
         nonlocal T, order, perm, slots, d0
         if order is None:
             T.data[slots] = d0 - mu
@@ -306,12 +331,59 @@ def discrete_eigenvalue(op, L, h):
 
     if g(-TAU_EIGEN) >= 0:
         return None
-    lo = -max(1.0, 4.0 * TAU_EIGEN)
     while g(lo) <= 0:
-        lo *= 2.0
-        if lo < -1e12:
-            raise SingularSystem("secular function never changes sign")
+        lo = _doubled(lo)
     return float(brentq(g, lo, -TAU_EIGEN, xtol=1e-13, rtol=4.0 * np.finfo(float).eps))
+
+
+def _doubled(lo):
+    """The next lower bracket end of the secular root."""
+    if 2.0 * lo < -1e12:
+        raise SingularSystem("secular function never changes sign")
+    return 2.0 * lo
+
+
+def _secular_sign(T, q, c, mu):
+    """Sign of g(mu) = 1 + c q.(T - mu)^{-1} q from ``_arrow_form``, or 0
+    inside the margin SIGN_RTOL (1 + |c q.x|), where it is not trusted."""
+    cqx = c * _arrow_form(T, q, mu)
+    g, margin = 1.0 + cqx, SIGN_RTOL * (1.0 + abs(cqx))
+    return 1 if g > margin else -1 if g < -margin else 0
+
+
+def _arrow_form(T, q, mu):
+    """q.(T - mu)^{-1} q in O(N), or NaN if T - mu I is not positive definite.
+
+    T - mu I (mu < 0) is an arrow: the vertex row and column, and one
+    symmetric positive definite tridiagonal block B per edge, coupled to the
+    vertex through its first node by t_j. LAPACK ``dptsv`` solves each B for
+    the edge's slice q_j of q and for e_1; the vertex unknown then follows
+    from its scalar Schur complement s = T_00 - mu - sum t_j^2 (B^{-1})_11:
+
+        q.(T - mu)^{-1} q = sum q_j.B^{-1} q_j + r^2 / s,
+        r = q_0 - sum t_j (B^{-1} q_j)_1.
+
+    It rounds differently from SuperLU, so only its sign is ever used.
+    """
+    from scipy.linalg.lapack import dptsv
+
+    # the CSC layout of build_discrete_operator: column 0 holds the vertex
+    # diagonal and the n couplings t_j, then each edge fills 3p - 1 slots
+    # (vertex, then diagonal, next and previous per node)
+    n = T.indptr[1] - 1
+    blocks = T.data[n + 1 :].reshape(n, -1)
+    p = (blocks.shape[1] + 1) // 3
+    quad, r, s = 0.0, q[0], T.data[0] - mu
+    for t, block, q_j in zip(T.data[1 : n + 1], blocks, q[1:].reshape(n, p)):
+        rhs = np.zeros((p, 2))
+        rhs[:, 0], rhs[0, 1] = q_j, 1.0
+        _, _, x, info = dptsv(block[1::3] - mu, block[2::3], rhs, overwrite_d=1, overwrite_b=1)
+        if info:
+            return math.nan
+        quad += q_j @ x[:, 0]
+        r -= t * x[0, 0]
+        s -= t * t * x[0, 1]
+    return float(quad + r * r / s) if s > 0 else math.nan
 
 
 def oracle_eigenvalue(op, L, h):

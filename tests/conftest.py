@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import starcoupling as sc
 import starcoupling.epsilon as eps_mod
+
+#: drawn polynomial coefficients on a grid of 1e-3, so that a drawn
+#: potential is either zero or far from underflowing A
+coefficient = st.integers(-1000, 1000).map(lambda m: m / 1000.0)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,11 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 import starcoupling as sc
 import starcoupling.fdoracle as fd_mod
+from conftest import coefficient
 from starcoupling import EdgeCoordinate, GridTooCoarse
 from starcoupling.fdoracle import (
     aligned_grid,
@@ -21,6 +25,29 @@ from starcoupling.fdoracle import (
 
 BUNDLE_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
+
+
+#: scalings with c < 0: a bound state, none (resonant, lambda1 > 0), and
+#: the nonresonant escaping one
+SIGN_SCALINGS = {
+    "neg": sc.ScalingFunction(lambda1=-1.0, resonant=True),
+    "pos": sc.ScalingFunction(lambda1=1.0, resonant=True),
+    "nonresonant": sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=-1.0),
+}
+sign_examples = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+@st.composite
+def drawn_potentials(draw):
+    # n = 3..4 edges, one cubic each on [0, 1] with coefficients on a grid
+    # of 1e-3, the first constant term shifted to total mean zero
+    n = draw(st.integers(3, 4))
+    coeffs = [draw(st.lists(coefficient, min_size=4, max_size=4)) for _ in range(n)]
+    total = sum(sc.PiecewisePolynomial([0.0, 1.0], [c]).integral() for c in coeffs)
+    coeffs[0][0] -= total
+    profiles = [sc.PiecewisePolynomial([0.0, 1.0], [c]) for c in coeffs]
+    assume(not all(p.is_zero() for p in profiles))
+    return sc.StarPotential(profiles)
 
 
 @pytest.fixture
@@ -263,9 +290,9 @@ class TestOracleEigenvalue:
         assert expected is not None
         assert discrete_eigenvalue(op, L, h) == expected
 
-    def test_no_bound_state_factorizes_once(self, vstar, lam_pos, monkeypatch):
-        # g(-TAU_EIGEN) >= 0 ends the search after the first shift, so T is
-        # factorized once and never permuted for a second one
+    def test_no_bound_state_factorizes_nothing(self, vstar, lam_pos, monkeypatch):
+        # the O(N) sign shows g(-TAU_EIGEN) > 0, so T is never factorized,
+        # and its diagonal never located for a shift
         op = sc.EpsOperator(potential=vstar, scaling=lam_pos, eps=2**-3)
         assert op.lambda_value / op.eps**3 < 0
         calls, slots = [], []
@@ -283,8 +310,68 @@ class TestOracleEigenvalue:
         monkeypatch.setattr(fd_mod, "_diagonal_slots", counting_slots)
         L, h = aligned_grid(op.eps, 10.0, 5e-3)
         assert discrete_eigenvalue(op, L, h) is None
-        assert calls == [None]
-        assert len(slots) == 1
+        assert calls == []
+        assert slots == []
+
+    def test_bracket_doubling_factorizes_only_its_last_end(self, monkeypatch):
+        # the eigenvalue -1.62 lies below lo = -1: the O(N) sign doubles lo
+        # to -2 without a factorization, and brentq reads g(-2) from SuperLU
+        config = sc.load_config(BUNDLE_DIR / "vstar_nonresonant.json")
+        op = sc.EpsOperator(
+            potential=config.build_potential(), scaling=config.build_scaling(), eps=2**-4
+        )
+        L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
+        top = build_discrete_operator(op, L, h).symmetrized()[0].diagonal().max()
+        shifts = []
+
+        def recording_splu(A, **kwargs):
+            shifts.append(top - A.diagonal().max())
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fd_mod, "splu", recording_splu)
+        assert discrete_eigenvalue(op, L, h) == _fresh_factorization_root(op, L, h)
+        assert shifts[0] == pytest.approx(-fd_mod.TAU_EIGEN, abs=1e-9)
+        assert any(abs(mu + 2.0) < 1e-9 for mu in shifts)
+        assert not any(abs(mu + 1.0) < 1e-9 for mu in shifts)
+
+    @pytest.mark.parametrize("scaling", ["neg", "pos", "nonresonant"])
+    def test_ambiguous_sign_falls_back_to_superlu(self, vstar, scaling, monkeypatch):
+        # with an infinite margin no sign is trusted: every decision is
+        # SuperLU's, as before the O(N) sign existed
+        op = sc.EpsOperator(potential=vstar, scaling=SIGN_SCALINGS[scaling], eps=2**-4)
+        L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
+        trusted = discrete_eigenvalue(op, L, h)
+        calls = []
+
+        def counting_splu(A, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fd_mod, "SIGN_RTOL", math.inf)
+        monkeypatch.setattr(fd_mod, "splu", counting_splu)
+        T, q = build_discrete_operator(op, L, h).symmetrized()
+        assert fd_mod._secular_sign(T, q, op.lambda_value / op.eps**3, -1.0) == 0
+        assert discrete_eigenvalue(op, L, h) == trusted == _fresh_factorization_root(op, L, h)
+        assert calls[0] is None
+        if trusted is None:
+            assert calls == [None]
+
+    @sign_examples
+    @given(potential=drawn_potentials(), scaling=st.sampled_from(sorted(SIGN_SCALINGS)))
+    def test_trusted_secular_sign_is_superlus(self, potential, scaling):
+        _check_secular_signs(sc.EpsOperator(potential, SIGN_SCALINGS[scaling], eps=2**-3))
+
+    @pytest.mark.parametrize("eps", [2**-3, 2**-4])
+    @pytest.mark.parametrize("name", [*SHIPPED, "cubic"])
+    def test_trusted_secular_sign_on_fixed_potentials(self, name, eps, lam_neg):
+        if name == "cubic":
+            op = sc.EpsOperator(potential=_cubic_potential(), scaling=lam_neg, eps=eps)
+        else:
+            config = sc.load_config(BUNDLE_DIR / f"{name}.json")
+            op = sc.EpsOperator(
+                potential=config.build_potential(), scaling=config.build_scaling(), eps=eps
+            )
+        _check_secular_signs(op)
 
     def test_secular_root_factorizes_each_matrix_once(self, op_eig, monkeypatch):
         # per grid: one default-order factorization, and no matrix T - mu I
@@ -313,6 +400,27 @@ def _cubic_potential():
     rest = -(first.integral() + second.integral() - 0.5 / 2 + 0.8 / 3 - 0.3 / 4)
     third = cubic([((0.0, 1.0), [rest, -0.5, 0.8, -0.3])])
     return sc.StarPotential([first, second, third])
+
+
+def _check_secular_signs(op):
+    # the O(N) arrow form gives SuperLU's c q.x far inside the sign margin;
+    # where the O(N) sign is trusted it is the sign of SuperLU's g, and
+    # where |g| is far outside the margin, it is trusted
+    c = op.lambda_value / op.eps**3
+    if c >= 0:
+        return
+    L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
+    T, q = build_discrete_operator(op, L, h).symmetrized()
+    eye = sp.identity(T.shape[0], format="csc")
+    for mu in [-fd_mod.TAU_EIGEN, -1.0, -2.0, -4.0, -8.0, -16.0]:
+        cqx = c * float(q @ splu((T - mu * eye).tocsc()).solve(q))
+        fast = c * fd_mod._arrow_form(T, q, mu)
+        assert abs(fast - cqx) <= 1e-11 * (1.0 + abs(cqx)), (mu, fast, cqx)
+        g = 1.0 + cqx
+        sign = fd_mod._secular_sign(T, q, c, mu)
+        assert sign in (0, np.sign(g)), (mu, g)
+        if abs(g) > 1e-6 * (1.0 + abs(g - 1.0)):
+            assert sign == np.sign(g), (mu, g)
 
 
 def _fresh_factorization_root(op, L, h, tau_e=fd_mod.TAU_EIGEN):

@@ -329,12 +329,33 @@ class TestSpectrumCommand:
             assert [r["kappa"] for r in rows] == [None, kappa, kappa, None]
             values = [entry["kappa_predictor"], kappa, ev, fd]
             assert [r["value"] for r in rows] == values
+            assert entry["bound_state_agrees"] is True
             if has_pole:
                 assert rows[2]["error"] == abs(ev - limit_ev)
                 assert rows[3]["error"] == abs(fd - ev)
             else:
                 assert [r["error"] for r in rows] == [None] * 4
 
+
+    def test_route_disagreement_is_reported(self, tmp_path):
+        # the pole search misses the root at kappa = 86.7 (below its
+        # predictor bracket), which FD finds near -7514; the CSV is as before
+        raw = _raw("vstar_resonant_neg")
+        raw["scaling"]["lambda1"] = -300.0
+        raw["epsilons"] = [0.0625]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        report = sc.cmd_spectrum(sc.load_config(path))
+        [entry] = report.summary["per_epsilon"]
+        assert entry["kappa_root"] is None
+        assert entry["eigenvalue_fd"] == pytest.approx(-7514.26, rel=1e-4)
+        assert entry["bound_state_agrees"] is False
+        assert [r["quantity"] for r in report.rows][1:] == [
+            "kappa_predictor",
+            "kappa_root",
+            "eigenvalue",
+            "eigenvalue_fd",
+        ]
 
     def test_parallel_matches_serial(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.1, 0.05]}))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import starcoupling as sc
 from starcoupling import AtPole, SingularSystem, ZeroB
-from conftest import distinct_theta
+from conftest import coefficient, distinct_theta
 
 
 class TestFreeGreen:
@@ -250,3 +252,46 @@ class TestSMatrixLimit:
     def test_rejects_nonpositive_momentum(self, cc_neg):
         with pytest.raises(ValueError):
             sc.smatrix_limit(-1.0, cc_neg)
+
+
+@st.composite
+def line_potentials(draw):
+    # n = 2: edge 1 two cubic pieces split at a drawn breakpoint, edge 2 one
+    # cubic whose constant term sets the total mean to zero
+    cut = draw(st.integers(1, 19)) / 20.0
+    first = [draw(st.lists(coefficient, min_size=4, max_size=4)) for _ in range(2)]
+    second = draw(st.lists(coefficient, min_size=4, max_size=4))
+    edge_1 = sc.PiecewisePolynomial([0.0, cut, 1.0], first)
+    second[0] -= edge_1.integral() + sc.PiecewisePolynomial([0.0, 1.0], [second]).integral()
+    potential = sc.StarPotential([edge_1, sc.PiecewisePolynomial([0.0, 1.0], [second])])
+    assume(potential.A != 0.0)
+    return potential
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    potential=line_potentials(),
+    lambda1=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    ),
+    k=st.floats(1e-3, 20.0),
+)
+def test_two_edges_give_the_delta_prime_line(potential, lambda1, k):
+    # on the line the limit coupling is delta' of strength
+    # b = beta (theta_1 - theta_2)^2 (Albeverio et al., Solvable Models in
+    # Quantum Mechanics, ch. I.4): S_11 = S_22 = -(ikb/2)/(1 - ikb/2),
+    # S_12 = S_21 = 1/(1 - ikb/2), and -4/b^2 is an eigenvalue iff b < 0
+    cc = sc.coupling_constants(potential, sc.ScalingFunction(lambda1=lambda1, resonant=True))
+    theta_1, theta_2 = cc.theta
+    b = cc.beta * (theta_1 - theta_2) ** 2
+    half = 0.5j * k * b
+    expected = np.array([[-half, 1.0], [1.0, -half]]) / (1.0 - half)
+    # B is formed as (sum theta)^2/n - sum theta^2, so its relative rounding
+    # grows like |theta|^2/(theta_1 - theta_2)^2 near a tie
+    tol = 1e-14 * (1.0 + (theta_1**2 + theta_2**2) / (theta_1 - theta_2) ** 2)
+    assert np.max(np.abs(sc.smatrix_limit(k, cc).entries - expected)) <= tol
+    eigenvalue = sc.limit_point_spectrum(cc)
+    if b < 0:
+        assert abs(eigenvalue + 4.0 / b**2) <= tol * 4.0 / b**2
+    else:
+        assert eigenvalue is None

@@ -28,13 +28,9 @@ from hypothesis import strategies as st
 
 import starcoupling as sc
 import starcoupling.epsilon as eps_mod
-from conftest import symmetric_pairing_raw
+from conftest import coefficient, symmetric_pairing_raw
 from starcoupling.cli import run
 from starcoupling.scattering import MOMENTUM_MIN
-
-#: coefficients on a grid of 1e-3, so that a drawn potential is either zero
-#: or far from underflowing A
-coefficient = st.integers(-1000, 1000).map(lambda m: m / 1000.0)
 
 
 @st.composite

@@ -4,10 +4,11 @@
 benchmark to its stored CSV: byte-identical, or every cell within the
 tolerance the Tier-1 tests use for its quantity. Running the same check on
 ``converge`` and ``oracle`` here shows a moved reference in the test suite
-before it shows up in a benchmark run. Likewise each workload's command
-runs once under the benchmark's tracer, whose spans must obey the firing
-rules of ``perfbench/run.py``: a patched binding that moved or a required
-stage that stopped running fails here.
+before it shows up in a benchmark run; the ``spectrum`` rows, the pole's
+and the FD secular root's, are held byte for byte. Likewise each
+workload's command runs once under the benchmark's tracer, whose spans
+must obey the firing rules of ``perfbench/run.py``: a patched binding that
+moved or a required stage that stopped running fails here.
 """
 
 import importlib.util
@@ -61,12 +62,9 @@ def test_converge_matches_the_stored_reference(tmp_path, capsys, branch):
 FD_FREE = ("eigenvalue_limit", "kappa_predictor", "kappa_root", "eigenvalue")
 
 
-@pytest.mark.parametrize("branch", BRANCHES)
-def test_spectrum_pole_rows_match_the_stored_reference(tmp_path, monkeypatch, capsys, branch):
-    # the stored spectrum CSVs cover eps >= 2^-5 and pin the pole search, and
-    # with it the pairing at real decay rates, bit for bit; the FD oracle
-    # is left out, so only the rows it does not touch are compared
-    monkeypatch.setattr("starcoupling.experiments.oracle_eigenvalue", lambda *a, **kw: None)
+def _spectrum_rows(tmp_path, branch, quantities):
+    # the rows of the given quantities from a spectrum run on the ladder cut
+    # at eps >= 2^-5, as the stored reference is, and from that reference
     raw = json.loads((ROOT / "configs" / f"{branch}.json").read_text())
     raw["epsilons"] = [e for e in raw["epsilons"] if e >= 2.0**-5]
     config = tmp_path / "config.json"
@@ -74,14 +72,30 @@ def test_spectrum_pole_rows_match_the_stored_reference(tmp_path, monkeypatch, ca
     out = tmp_path / "out"
     assert run(["spectrum", "--config", str(config), "--out", str(out), "--parallel", "1"]) == 0
 
-    def pole_rows(text):
-        return [line for line in text.splitlines() if line.split(",")[0] in FD_FREE]
+    def rows(text):
+        return [line for line in text.splitlines() if line.split(",")[0] in quantities]
 
-    got = pole_rows((out / "spectrum.csv").read_text())
-    ref = pole_rows(
-        (ROOT / "perfbench" / "references" / "spectrum" / f"{branch}.csv").read_text()
-    )
-    assert len(ref) == 1 + 3 * len(raw["epsilons"])
+    got = rows((out / "spectrum.csv").read_text())
+    ref = rows((ROOT / "perfbench" / "references" / "spectrum" / f"{branch}.csv").read_text())
+    return got, ref, len(raw["epsilons"])
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_spectrum_pole_rows_match_the_stored_reference(tmp_path, monkeypatch, capsys, branch):
+    # the stored spectrum CSVs pin the pole search, and with it the pairing
+    # at real decay rates, bit for bit; the FD oracle is left out, so only
+    # the rows it does not touch are compared
+    monkeypatch.setattr("starcoupling.experiments.oracle_eigenvalue", lambda *a, **kw: None)
+    got, ref, rungs = _spectrum_rows(tmp_path, branch, FD_FREE)
+    assert len(ref) == 1 + 3 * rungs
+    assert got == ref
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_spectrum_fd_rows_match_the_stored_reference(tmp_path, capsys, branch):
+    # the FD secular root and its error cell, byte for byte
+    got, ref, rungs = _spectrum_rows(tmp_path, branch, ("eigenvalue_fd",))
+    assert len(ref) == rungs
     assert got == ref
 
 
