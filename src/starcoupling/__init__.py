@@ -27,7 +27,6 @@ from .errors import (
     FredholmSingular,
     GridTooCoarse,
     MeanViolation,
-    MultipleSignChanges,
     QuadratureNotConverged,
     ResonantWithZeroA,
     RootSearchFailed,

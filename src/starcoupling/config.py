@@ -26,8 +26,8 @@ from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
 from .scattering import MOMENTUM_MIN
 
-#: largest admissible quadrature order: the batched pole scan holds
-#: 65 (2 order)^2 values per temporary, about 0.4 GiB at order 256 and four
+#: largest admissible quadrature order: a pairing temporary holds the
+#: (2 order)^2 values of one doubled-rule cell, 2 MiB at order 256 and four
 #: times that per doubling
 MAX_QUAD_ORDER = 256
 #: admissible kappa: far below 1e-6 the distances (~1/kappa) overflow; above

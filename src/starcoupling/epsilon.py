@@ -44,12 +44,13 @@ moves them; the branches can merge once those references are re-recorded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import AtPole, MultipleSignChanges, ZeroB
+from .errors import AtPole, QuadratureNotConverged, ZeroB
 from .graph import ScalingFunction, StarPotential, coupling_constants
 from .limit import TOL_POLE, TOL_ZERO_B, _free_kernel_grid, _positive
 from .quadrature import QuadratureRule, converged_value, merge_breaks
@@ -59,7 +60,7 @@ from .roots import brentq
 TOL_KAPPA = 1e-6
 #: bound on the pole-equation residual at a reported root
 TOL_ROOT = 1e-10
-#: intervals of the pole search's sign-change scan over its bracket
+#: intervals of the pole search's bracket, bisected for the sign change
 POLE_SCAN_SAMPLES = 64
 
 
@@ -145,20 +146,19 @@ def _cell_values(op, j, rule):
     return lambda x: table[id(x)][1] if id(x) in table else V(x)
 
 
-def _shared_in_c(op, integrals, a, rule, axes):
-    # integrals(op, c, rule) depends on a and eps only through c = a eps (with
-    # ``axes`` trailing axes for the nodes), so the potential keeps it per
-    # exact c and rule: every member and momentum meeting that c reuses it
-    c = np.asarray(a * op.eps)[(...,) + (None,) * axes]
-    key = (integrals, c.dtype.str, c.shape, c.tobytes(), rule)
+def _shared_in_c(op, integrals, a, rule):
+    # integrals(op, c, rule) depends on a and eps only through c = a eps, so
+    # the potential keeps it per exact c and rule: every member and momentum
+    # meeting that c reuses it
+    c = np.asarray(a * op.eps)
+    key = (integrals, c.dtype.str, c.tobytes(), rule)
     return op.potential.shared(key, lambda: integrals(op, c, rule))
 
 
 def _moment_residuals(op, c, rule):
     # int V_j (e^{-c v} - 1) dv per edge: the moment less its exact mean,
-    # through expm1 so that it keeps full relative precision as c -> 0;
-    # edges lead, then any momentum axes of c
-    out = np.zeros((op.n,) + c.shape[:-1], dtype=np.result_type(c, 1.0))
+    # through expm1 so that it keeps full relative precision as c -> 0
+    out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
     for j, p in enumerate(op.potential.profiles):
         if not p.is_zero():
             V = _node_values(op, j)
@@ -176,7 +176,7 @@ def _edge_moments(op, k, rule):
     """
     a = _decay_rate(k)
     return converged_value(
-        lambda r: _shared_in_c(op, _moment_residuals, a, r, 1),
+        lambda r: _shared_in_c(op, _moment_residuals, a, r),
         rule,
         rtol=1e-10,
         context="edge moments",
@@ -193,8 +193,8 @@ def _pairing_raw(op, a, rule):
     # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
     # moment sum is the exact total mean plus the expm1 residuals, so the
     # value keeps full relative precision down to c -> 0
-    diag = _shared_in_c(op, _same_edge_integrals, a, rule, 2)
-    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule, 1))
+    diag = _shared_in_c(op, _same_edge_integrals, a, rule)
+    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule))
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
 
 
@@ -236,9 +236,7 @@ def _same_edge_integrals(op, c, rule):
 def _pairing(op, k, rule):
     """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling."""
     a = _decay_rate(k)
-    return converged_value(
-        lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>", batch=True
-    )
+    return converged_value(lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>")
 
 
 def _crease_cells(op, i, u, rule):
@@ -324,10 +322,9 @@ def inner_RV_V(kappa, op):
     """The pairing <(free resolvent at -kappa^2) V_eps, V_eps> = P(i kappa).
 
     P is the module's formula, verified by order doubling in the
-    cancellation-free arrangement of ``_pairing``. ``kappa`` may be a 1-d
-    array, each value bit-equal to its scalar call.
+    cancellation-free arrangement of ``_pairing``.
     """
-    if np.any(np.asarray(kappa) <= 0):
+    if kappa <= 0:
         raise ValueError("kappa must be positive")
     return _pairing(op, 1j * kappa, op.quad)
 
@@ -419,14 +416,24 @@ def pole_asymptotic(op, cc=None):
 def find_pole(op, bracket=None):
     """Bracketed search for the unique positive root of the pole equation.
 
-    Scans the bracket at POLE_SCAN_SAMPLES intervals for sign changes first:
-    none means no pole (returns None), more than one raises
-    MultipleSignChanges since the pole is expected to be unique. The scan is
-    one batched pole-equation call, each momentum verified by order doubling
-    on its own and equal bit for bit to its scalar call; brentq then refines
-    the one bracketing pair with scalar calls. The default bracket comes from
-    the asymptotic predictor when that is positive, otherwise a coarse scan
-    of [TOL_KAPPA, 10].
+    The pole equation g(kappa) = eps^3/lambda(eps) + P(i kappa) is strictly
+    decreasing: P(i kappa) = int dmu(E)/(E + kappa^2), mu the spectral
+    measure of V_eps under the free Laplacian H0 >= 0, and P(i kappa) is
+    below ||V_eps||^2/kappa^2. So g has no root when lambda(eps) > 0 (None
+    is returned without evaluating it) and otherwise at most one, below
+    ``kappa_max``, where g < 0; it exists iff g(TOL_KAPPA) > 0.
+
+    The bracket is split into POLE_SCAN_SAMPLES intervals, and the one on
+    which g changes sign is found by bisecting the interval indices with
+    scalar calls: both ends and log2(POLE_SCAN_SAMPLES) midpoints. brentq
+    refines it, reading the ends' values already computed. When g does not
+    change sign on the bracket, or evaluating it there raises
+    QuadratureNotConverged or gives NaN, the signs of g at TOL_KAPPA and
+    kappa_max decide, and brentq searches [TOL_KAPPA, lo] or [hi, kappa_max]
+    (all of [TOL_KAPPA, kappa_max] after a raise). A NaN at TOL_KAPPA or
+    kappa_max raises QuadratureNotConverged. The default bracket comes from
+    the asymptotic predictor when that is positive, otherwise it is
+    [TOL_KAPPA, 10].
     """
     if bracket is None:
         try:
@@ -440,23 +447,52 @@ def find_pole(op, bracket=None):
     lo, hi = bracket
     if lo <= 0 or hi <= lo:
         raise ValueError("bracket endpoints must be positive and increasing")
+    if op.lambda_value > 0:
+        return None
+    values = {}
 
     def f(kappa):
-        return pole_equation(op, kappa)
+        if kappa not in values:
+            values[kappa] = pole_equation(op, kappa)
+        return values[kappa]
 
     grid = np.linspace(lo, hi, POLE_SCAN_SAMPLES + 1)
-    values = f(grid)
-    signs = np.sign(values)
-    changes = [
-        idx for idx in range(grid.size - 1) if signs[idx] != signs[idx + 1] and signs[idx] != 0
-    ]
-    if len(changes) > 1:
-        raise MultipleSignChanges(
-            f"{len(changes)} sign changes of the pole equation in {bracket}"
-        )
-    if not changes:
-        return None
-    idx = changes[0]
-    root = brentq(f, grid[idx], grid[idx + 1], xtol=1e-14, rtol=8.9e-16)
+    try:
+        g_lo, g_hi = _verified(f, grid[0]), _verified(f, grid[-1])
+        below, above = g_lo <= 0, g_hi > 0
+        a, b = 0, grid.size - 1
+        while not (below or above) and b - a > 1:
+            # g(grid[a]) > 0 >= g(grid[b])
+            mid = (a + b) // 2
+            a, b = (mid, b) if f(grid[mid]) > 0 else (a, mid)
+        a, b = grid[a], grid[b]
+    except QuadratureNotConverged:
+        below = above = True
+    if below or above:
+        # no sign change on the bracket, or no verified value there
+        top = kappa_max(op)
+        if not _verified(f, TOL_KAPPA) > 0 > _verified(f, top):
+            return None
+        a, b = (TOL_KAPPA if below else hi), (top if above else lo)
+    root = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
     residual = f(root)
     return PoleResult(kappa=float(root), eigenvalue=-float(root) ** 2, residual=residual)
+
+
+def _verified(f, kappa):
+    """f(kappa), or QuadratureNotConverged where it is NaN: the real-c
+    pairing overflows past eps kappa of about 355, and a NaN has no sign."""
+    value = f(kappa)
+    if math.isnan(value):
+        raise QuadratureNotConverged(f"<R0 V, V> is NaN at kappa = {kappa}")
+    return value
+
+
+def kappa_max(op):
+    """||V|| sqrt|lambda(eps)| / eps, above every root of the pole equation:
+    there P(i kappa) < eps ||V||^2 / kappa^2 = eps^3/|lambda(eps)|. ||V||^2 is
+    the exact sum of int V_j^2 over the edges."""
+    norm2 = op.potential.shared(
+        "squared_norm", lambda: sum(p.multiply(p).integral() for p in op.potential.profiles)
+    )
+    return math.sqrt(norm2 * abs(op.lambda_value)) / op.eps

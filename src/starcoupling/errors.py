@@ -76,12 +76,6 @@ class RootSearchFailed(StarCouplingError):
     exit_code = 3
 
 
-class MultipleSignChanges(StarCouplingError):
-    """Root bracketing found more than one sign change; pole not unique."""
-
-    exit_code = 3
-
-
 class FredholmSingular(StarCouplingError):
     """The scattering Fredholm denominator 1 - D vanished (resonance).
 

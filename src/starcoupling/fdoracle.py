@@ -35,22 +35,26 @@ between the two arithmetic routes; the eigenvalues keep the symmetric one.
 
 Each matrix is assembled once, in final form: S as CSC arrays, T by scaling
 S's data in the product order of W^{-1/2} S W^{-1/2}, and each shift written
-over the diagonal slots of one copy. The secular root factorizes T - mu I at
+over the diagonal slots of one copy. The trapezoid weights are stated once,
+in ``DiscreteStarGraph.weights``. The secular root factorizes T - mu I at
 shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern: only at the shifts
 whose value it reads, 8 to 16 per grid on the shipped spectrum ladders
-(eps >= 2^-5) with a bound state, and none without. A sign that no value
-depends on comes from ``_secular_sign``: the sign of an O(N) arrow solve
-(``_arrow_form``: one LAPACK ``dptsv`` per edge, then the vertex Schur
-complement), trusted only outside
-the margin SIGN_RTOL (1 + |c q.x|): g(-TAU_EIGEN) > 0 means no bound state,
-and g(lo) < 0 doubles the bracket end lo. Every value brentq reads, both
-bracket ends and any sign inside the margin come from SuperLU, so the
-eigenvalues are those of SuperLU alone.
+(eps >= 2^-5) with a bound state. A sign that no value depends on comes from
+``_secular_sign``: the sign of an O(N) arrow solve (``_arrow_form``) that
+needs q = W^{1/2} vbar and the grid alone, since every Dirichlet edge block
+of T is the same tridiagonal: one LAPACK ``dptsv`` with n + 1 right-hand
+sides, then the vertex Schur complement. It is trusted only outside the
+margin SIGN_RTOL (1 + |c q.x|): g(-TAU_EIGEN) > 0 means no bound state, and
+the grid is then never assembled; g(lo) < 0 doubles the bracket end lo.
+Only then is T assembled, from the potential the sign stage sampled. Every
+value brentq reads, both bracket ends and any sign inside the margin come
+from SuperLU, so the eigenvalues are those of SuperLU alone.
 SuperLU's fill-reducing column order is computed once per grid, at the
 first shift; T is then kept only as its symmetric permutation in that
-order, and each later shift is factorized in the natural order. Every
-factorization uses single-column panels: SuperLU zero-fills a panel_size x N
-workspace, which at the default of 10 set a grid's peak memory, and these
+order (inverted by scatter, q permuted once with it), and each later shift
+is factorized in the natural order. Every factorization uses single-column
+panels: SuperLU zero-fills a panel_size x N workspace, which at the default
+of 10 set a grid's peak memory, and these
 arrow matrices factor without fill, so wider panels bought no speed. The
 pivots stay on the diagonal, so the root is bit for bit that of a fresh
 default factorization at every shift (a solve of S + z W rounds its last
@@ -107,9 +111,11 @@ def splu(A, **options):
 
 
 def _diagonal_slots(A):
-    """Positions in ``A.data`` of the diagonal of a CSC matrix that stores all of it."""
+    """Positions in ``A.data`` of the diagonal of a CSC matrix that stores all
+    of it, in A's index type: the secular root keeps them through every
+    factorization, at half the size of numpy's intp."""
     columns = np.repeat(np.arange(A.shape[1], dtype=A.indices.dtype), np.diff(A.indptr))
-    return np.flatnonzero(A.indices == columns)
+    return np.flatnonzero(A.indices == columns).astype(A.indices.dtype)
 
 
 def aligned_grid(eps, L, h):
@@ -152,6 +158,18 @@ class DiscreteStarGraph:
     def m(self):
         return round(self.L / self.h)
 
+    @property
+    def vertex_weight(self):
+        """The vertex's trapezoid weight n h/2: the half cells of its n edges."""
+        return self.n * self.h / 2.0
+
+    def weights(self, p):
+        """The trapezoid weights of the vertex and of p nodes per edge, each a
+        full cell h."""
+        weights = np.full(1 + self.n * p, self.h)
+        weights[0] = self.vertex_weight
+        return weights
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:
@@ -173,18 +191,17 @@ class DiscreteOperator:
     def weighted_vector(self):
         return self.weights * self.values
 
-    def symmetrized(self):
-        """(T, q): similarity transform by diag(sqrt(w)); the full operator
-        is T + strength * q q^T, symmetric."""
+    def symmetric_stiffness(self):
+        """T = W^{-1/2} S W^{-1/2}, in CSC arrays of S's layout; the operator
+        is T + strength q q^T, q = W^{1/2} values, symmetric."""
         import scipy.sparse as sp
 
         S = self.stiffness
-        root = np.sqrt(self.weights)
-        d_inv = 1.0 / root
+        d_inv = 1.0 / np.sqrt(self.weights)
         # (d_inv[i] S_ij) d_inv[j], the product order of diag(d_inv) @ S @ diag(d_inv)
         data = d_inv[S.indices] * S.data
         data *= np.repeat(d_inv, np.diff(S.indptr))
-        return sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape), root * self.values
+        return sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
 
     def dense_plain(self):
         """The operator in plain coordinates, W^{-1}(S + c m m^T), dense."""
@@ -216,9 +233,10 @@ class DiscreteOperator:
         return base - np.multiply.outer(z, c * (mvec @ base) / denom)
 
 
-def build_discrete_operator(op, L, h, k=None):
+def build_discrete_operator(op, L, h, k=None, values=None):
     """Assemble the discretization of the family with the Dirichlet closure,
-    or with the outgoing Robin closure at momentum ``k`` when it is given."""
+    or with the outgoing Robin closure at momentum ``k`` when it is given.
+    ``values`` is the ``_sampled_potential`` when the caller has it."""
     import scipy.sparse as sp
 
     grid = DiscreteStarGraph(op.n, float(L), float(h))
@@ -240,29 +258,33 @@ def build_discrete_operator(op, L, h, k=None):
     edges[:, 1::3], edges[:, 2::3], edges[:, 3::3] = node, node[:, :-1] + 1, node[:, 1:] - 1
     diag = data[n + 1 :].reshape(n, 3 * p - 1)[:, 1::3]
     diag[:] = 2.0 * inv_h
-    weights = np.full(size, h)
-    weights[0] = n * h / 2.0
+    weights = grid.weights(p)
     if k is not None:
         diag[:, -1] = inv_h - 1j * k
         weights[p::p] = h / 2.0
     stiffness = sp.csc_matrix((data, indices, indptr), shape=(size, size))
 
-    # jumps are sampled with the one-sided mean so the trapezoid pairing
-    # stays second order
-    xs = h * np.arange(1, p + 1)
-    values = np.empty(size)
-    values[0] = sum(prof.evaluate_symmetric(0.0) / n for prof in op.potential.profiles)
-    values[1:] = np.concatenate(
-        [prof.evaluate_symmetric(xs / op.eps) for prof in op.potential.profiles]
-    )
-
     return DiscreteOperator(
         grid=grid,
         stiffness=stiffness,
         weights=weights,
-        values=values,
+        values=_sampled_potential(op, h, p) if values is None else values,
         strength=op.lambda_value / op.eps**3,
     )
+
+
+def _sampled_potential(op, h, p):
+    """The potential at the vertex and at x = h, ..., p h on each edge.
+
+    Jumps are sampled with the one-sided mean so the trapezoid pairing stays
+    second order."""
+    xs = h * np.arange(1, p + 1)
+    values = np.empty(1 + op.n * p)
+    values[0] = sum(prof.evaluate_symmetric(0.0) / op.n for prof in op.potential.profiles)
+    values[1:] = np.concatenate(
+        [prof.evaluate_symmetric(xs / op.eps) for prof in op.potential.profiles]
+    )
+    return values
 
 
 def discrete_eigenvalue(op, L, h):
@@ -273,50 +295,54 @@ def discrete_eigenvalue(op, L, h):
     function g(mu) = 1 + c q.(T - mu)^{-1} q, which is monotone there. For
     c >= 0 there is none, and the grid is not assembled.
 
-    Signs that no value depends on come from the O(N) ``_secular_sign``:
-    g(-TAU_EIGEN) > 0 (no bound state) ends the search with no
-    factorization, and g(lo) < 0 doubles the bracket end lo without one.
-    Every value brentq reads, both bracket ends and any sign inside
-    ``_secular_sign``'s margin come from SuperLU.
+    Signs that no value depends on come from the O(N) ``_secular_sign``,
+    which needs only q: g(-TAU_EIGEN) > 0 (no bound state) ends the search
+    before any assembly, and g(lo) < 0 doubles the bracket end lo. Only then
+    is T assembled, and every value brentq reads, both bracket ends and any
+    sign inside ``_secular_sign``'s margin come from SuperLU.
     """
     c = op.lambda_value / op.eps**3
     if c >= 0:
         return None
-    disc = build_discrete_operator(op, L, h)
-    T, q = disc.symmetrized()
-    del disc
-    if not np.any(q) or _secular_sign(T, q, c, -TAU_EIGEN) > 0:
+    grid = DiscreteStarGraph(op.n, float(L), float(h))
+    values = _sampled_potential(op, grid.h, grid.m - 1)
+    # q = W^{1/2} vbar, as the operator is T + c q q^T
+    q = np.sqrt(grid.weights(grid.m - 1)) * values
+    if not np.any(q) or _secular_sign(grid, q, c, -TAU_EIGEN) > 0:
         return None
     lo = -max(1.0, 4.0 * TAU_EIGEN)
-    while _secular_sign(T, q, c, lo) < 0:
+    while _secular_sign(grid, q, c, lo) < 0:
         lo = _doubled(lo)
+    T = build_discrete_operator(op, L, h, values=values).symmetric_stiffness()
+    del values
     slots = _diagonal_slots(T)
     d0 = T.data[slots]
     # g depends on mu only through the rounded diagonal of T - mu I, which
     # takes as many values as T's diagonal (a handful); brentq's last steps
     # fall below that resolution, so one matrix recurs at several shifts
     levels = np.unique(d0)
-    order = perm = None
+    order = perm = q_perm = None
     values = {}
 
     def solve(mu):
         # (T - mu)^{-1} q; the first shift fixes SuperLU's column order, and a
-        # second one inverts it and permutes T into it; the order is copied,
-        # since a view would keep the factors
-        nonlocal T, order, perm, slots, d0
+        # second one inverts it and permutes T and q into it; the order is
+        # copied, since a view would keep the factors
+        nonlocal T, order, perm, q_perm, slots, d0
         if order is None:
             T.data[slots] = d0 - mu
             lu = splu(T, panel_size=1)
             order = lu.perm_c.copy()
             return lu.solve(q)
         if perm is None:
-            perm = order.argsort()
-            T = T[perm][:, perm]
-            T.sort_indices()
-            slots, d0 = _diagonal_slots(T), d0[perm]
+            T, perm = _permuted(T, order)
+            slots, d0, q_perm = _diagonal_slots(T), d0[perm], q[perm]
         T.data[slots] = d0 - mu
+        # the factorization's workspace sets the grid's peak memory, so x is
+        # allocated after it: only q_perm is kept alive through it
+        solved = splu(T, permc_spec="NATURAL", panel_size=1).solve(q_perm)
         x = np.empty_like(q)
-        x[perm] = splu(T, permc_spec="NATURAL", panel_size=1).solve(q[perm])
+        x[perm] = solved
         return x
 
     def g(mu):
@@ -343,46 +369,63 @@ def _doubled(lo):
     return 2.0 * lo
 
 
-def _secular_sign(T, q, c, mu):
+def _permuted(T, order):
+    """(A, perm): A = T[perm][:, perm] with sorted indices, perm the inverse
+    of the permutation ``order``, formed by scatter."""
+    perm = np.empty_like(order)
+    perm[order] = np.arange(order.size, dtype=order.dtype)
+    A = T[perm][:, perm]
+    A.sort_indices()
+    return A, perm
+
+
+def _secular_sign(grid, q, c, mu):
     """Sign of g(mu) = 1 + c q.(T - mu)^{-1} q from ``_arrow_form``, or 0
     inside the margin SIGN_RTOL (1 + |c q.x|), where it is not trusted."""
-    cqx = c * _arrow_form(T, q, mu)
+    cqx = c * _arrow_form(grid, q, mu)
     g, margin = 1.0 + cqx, SIGN_RTOL * (1.0 + abs(cqx))
     return 1 if g > margin else -1 if g < -margin else 0
 
 
-def _arrow_form(T, q, mu):
-    """q.(T - mu)^{-1} q in O(N), or NaN if T - mu I is not positive definite.
+def _arrow_form(grid, q, mu):
+    """q.(T - mu)^{-1} q in O(N), T the symmetrized Dirichlet stiffness on
+    ``grid``, without assembling T; NaN if T - mu I is not positive definite.
 
     T - mu I (mu < 0) is an arrow: the vertex row and column, and one
     symmetric positive definite tridiagonal block B per edge, coupled to the
-    vertex through its first node by t_j. LAPACK ``dptsv`` solves each B for
-    the edge's slice q_j of q and for e_1; the vertex unknown then follows
-    from its scalar Schur complement s = T_00 - mu - sum t_j^2 (B^{-1})_11:
+    vertex through its first node by t. Every edge node has the weight h, so
+    B and t are the same on every edge, and one LAPACK ``dptsv`` with n + 1
+    right-hand sides solves B for each edge's slice q_j of q and for e_1;
+    the vertex unknown then follows from its scalar Schur complement
+    s = T_00 - mu - n t^2 (B^{-1})_11:
 
         q.(T - mu)^{-1} q = sum q_j.B^{-1} q_j + r^2 / s,
-        r = q_0 - sum t_j (B^{-1} q_j)_1.
+        r = q_0 - sum t (B^{-1} q_j)_1.
 
-    It rounds differently from SuperLU, so only its sign is ever used.
+    The entries are T's, formed in the product order (d_i S_ij) d_j,
+    d = W^{-1/2}, of ``symmetric_stiffness``, with the edge weight h of
+    ``DiscreteStarGraph.weights``. It rounds differently from SuperLU, so
+    only its sign is ever used.
     """
     from scipy.linalg.lapack import dptsv
 
-    # the CSC layout of build_discrete_operator: column 0 holds the vertex
-    # diagonal and the n couplings t_j, then each edge fills 3p - 1 slots
-    # (vertex, then diagonal, next and previous per node)
-    n = T.indptr[1] - 1
-    blocks = T.data[n + 1 :].reshape(n, -1)
-    p = (blocks.shape[1] + 1) // 3
-    quad, r, s = 0.0, q[0], T.data[0] - mu
-    for t, block, q_j in zip(T.data[1 : n + 1], blocks, q[1:].reshape(n, p)):
-        rhs = np.zeros((p, 2))
-        rhs[:, 0], rhs[0, 1] = q_j, 1.0
-        _, _, x, info = dptsv(block[1::3] - mu, block[2::3], rhs, overwrite_d=1, overwrite_b=1)
-        if info:
-            return math.nan
-        quad += q_j @ x[:, 0]
-        r -= t * x[0, 0]
-        s -= t * t * x[0, 1]
+    n, h, p = grid.n, grid.h, grid.m - 1
+    inv_h = 1.0 / h
+    d_vertex, d_edge = 1.0 / math.sqrt(grid.vertex_weight), 1.0 / math.sqrt(h)
+    t = d_edge * -inv_h * d_vertex
+    rhs = np.zeros((p, n + 1), order="F")
+    rhs[:, :n] = q[1:].reshape(n, p).T
+    rhs[0, n] = 1.0
+    diag = np.full(p, d_edge * (2.0 * inv_h) * d_edge - mu)
+    off = np.full(p - 1, d_edge * -inv_h * d_edge)
+    _, _, x, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info:
+        return math.nan
+    quad, r, s = 0.0, q[0], d_vertex * (n * inv_h) * d_vertex - mu
+    for j, q_j in enumerate(q[1:].reshape(n, p)):
+        quad += q_j @ x[:, j]
+        r -= t * x[0, j]
+        s -= t * t * x[0, n]
     return float(quad + r * r / s) if s > 0 else math.nan
 
 

@@ -103,7 +103,7 @@ class QuadratureRule:
     def double_integral(self, f, breaks):
         """Integral over ``breaks``^2 of a symmetric integrand that f(lo, hi)
         gives at nodes lo <= hi: f is called once per cell of ``cells``, in
-        that order, and may add leading axes, one integral each. A diagonal
+        that order. A diagonal
         cell counts its lower triangle twice: the upper one mirrors it.
         """
         total = 0.0
@@ -113,22 +113,18 @@ class QuadratureRule:
         return total
 
 
-def converged_value(compute, rule, rtol=1e-10, atol=0.0, context="", batch=False):
+def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
     """Evaluate ``compute(rule)`` and verify against the doubled order.
 
     Returns the doubled-order value, a scalar or an array; raises
     QuadratureNotConverged when the two disagree beyond ``rtol`` (relative
     to the largest magnitude) plus ``atol``, in the max-norm for arrays.
-    With ``batch`` each slice along the leading axis is checked on its own.
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    axes = tuple(range(1, np.ndim(fine))) if batch else None
-    gap = np.max(np.abs(fine - coarse), axis=axes)
-    size = np.max(np.abs(fine), axis=axes)
-    failed = np.flatnonzero(gap > rtol * size + atol)
-    if failed.size:
-        gap, size = np.ravel(gap)[failed[0]], np.ravel(size)[failed[0]]
+    gap = np.max(np.abs(fine - coarse))
+    size = np.max(np.abs(fine))
+    if gap > rtol * size + atol:
         raise QuadratureNotConverged(
             f"order {rule.order}->{2 * rule.order} changed "
             f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"

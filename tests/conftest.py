@@ -149,7 +149,7 @@ def symmetric_cell_loop(rule, f, breaks):
 def symmetric_pairing_raw(op, a, rule, double_integral=symmetric_cell_loop):
     """``epsilon._pairing_raw`` with the symmetric same-edge integrand summed
     by ``double_integral(rule, f, breaks)``, profiles evaluated in place."""
-    c = np.asarray(a * op.eps)[..., None, None]
+    c = np.asarray(a * op.eps)
     g = symmetric_same_edge_integrand(c)
     diag = 0.0
     for p in op.potential.profiles:
@@ -159,6 +159,6 @@ def symmetric_pairing_raw(op, a, rule, double_integral=symmetric_cell_loop):
                 return g(p.evaluate(x), p.evaluate(y), x, y)
 
             diag += double_integral(rule, f, p.breakpoints)
-    residuals = eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule, 1)
+    residuals = eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule)
     smoment = eps_mod._moment_sum(op, residuals)
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)

@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +11,17 @@ from scipy.optimize import brentq
 import starcoupling as sc
 from starcoupling import (
     AtPole,
-    MultipleSignChanges,
     PiecewisePolynomial,
     QuadratureNotConverged,
     StarPotential,
     ZeroB,
 )
 import starcoupling.epsilon as eps_mod
+from starcoupling.config import parse_config
 from starcoupling.quadrature import converged_value, merge_breaks
 from conftest import symmetric_same_edge_integrand
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -405,11 +410,92 @@ class TestFindPole:
         with pytest.raises(ValueError):
             sc.find_pole(op_factory(0.01), bracket=(-1.0, 1.0))
 
-    def test_multiple_sign_changes_reported(self, op_factory, monkeypatch):
-        wobble = lambda kappa, op: np.cos(5.0 * kappa)
-        monkeypatch.setattr(eps_mod, "inner_RV_V", wobble)
-        with pytest.raises(MultipleSignChanges):
-            sc.find_pole(op_factory(0.01), bracket=(0.1, 3.0))
+    @pytest.mark.parametrize("name", ["vstar_resonant_neg", "vstar_nonresonant"])
+    def test_default_search_bisects_with_scalar_calls(self, name, monkeypatch):
+        # the predictor bracket's sign change is found from its two ends and
+        # six midpoints, each a scalar call, and brentq starts from those
+        config = sc.load_config(CONFIG_DIR / f"{name}.json")
+        pole_equation, brent = eps_mod.pole_equation, eps_mod.brentq
+        calls, before_brentq = [], []
+
+        def counting(op, kappa):
+            calls.append(np.ndim(kappa))
+            return pole_equation(op, kappa)
+
+        def brentq(f, a, b, **kwargs):
+            before_brentq.append(len(calls))
+            return brent(f, a, b, **kwargs)
+
+        monkeypatch.setattr(eps_mod, "pole_equation", counting)
+        monkeypatch.setattr(eps_mod, "brentq", brentq)
+        for eps in (2**-3, 2**-5, 2**-7):
+            calls.clear()
+            before_brentq.clear()
+            op = sc.EpsOperator(config.build_potential(), config.build_scaling(), eps)
+            assert sc.find_pole(op) is not None
+            assert set(calls) == {0}
+            assert before_brentq == [8]
+
+    def test_positive_coupling_evaluates_nothing(self, vstar, monkeypatch):
+        # lambda(eps) > 0: g > 0 for every kappa, so there is nothing to search
+        lam = sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
+        op = sc.EpsOperator(potential=vstar, scaling=lam, eps=0.1)
+        monkeypatch.setattr(eps_mod, "pole_equation", None)
+        assert sc.find_pole(op) is None
+
+    @pytest.mark.parametrize(
+        "lambda1, eps, kappa",
+        [(-300.0, 0.125, 63.650), (-300.0, 0.0625, 86.686), (-30000.0, 0.125, 686.879)],
+    )
+    def test_root_below_the_predictor_bracket(self, lambda1, eps, kappa):
+        # lambda1 = -300: the predictor bracket (133.3, 534.3) lies above the
+        # root, so g(lo) <= 0, and the root is searched on [TOL_KAPPA, lo];
+        # at -30000 the bracket starts at eps kappa = 1667, where the real-c
+        # pairing overflows to NaN, and [TOL_KAPPA, kappa_max] is searched
+        raw = json.loads((CONFIG_DIR / "vstar_resonant_neg.json").read_text())
+        raw["scaling"]["lambda1"] = lambda1
+        config = parse_config(raw)
+        op = sc.EpsOperator(config.build_potential(), config.build_scaling(), eps)
+        assert 0.5 * eps_mod.pole_asymptotic(op) > kappa
+        with np.errstate(over="ignore", invalid="ignore"):
+            pole = sc.find_pole(op)
+        assert pole.kappa == pytest.approx(kappa, abs=1e-3)
+        g = lambda kappa: eps_mod.pole_equation(op, kappa)
+        assert g(pole.kappa * (1.0 - 1e-9)) > 0.0 > g(pole.kappa * (1.0 + 1e-9))
+        assert pole.kappa < eps_mod.kappa_max(op)
+
+    def test_nan_pole_equation_is_not_read_as_no_root(self):
+        # lambda1 = -1e6 at eps 0.125: the predictor bracket and kappa_max =
+        # 4000 lie past eps kappa of about 355, where the real-c pairing
+        # overflows to NaN; a NaN has no sign, so the search fails
+        raw = json.loads((CONFIG_DIR / "vstar_resonant_neg.json").read_text())
+        raw["scaling"]["lambda1"] = -1e6
+        config = parse_config(raw)
+        op = sc.EpsOperator(config.build_potential(), config.build_scaling(), 0.125)
+        assert op.eps * eps_mod.kappa_max(op) > 400.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(eps_mod.pole_equation(op, eps_mod.kappa_max(op)))
+            with pytest.raises(QuadratureNotConverged, match="NaN"):
+                sc.find_pole(op)
+
+    def test_root_above_the_predictor_bracket(self, op_factory, monkeypatch):
+        # a bracket below the root: g(hi) > 0, and the root is searched on
+        # [hi, kappa_max]; a raising bracket searches [TOL_KAPPA, kappa_max]
+        op = op_factory(2**-3)
+        # ||V||^2 = 2 for the +1, -1, 0 potential
+        assert eps_mod.kappa_max(op) == math.sqrt(2.0 * abs(op.lambda_value)) / op.eps
+        expected = sc.find_pole(op).kappa
+        assert sc.find_pole(op, bracket=(0.1, 0.5)).kappa == pytest.approx(expected, rel=1e-12)
+        pole_equation = eps_mod.pole_equation
+
+        def raising_above(op, kappa):
+            if kappa > 1.0:
+                raise QuadratureNotConverged("above the bracket")
+            return pole_equation(op, kappa)
+
+        monkeypatch.setattr(eps_mod, "pole_equation", raising_above)
+        monkeypatch.setattr(eps_mod, "kappa_max", lambda op: 1.0)
+        assert sc.find_pole(op, bracket=(0.1, 2.0)).kappa == pytest.approx(expected, rel=1e-12)
 
     def test_eigenvalue_error_halves_with_eps(self, op_factory):
         limit_ev = -64.0 / 81.0
@@ -439,7 +525,7 @@ def _drawn_cubic(seed=3):
 
 
 def _default_grid(op):
-    # find_pole's default scan grid
+    # the 65 points of find_pole's default bracket
     try:
         predicted = sc.pole_asymptotic(op)
     except ZeroB:
@@ -452,21 +538,21 @@ def _default_grid(op):
 
 
 def _scalar_search(op, grid):
-    # find_pole as a loop of scalar pole-equation calls, then the same brentq
+    # the pole search as a scan of every grid point with scalar calls, then
+    # the same brentq on the one sign change
     def f(kappa):
         return sc.pole_equation(op, kappa)
 
-    values = np.array([f(kappa) for kappa in grid])
-    signs = np.sign(values)
+    signs = np.sign([f(kappa) for kappa in grid])
     changes = [
         i for i in range(grid.size - 1) if signs[i] != signs[i + 1] and signs[i] != 0
     ]
     assert len(changes) <= 1
     if not changes:
-        return values, None
+        return None
     lo, hi = grid[changes[0]], grid[changes[0] + 1]
     root = float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    return values, sc.PoleResult(kappa=root, eigenvalue=-root**2, residual=f(root))
+    return sc.PoleResult(kappa=root, eigenvalue=-root**2, residual=f(root))
 
 
 class TestBatchedPoleScan:
@@ -475,44 +561,30 @@ class TestBatchedPoleScan:
         "potential", ["vstar", "bumpy_potential", "shifted_potential", "drawn_cubic"]
     )
     def test_scan_and_search_equal_scalar_loop(self, request, potential, branch):
-        # each momentum of the batched scan is a contiguous slice summed in
-        # the scalar call's order, so the values match bit for bit, and so
-        # does the brentq result that follows from them
+        # bisecting the grid for its one sign change hands brentq the pair
+        # that a scan of all 65 scalar values finds, so the root is the same
+        # bit for bit
         if potential == "drawn_cubic":
             V = _drawn_cubic()
         else:
             V = request.getfixturevalue(potential)
         for eps in (2**-3, 2**-4, 2**-5):
             op = sc.EpsOperator(potential=V, scaling=BRANCHES[branch], eps=eps)
-            grid = _default_grid(op)
-            values, pole = _scalar_search(op, grid)
-            batched = sc.pole_equation(op, grid)
-            assert batched.shape == grid.shape
-            assert np.array_equal(batched, values)
-            assert sc.find_pole(op) == pole
+            assert sc.find_pole(op) == _scalar_search(op, _default_grid(op))
 
     @pytest.mark.parametrize("hi, scalar_fails", [(100.0, True), (50.0, False)])
     def test_each_momentum_verified_on_its_own(self, op_factory, hi, scalar_fails):
         # at order 12 only the large-kappa end of [0.5, 100] misses the
-        # doubling tolerance, against its own |P|; measured against the
-        # batch's largest |P|, near kappa = 0.5, it would pass
+        # doubling tolerance, measured against its own |P|
         op = dataclasses.replace(op_factory(0.125), quad=sc.QuadratureRule(order=12))
-        grid = np.linspace(0.5, hi, 65)
         failed = []
-        for kappa in grid:
+        for kappa in np.linspace(0.5, hi, 65):
             try:
                 sc.inner_RV_V(kappa, op)
             except QuadratureNotConverged:
                 failed.append(kappa)
         assert bool(failed) == scalar_fails
         assert all(kappa > 0.8 * hi for kappa in failed)
-        if scalar_fails:
-            with pytest.raises(QuadratureNotConverged):
-                sc.inner_RV_V(grid, op)
-        else:
-            assert np.array_equal(
-                sc.inner_RV_V(grid, op), [sc.inner_RV_V(k, op) for k in grid]
-            )
 
 
 def _drawn_piecewise_cubic(seed=5):

@@ -103,7 +103,7 @@ class TestDiscreteOperator:
 
     def test_symmetrized_form_matches_plain(self, op_scatter):
         disc = build_discrete_operator(op_scatter, L=2.0, h=1e-2)
-        T, q = disc.symmetrized()
+        T, q = disc.symmetric_stiffness(), np.sqrt(disc.weights) * disc.values
         root = np.sqrt(disc.weights)
         sym = T.toarray() + disc.strength * np.outer(q, q)
         plain = np.diag(root) @ disc.dense_plain() @ np.diag(1.0 / root)
@@ -158,8 +158,7 @@ class TestAssemblyBitIdentity:
         expected = _coo_stiffness(n, 2.0, 1e-2, k)
         _assert_same_csc(disc.stiffness, expected)
         d_inv = sp.diags(1.0 / np.sqrt(disc.weights))
-        T, _ = disc.symmetrized()
-        _assert_same_csc(T, (d_inv @ expected @ d_inv).tocsc())
+        _assert_same_csc(disc.symmetric_stiffness(), (d_inv @ expected @ d_inv).tocsc())
 
     @pytest.mark.parametrize("shift", [4.0, -1.0])
     def test_solve_factorizes_the_assembled_shift(self, op_eig, shift, monkeypatch):
@@ -290,28 +289,58 @@ class TestOracleEigenvalue:
         assert expected is not None
         assert discrete_eigenvalue(op, L, h) == expected
 
-    def test_no_bound_state_factorizes_nothing(self, vstar, lam_pos, monkeypatch):
-        # the O(N) sign shows g(-TAU_EIGEN) > 0, so T is never factorized,
-        # and its diagonal never located for a shift
-        op = sc.EpsOperator(potential=vstar, scaling=lam_pos, eps=2**-3)
+    def test_no_bound_state_factorizes_nothing(self, monkeypatch):
+        # the O(N) sign shows g(-TAU_EIGEN) > 0 from q alone, so the grid is
+        # never assembled, T never factorized, and its diagonal never located
+        config = sc.load_config(BUNDLE_DIR / "vstar_resonant_pos.json")
+        op = sc.EpsOperator(
+            potential=config.build_potential(), scaling=config.build_scaling(), eps=2**-3
+        )
         assert op.lambda_value / op.eps**3 < 0
-        calls, slots = [], []
-        diagonal_slots = fd_mod._diagonal_slots
+        calls = []
 
-        def counting_splu(A, **kwargs):
-            calls.append(kwargs.get("permc_spec"))
-            return splu(A, **kwargs)
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
 
-        def counting_slots(A):
-            slots.append(A.shape)
-            return diagonal_slots(A)
+            monkeypatch.setattr(fd_mod, name, wrapper)
 
-        monkeypatch.setattr(fd_mod, "splu", counting_splu)
-        monkeypatch.setattr(fd_mod, "_diagonal_slots", counting_slots)
-        L, h = aligned_grid(op.eps, 10.0, 5e-3)
+        for name in ("build_discrete_operator", "splu", "_diagonal_slots"):
+            counting(name, getattr(fd_mod, name))
+        L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
         assert discrete_eigenvalue(op, L, h) is None
+        assert discrete_eigenvalue(op, L, h / 2.0) is None
         assert calls == []
-        assert slots == []
+
+    def test_bound_state_grid_samples_the_potential_once(self, op_eig, monkeypatch):
+        # the sign stage's sample is the one the grid is assembled with
+        sampled = []
+        sample = fd_mod._sampled_potential
+
+        def counting(*args):
+            sampled.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(fd_mod, "_sampled_potential", counting)
+        assert discrete_eigenvalue(op_eig, L=10.0, h=1e-2) is not None
+        assert len(sampled) == 1
+
+    def test_unbounded_secular_bracket_raises(self, op_eig, monkeypatch):
+        # a sign that stays negative doubles lo from -1 while 2 lo >= -1e12,
+        # that is to -2^39, and the next doubling raises, before any assembly
+        shifts, built = [], []
+
+        def negative(grid, q, c, mu):
+            shifts.append(mu)
+            return -1
+
+        monkeypatch.setattr(fd_mod, "_secular_sign", negative)
+        monkeypatch.setattr(fd_mod, "build_discrete_operator", lambda *args: built.append(args))
+        with pytest.raises(sc.SingularSystem, match="never changes sign"):
+            discrete_eigenvalue(op_eig, L=10.0, h=1e-2)
+        assert shifts == [-fd_mod.TAU_EIGEN] + [-(2.0**k) for k in range(40)]
+        assert built == []
 
     def test_bracket_doubling_factorizes_only_its_last_end(self, monkeypatch):
         # the eigenvalue -1.62 lies below lo = -1: the O(N) sign doubles lo
@@ -321,7 +350,7 @@ class TestOracleEigenvalue:
             potential=config.build_potential(), scaling=config.build_scaling(), eps=2**-4
         )
         L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
-        top = build_discrete_operator(op, L, h).symmetrized()[0].diagonal().max()
+        top = build_discrete_operator(op, L, h).symmetric_stiffness().diagonal().max()
         shifts = []
 
         def recording_splu(A, **kwargs):
@@ -349,8 +378,9 @@ class TestOracleEigenvalue:
 
         monkeypatch.setattr(fd_mod, "SIGN_RTOL", math.inf)
         monkeypatch.setattr(fd_mod, "splu", counting_splu)
-        T, q = build_discrete_operator(op, L, h).symmetrized()
-        assert fd_mod._secular_sign(T, q, op.lambda_value / op.eps**3, -1.0) == 0
+        disc = build_discrete_operator(op, L, h)
+        q = np.sqrt(disc.weights) * disc.values
+        assert fd_mod._secular_sign(disc.grid, q, op.lambda_value / op.eps**3, -1.0) == 0
         assert discrete_eigenvalue(op, L, h) == trusted == _fresh_factorization_root(op, L, h)
         assert calls[0] is None
         if trusted is None:
@@ -372,6 +402,23 @@ class TestOracleEigenvalue:
                 potential=config.build_potential(), scaling=config.build_scaling(), eps=eps
             )
         _check_secular_signs(op)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_permuted_matrix_is_scipys(self, op_eig, seed):
+        # the matrix SuperLU sees from the second shift on is T[perm][:, perm]
+        # with sorted indices, array for array, in SuperLU's column order or
+        # any other
+        T = build_discrete_operator(op_eig, 10.0, 1e-2).symmetric_stiffness()
+        if seed is None:
+            order = splu(T, panel_size=1).perm_c.copy()
+        else:
+            order = np.random.default_rng(seed).permutation(T.shape[0]).astype(np.int32)
+        A, perm = fd_mod._permuted(T.copy(), order)
+        np.testing.assert_array_equal(perm, order.argsort())
+        expected = T[perm][:, perm]
+        expected.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, name), getattr(expected, name))
 
     def test_secular_root_factorizes_each_matrix_once(self, op_eig, monkeypatch):
         # per grid: one default-order factorization, and no matrix T - mu I
@@ -410,14 +457,15 @@ def _check_secular_signs(op):
     if c >= 0:
         return
     L, h = aligned_grid(op.eps, 10.0, min(5e-3, op.eps / 10.0, 0.3 * op.eps**1.5))
-    T, q = build_discrete_operator(op, L, h).symmetrized()
+    disc = build_discrete_operator(op, L, h)
+    T, q = disc.symmetric_stiffness(), np.sqrt(disc.weights) * disc.values
     eye = sp.identity(T.shape[0], format="csc")
     for mu in [-fd_mod.TAU_EIGEN, -1.0, -2.0, -4.0, -8.0, -16.0]:
         cqx = c * float(q @ splu((T - mu * eye).tocsc()).solve(q))
-        fast = c * fd_mod._arrow_form(T, q, mu)
+        fast = c * fd_mod._arrow_form(disc.grid, q, mu)
         assert abs(fast - cqx) <= 1e-11 * (1.0 + abs(cqx)), (mu, fast, cqx)
         g = 1.0 + cqx
-        sign = fd_mod._secular_sign(T, q, c, mu)
+        sign = fd_mod._secular_sign(disc.grid, q, c, mu)
         assert sign in (0, np.sign(g)), (mu, g)
         if abs(g) > 1e-6 * (1.0 + abs(g - 1.0)):
             assert sign == np.sign(g), (mu, g)
@@ -425,7 +473,8 @@ def _check_secular_signs(op):
 
 def _fresh_factorization_root(op, L, h, tau_e=fd_mod.TAU_EIGEN):
     # the secular root with a fresh default SuperLU factorization per shift
-    T, q = build_discrete_operator(op, L, h).symmetrized()
+    disc = build_discrete_operator(op, L, h)
+    T, q = disc.symmetric_stiffness(), np.sqrt(disc.weights) * disc.values
     c = op.lambda_value / op.eps**3
     if c >= 0 or not np.any(q):
         return None

@@ -337,18 +337,15 @@ class TestSpectrumCommand:
                 assert [r["error"] for r in rows] == [None] * 4
 
 
-    def test_route_disagreement_is_reported(self, tmp_path):
-        # the pole search misses the root at kappa = 86.7 (below its
-        # predictor bracket), which FD finds near -7514; the CSV is as before
-        raw = _raw("vstar_resonant_neg")
-        raw["scaling"]["lambda1"] = -300.0
-        raw["epsilons"] = [0.0625]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        report = sc.cmd_spectrum(sc.load_config(path))
+    def test_route_disagreement_is_reported(self, tmp_path, monkeypatch):
+        # an FD oracle that finds no bound state where the pole search finds
+        # one: the summary says so, and the CSV is as before
+        monkeypatch.setattr(experiments, "oracle_eigenvalue", lambda op, L, h: None)
+        config = sc.load_config(write_config(tmp_path, {"epsilons": [0.0625]}))
+        report = sc.cmd_spectrum(config)
         [entry] = report.summary["per_epsilon"]
-        assert entry["kappa_root"] is None
-        assert entry["eigenvalue_fd"] == pytest.approx(-7514.26, rel=1e-4)
+        assert entry["kappa_root"] is not None
+        assert entry["eigenvalue_fd"] is None
         assert entry["bound_state_agrees"] is False
         assert [r["quantity"] for r in report.rows][1:] == [
             "kappa_predictor",
@@ -356,6 +353,23 @@ class TestSpectrumCommand:
             "eigenvalue",
             "eigenvalue_fd",
         ]
+
+    def test_root_below_the_predictor_bracket_agrees_with_fd(self, tmp_path):
+        # lambda1 = -300: the root kappa = 86.686 lies below the predictor
+        # bracket (133.3, 534.3); the pole search finds it, and FD agrees
+        raw = _raw("vstar_resonant_neg")
+        raw["scaling"]["lambda1"] = -300.0
+        raw["epsilons"] = [0.0625]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        config = sc.load_config(path)
+        report = sc.cmd_spectrum(config)
+        [entry] = report.summary["per_epsilon"]
+        assert entry["kappa_root"] == pytest.approx(86.686, abs=1e-3)
+        assert entry["eigenvalue_fd"] == pytest.approx(-7514.26, rel=1e-4)
+        assert entry["bound_state_agrees"] is True
+        rel = config.tolerances["oracle_eigenvalue_rel"]
+        assert abs(entry["eigenvalue_fd"] - entry["eigenvalue"]) <= rel * abs(entry["eigenvalue"])
 
     def test_parallel_matches_serial(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.1, 0.05]}))
@@ -585,7 +599,7 @@ class TestSharedPotentialWork:
             op = sc.EpsOperator(potential, lam_neg, eps, rule)
             return (
                 eps_mod._pairing_raw(op, a, rule),
-                eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule, 1),
+                eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule),
                 eps_mod._direct_raw(op, 0, a, xs, rule),
             )
 
@@ -1026,7 +1040,6 @@ class TestCli:
             "SingularSystem": 3,
             "AtPole": 3,
             "GridTooCoarse": 3,
-            "MultipleSignChanges": 3,
             "RootSearchFailed": 3,
             "ZeroB": 3,
         }

@@ -286,3 +286,37 @@ def test_extreme_coefficients_exit_with_a_documented_code(potential, scaling):
                             except ValueError:
                                 continue
                             assert math.isfinite(value), (command, row)
+
+
+@st.composite
+def pole_scalings(draw):
+    # lambda over decades and of either sign: resonant with lambda1, or
+    # nonresonant with lambda0 and a smaller lambda1
+    decade = lambda lo, hi: draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(lo, hi)
+    )
+    if draw(st.booleans()):
+        return sc.ScalingFunction(lambda1=decade(-2.0, 3.5), resonant=True)
+    return sc.ScalingFunction(lambda1=decade(-2.0, 2.0), resonant=False, lambda0=decade(-1.0, 3.0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    potential=potentials(),
+    scaling=pole_scalings(),
+    eps=st.sampled_from([2.0**-3, 2.0**-5]),
+)
+def test_find_pole_returns_a_root_iff_the_pole_equation_changes_sign(potential, scaling, eps):
+    # g is decreasing and negative at kappa_max when lambda < 0, so it has a
+    # root iff g(TOL_KAPPA) > 0 > g(kappa_max)
+    op = sc.EpsOperator(potential, scaling, eps)
+    top = eps_mod.kappa_max(op)
+    try:
+        low, high = (eps_mod.pole_equation(op, kappa) for kappa in (eps_mod.TOL_KAPPA, top))
+    except sc.QuadratureNotConverged:
+        assume(False)
+    assert op.lambda_value > 0 or high < 0
+    pole = sc.find_pole(op)
+    assert (pole is not None) == (low > 0 > high)
+    if pole is not None:
+        assert eps_mod.TOL_KAPPA <= pole.kappa <= top
