@@ -33,7 +33,6 @@ from .errors import (
     SingularSystem,
     StarCouplingError,
     SupportViolation,
-    ZeroB,
 )
 from .experiments import (
     cmd_constants,

@@ -50,9 +50,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AtPole, QuadratureNotConverged, ZeroB
+from .errors import AtPole, QuadratureNotConverged
 from .graph import ScalingFunction, StarPotential, coupling_constants
-from .limit import TOL_POLE, TOL_ZERO_B, _free_kernel_grid, _positive
+from .limit import TOL_POLE, _free_kernel_grid, _positive
 from .quadrature import QuadratureRule, converged_value, merge_breaks
 from .roots import brentq
 
@@ -394,7 +394,7 @@ def pole_equation(op, kappa):
     return op.eps**3 / op.lambda_value + inner_RV_V(kappa, op)
 
 
-def pole_asymptotic(op, cc=None):
+def pole_asymptotic(op):
     """Two-term predictor of the pole location, used to seed brackets.
 
     kappa_pred = (1/B) ((A - 1/lambda0)/eps + lambda1/lambda0^2); in the
@@ -404,13 +404,15 @@ def pole_asymptotic(op, cc=None):
     equation reads 1/lambda(eps) + P_1(i eps kappa) = 0 and eps kappa tends
     to the root C* of 1/lambda0 + P_1(iC) = 0 (C* = 0.0867 on
     vstar_nonresonant); (A - 1/lambda0)/B (0.0833 there) is only the
-    first-order expansion of that root in C.
+    first-order expansion of that root in C. None when B vanishes (see
+    ``CouplingConstants.B_vanishes``) or the value is not finite.
     """
-    cc = cc if cc is not None else op.constants
-    if abs(cc.B) <= TOL_ZERO_B:
-        raise ZeroB("pole predictor needs B != 0")
+    cc = op.constants
+    if cc.B_vanishes:
+        return None
     lam0 = op.lambda0
-    return ((cc.A - 1.0 / lam0) / op.eps + op.scaling.lambda1 / lam0**2) / cc.B
+    predicted = ((cc.A - 1.0 / lam0) / op.eps + op.scaling.lambda1 / lam0**2) / cc.B
+    return predicted if math.isfinite(predicted) else None
 
 
 def find_pole(op, bracket=None):
@@ -428,19 +430,16 @@ def find_pole(op, bracket=None):
     scalar calls: both ends and log2(POLE_SCAN_SAMPLES) midpoints. brentq
     refines it, reading the ends' values already computed. When g does not
     change sign on the bracket, or evaluating it there raises
-    QuadratureNotConverged or gives NaN, the signs of g at TOL_KAPPA and
-    kappa_max decide, and brentq searches [TOL_KAPPA, lo] or [hi, kappa_max]
-    (all of [TOL_KAPPA, kappa_max] after a raise). A NaN at TOL_KAPPA or
-    kappa_max raises QuadratureNotConverged. The default bracket comes from
-    the asymptotic predictor when that is positive, otherwise it is
-    [TOL_KAPPA, 10].
+    QuadratureNotConverged (as it does for a pairing that is not finite),
+    the signs of g at TOL_KAPPA and kappa_max decide, and brentq searches
+    [TOL_KAPPA, lo] or [hi, kappa_max] (all of [TOL_KAPPA, kappa_max] after
+    a raise); a raise at TOL_KAPPA or kappa_max propagates. The default
+    bracket comes from the asymptotic predictor when that is positive,
+    otherwise (negative, or None) it is [TOL_KAPPA, 10].
     """
     if bracket is None:
-        try:
-            predicted = pole_asymptotic(op)
-        except ZeroB:
-            predicted = -1.0
-        if predicted > 0:
+        predicted = pole_asymptotic(op)
+        if predicted is not None and predicted > 0:
             bracket = (max(TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0)
         else:
             bracket = (TOL_KAPPA, 10.0)
@@ -458,8 +457,7 @@ def find_pole(op, bracket=None):
 
     grid = np.linspace(lo, hi, POLE_SCAN_SAMPLES + 1)
     try:
-        g_lo, g_hi = _verified(f, grid[0]), _verified(f, grid[-1])
-        below, above = g_lo <= 0, g_hi > 0
+        below, above = f(grid[0]) <= 0, f(grid[-1]) > 0
         a, b = 0, grid.size - 1
         while not (below or above) and b - a > 1:
             # g(grid[a]) > 0 >= g(grid[b])
@@ -471,21 +469,12 @@ def find_pole(op, bracket=None):
     if below or above:
         # no sign change on the bracket, or no verified value there
         top = kappa_max(op)
-        if not _verified(f, TOL_KAPPA) > 0 > _verified(f, top):
+        if not f(TOL_KAPPA) > 0 > f(top):
             return None
         a, b = (TOL_KAPPA if below else hi), (top if above else lo)
     root = brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
     residual = f(root)
     return PoleResult(kappa=float(root), eigenvalue=-float(root) ** 2, residual=residual)
-
-
-def _verified(f, kappa):
-    """f(kappa), or QuadratureNotConverged where it is NaN: the real-c
-    pairing overflows past eps kappa of about 355, and a NaN has no sign."""
-    value = f(kappa)
-    if math.isnan(value):
-        raise QuadratureNotConverged(f"<R0 V, V> is NaN at kappa = {kappa}")
-    return value
 
 
 def kappa_max(op):

@@ -46,12 +46,6 @@ class DegenerateTheta(StarCouplingError):
     exit_code = 2
 
 
-class ZeroB(StarCouplingError):
-    """Second-moment combination B vanishes while the coupling is nontrivial."""
-
-    exit_code = 3
-
-
 class AtPole(StarCouplingError):
     """Evaluation requested at (or too close to) a resolvent pole."""
 

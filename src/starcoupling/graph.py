@@ -7,13 +7,18 @@ total mean and a scaling function lambda(eps). From them we derive
 
 * theta_i  = int_0^inf x V_i(x) dx          (first moments),
 * A        = -sum_i int int min(x,y) V_i(x) V_i(y) dx dy,
-* B        = (1/n)(sum theta)^2 - sum theta^2   (always <= 0),
-* Pi_ij    = (theta_bar - theta_i)(theta_bar - theta_j)  (rank <= 1, PSD),
+* B        = -|p|^2, p_i = theta_bar - theta_i   (always <= 0),
+* Pi_ij    = p_i p_j                              (rank <= 1, PSD),
 * beta     = 1/(lambda_1 A^2) in the resonant case, 0 otherwise,
 
 and the boundary matrices of the limit vertex condition
 ``Amat psi(0) + Bmat psi'(0) = 0``. All of these are closed-form in the
 piecewise-polynomial representation; no quadrature enters.
+
+B vanishes exactly when every theta_i is equal: then Pi = 0 and the limit
+coupling is plain Kirchhoff, with no eigenvalue and no pole. B counts as
+vanishing when -B <= TOL_THETA_TIE^2 sum theta_i^2, a rule relative to the
+moments' size that also covers an exact or underflowed zero.
 """
 
 from __future__ import annotations
@@ -167,6 +172,12 @@ class CouplingConstants:
     def n(self):
         return self.theta.size
 
+    @property
+    def B_vanishes(self):
+        """True when every theta_i is equal up to TOL_THETA_TIE: Pi is then
+        negligible and the limit coupling is Kirchhoff, without a pole."""
+        return -self.B <= TOL_THETA_TIE**2 * float(np.sum(self.theta**2))
+
 
 @dataclass(frozen=True)
 class BoundaryPair:
@@ -228,12 +239,10 @@ def constant_A(potential):
 
 
 def constants_B_Pi(theta):
-    """B and the rank-one matrix Pi from the first moments."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    B = (theta.sum() ** 2) / n - np.sum(theta**2)
-    p = theta.mean() - theta
-    return float(B), np.outer(p, p)
+    """B = -|p|^2 and the rank-one matrix Pi = p p^T, p = theta_bar - theta:
+    formed from p, B does not cancel when the moments nearly tie."""
+    p = np.mean(theta) - np.asarray(theta, dtype=float)
+    return -float(np.sum(p**2)), np.outer(p, p)
 
 
 def coupling_beta(scaling, A):

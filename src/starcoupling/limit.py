@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtPole, SingularSystem, ZeroB
+from .errors import AtPole, SingularSystem
 from .graph import CouplingConstants
 
 #: a rank-one denominator (1 - kappa beta B here, eps^3/lambda + <R0 V, V>
 #: relative to the sum of its terms' sizes in ``epsilon.zeta``) this close
 #: to zero is "at the pole"
 TOL_POLE = 1e-12
-#: |B| below this is treated as vanishing for spectral formulas
-TOL_ZERO_B = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,11 +141,10 @@ def lambda_matrix_direct(kappa, bp):
 
 
 def limit_point_spectrum(cc):
-    """The single negative eigenvalue -1/(beta B)^2 for beta < 0, else None."""
-    if cc.beta >= 0:
+    """The single negative eigenvalue -1/(beta B)^2 for beta < 0; None when
+    beta >= 0 or B vanishes (the Kirchhoff limit)."""
+    if cc.beta >= 0 or cc.B_vanishes:
         return None
-    if abs(cc.B) <= TOL_ZERO_B:
-        raise ZeroB("point spectrum formula needs B != 0")
     return -1.0 / (cc.beta * cc.B) ** 2
 
 
@@ -156,12 +153,10 @@ def limit_pole(cc):
 
     Returns (kappa, "bound") for a true eigenvalue (kappa > 0) or
     (kappa, "antibound") for the resonance on the other half-axis; None
-    when beta = 0.
+    when beta = 0 or B vanishes (the Kirchhoff limit).
     """
-    if cc.beta == 0:
+    if cc.beta == 0 or cc.B_vanishes:
         return None
-    if abs(cc.B) <= TOL_ZERO_B:
-        raise ZeroB("pole formula needs B != 0")
     kappa = 1.0 / (cc.beta * cc.B)
     return kappa, ("bound" if kappa > 0 else "antibound")
 

@@ -9,6 +9,7 @@ spectral accuracy of the tensor rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -70,12 +71,8 @@ class QuadratureRule:
         return a + (b - a) * x, (b - a) * w
 
     def integrate(self, f, breaks):
-        """Integral of a vectorized f over the cells of ``breaks``, per leading axis.
-
-        ``breaks`` may be 2-d, one row of cell edges per integral; f then
-        gets one row of nodes per row of ``breaks``.
-        """
-        edges = np.asarray(breaks, dtype=float).T[..., None]
+        """Integral of a vectorized f over the cells of the 1-d ``breaks``."""
+        edges = np.asarray(breaks, dtype=float)[:, None]
         nodes, weights = self.points(edges[:-1], edges[1:])
         total = 0.0
         for x, w in zip(nodes, weights):
@@ -118,12 +115,20 @@ def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
 
     Returns the doubled-order value, a scalar or an array; raises
     QuadratureNotConverged when the two disagree beyond ``rtol`` (relative
-    to the largest magnitude) plus ``atol``, in the max-norm for arrays.
+    to the largest magnitude) plus ``atol``, in the max-norm for arrays, or
+    when either is not finite: a NaN fails every comparison and an infinite
+    size admits any gap, so the gap must be finite first, and is formed only
+    from a finite fine value (inf - inf would warn).
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    gap = np.max(np.abs(fine - coarse))
     size = np.max(np.abs(fine))
+    gap = np.max(np.abs(fine - coarse)) if math.isfinite(size) else size
+    if not math.isfinite(gap):
+        raise QuadratureNotConverged(
+            f"{context or 'integral'} or its change from order {rule.order} "
+            f"to {2 * rule.order} is not finite"
+        )
     if gap > rtol * size + atol:
         raise QuadratureNotConverged(
             f"order {rule.order}->{2 * rule.order} changed "

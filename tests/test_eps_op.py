@@ -14,7 +14,6 @@ from starcoupling import (
     PiecewisePolynomial,
     QuadratureNotConverged,
     StarPotential,
-    ZeroB,
 )
 import starcoupling.epsilon as eps_mod
 from starcoupling.config import parse_config
@@ -467,15 +466,17 @@ class TestFindPole:
     def test_nan_pole_equation_is_not_read_as_no_root(self):
         # lambda1 = -1e6 at eps 0.125: the predictor bracket and kappa_max =
         # 4000 lie past eps kappa of about 355, where the real-c pairing
-        # overflows to NaN; a NaN has no sign, so the search fails
+        # overflows to NaN; the order-doubling check refuses a value that
+        # is not finite, so the search fails
         raw = json.loads((CONFIG_DIR / "vstar_resonant_neg.json").read_text())
         raw["scaling"]["lambda1"] = -1e6
         config = parse_config(raw)
         op = sc.EpsOperator(config.build_potential(), config.build_scaling(), 0.125)
         assert op.eps * eps_mod.kappa_max(op) > 400.0
         with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(eps_mod.pole_equation(op, eps_mod.kappa_max(op)))
-            with pytest.raises(QuadratureNotConverged, match="NaN"):
+            with pytest.raises(QuadratureNotConverged, match="not finite"):
+                eps_mod.pole_equation(op, eps_mod.kappa_max(op))
+            with pytest.raises(QuadratureNotConverged, match="not finite"):
                 sc.find_pole(op)
 
     def test_root_above_the_predictor_bracket(self, op_factory, monkeypatch):
@@ -526,11 +527,8 @@ def _drawn_cubic(seed=3):
 
 def _default_grid(op):
     # the 65 points of find_pole's default bracket
-    try:
-        predicted = sc.pole_asymptotic(op)
-    except ZeroB:
-        predicted = -1.0
-    if predicted > 0:
+    predicted = sc.pole_asymptotic(op)
+    if predicted is not None and predicted > 0:
         lo, hi = max(eps_mod.TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0
     else:
         lo, hi = eps_mod.TOL_KAPPA, 10.0
@@ -673,13 +671,24 @@ class TestPoleAsymptotic:
         op = sc.EpsOperator(potential=vstar, scaling=lam, eps=0.05)
         assert sc.pole_asymptotic(op) > 0
 
-    def test_zero_B_guard(self, lam_neg):
-        # equal first moments on both active edges: B = 0 but A != 0
+    def test_vanishing_B_gives_no_predictor(self, lam_neg):
+        # equal first moments on both active edges: B = 0 but A != 0, the
+        # Kirchhoff limit; the pole search falls back to [TOL_KAPPA, 10]
         same = PiecewisePolynomial.constant(1.0)
         balanced = PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [-7.0, 12.0])])
         V = StarPotential([same, balanced])
         theta = sc.moments_theta(V)
         assert abs(theta[0] - theta[1]) < 1e-12
         op = sc.EpsOperator(potential=V, scaling=lam_neg, eps=0.1)
-        with pytest.raises(ZeroB):
-            sc.pole_asymptotic(op)
+        assert op.constants.B_vanishes
+        assert sc.pole_asymptotic(op) is None
+        assert sc.find_pole(op) == sc.find_pole(op, bracket=(eps_mod.TOL_KAPPA, 10.0))
+
+    def test_predictor_that_is_not_finite_is_none(self):
+        # size 1e-100 under lambda0 = -1e-54, lambda1 = -1: lambda1/lambda0^2
+        # = -1e108 over B = -0.5e-200 overflows to inf, which is no bracket
+        V = StarPotential.from_constants([1e-100, -1e-100, 0.0])
+        lam = sc.ScalingFunction(lambda1=-1.0, resonant=False, lambda0=-1e-54)
+        op = sc.EpsOperator(potential=V, scaling=lam, eps=0.125)
+        assert not op.constants.B_vanishes
+        assert sc.pole_asymptotic(op) is None

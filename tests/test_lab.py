@@ -1,5 +1,6 @@
 import ast
 import copy
+import csv
 import inspect
 import json
 import math
@@ -369,6 +370,30 @@ class TestSpectrumCommand:
         assert entry["eigenvalue_fd"] == pytest.approx(-7514.26, rel=1e-4)
         assert entry["bound_state_agrees"] is True
         rel = config.tolerances["oracle_eigenvalue_rel"]
+        assert abs(entry["eigenvalue_fd"] - entry["eigenvalue"]) <= rel * abs(entry["eigenvalue"])
+
+    def test_tied_moments_run_as_the_kirchhoff_limit(self, tmp_path):
+        # theta = 0.5 on every edge: B = 0, so there is no limit eigenvalue
+        # and no predictor, yet the finite-eps operator has a bound state,
+        # which the pole search on [TOL_KAPPA, 10] and FD both find
+        potential = [
+            [{"interval": [0.0, 1.0], "coeffs": [1.0]}],
+            [{"interval": [0.0, 1.0], "coeffs": [-7.0, 12.0]}],
+            [{"interval": [0.0, 1.0], "coeffs": [-3.0, 6.0]}],
+        ]
+        scaling = {"resonant": False, "lambda0": -1.6, "lambda1": 0.1}
+        cfg = write_config(
+            tmp_path, {"potential": potential, "scaling": scaling, "epsilons": [0.125]}
+        )
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = {r[0]: r for r in csv.reader((out / "spectrum.csv").open())}
+        assert rows["eigenvalue_limit"][4] == ""
+        assert rows["kappa_predictor"][4] == ""
+        [entry] = json.loads((out / "spectrum_summary.json").read_text())["per_epsilon"]
+        assert entry["kappa_root"] == pytest.approx(21.205, abs=1e-3)
+        assert entry["bound_state_agrees"] is True
+        rel = sc.load_config(cfg).tolerances["oracle_eigenvalue_rel"]
         assert abs(entry["eigenvalue_fd"] - entry["eigenvalue"]) <= rel * abs(entry["eigenvalue"])
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -1041,7 +1066,6 @@ class TestCli:
             "AtPole": 3,
             "GridTooCoarse": 3,
             "RootSearchFailed": 3,
-            "ZeroB": 3,
         }
         classes, stack = [], [sc.StarCouplingError]
         while stack:

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
-from starcoupling import AtPole, SingularSystem, ZeroB
+from starcoupling import AtPole, SingularSystem
 from conftest import coefficient, distinct_theta
 
 
@@ -162,12 +162,31 @@ class TestLimitSpectrum:
         cc = sc.coupling_constants(vstar, free_scaling)
         assert sc.limit_point_spectrum(cc) is None
 
-    def test_zero_B_guard(self):
-        cc = sc.CouplingConstants(
-            theta=np.array([1.0, 1.0]), A=0.0, B=0.0, Pi=np.zeros((2, 2)), beta=-1.0
-        )
-        with pytest.raises(ZeroB):
-            sc.limit_point_spectrum(cc)
+    def test_vanishing_B_is_the_kirchhoff_limit(self):
+        # equal first moments: Pi = 0 and the coupling is Kirchhoff, without
+        # an eigenvalue or a pole, however small the moments are
+        for scale in (1.0, 2.0**-600):
+            theta = np.array([1.0, 1.0]) * scale
+            B, Pi = sc.constants_B_Pi(theta)
+            cc = sc.CouplingConstants(theta=theta, A=-1.0, B=B, Pi=Pi, beta=-1.0)
+            assert B == 0.0 and cc.B_vanishes
+            assert sc.limit_point_spectrum(cc) is None
+            assert sc.limit_pole(cc) is None
+
+    def test_vanishing_rule_is_relative_to_the_moments(self, cc_neg):
+        # B scales like theta^2, so the rule reads the same at any scale
+        for scale in (2.0**-40, 1.0, 2.0**40):
+            theta = cc_neg.theta * scale
+            B, Pi = sc.constants_B_Pi(theta)
+            cc = sc.CouplingConstants(theta=theta, A=cc_neg.A, B=B, Pi=Pi, beta=cc_neg.beta)
+            assert not cc.B_vanishes
+        # a relative split of 1e-12 is a tie, one of 1e-8 is not
+        for split, vanishes in ((1e-12, True), (1e-8, False)):
+            theta = np.array([0.5, 0.5 * (1.0 + split), 0.5])
+            B, Pi = sc.constants_B_Pi(theta)
+            assert B < 0.0
+            cc = sc.CouplingConstants(theta=theta, A=-1.0, B=B, Pi=Pi, beta=-1.0)
+            assert cc.B_vanishes == vanishes
 
 
 class TestLimitPole:
@@ -286,9 +305,8 @@ def test_two_edges_give_the_delta_prime_line(potential, lambda1, k):
     b = cc.beta * (theta_1 - theta_2) ** 2
     half = 0.5j * k * b
     expected = np.array([[-half, 1.0], [1.0, -half]]) / (1.0 - half)
-    # B is formed as (sum theta)^2/n - sum theta^2, so its relative rounding
-    # grows like |theta|^2/(theta_1 - theta_2)^2 near a tie
-    tol = 1e-14 * (1.0 + (theta_1**2 + theta_2**2) / (theta_1 - theta_2) ** 2)
+    # B = -|theta_bar - theta|^2 does not cancel near a tie
+    tol = 1e-14
     assert np.max(np.abs(sc.smatrix_limit(k, cc).entries - expected)) <= tol
     eigenvalue = sc.limit_point_spectrum(cc)
     if b < 0:

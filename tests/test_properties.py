@@ -195,6 +195,12 @@ def _config(scaling, size, epsilons):
     }
 
 
+# the real-c pairing overflows past eps kappa of about 355 and gives NaN,
+# which the order-doubling check refuses (exit 3)
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in expm1:RuntimeWarning",
+    "ignore:invalid value encountered in multiply:RuntimeWarning",
+)
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(scaling=extreme_scalings(), size=st.sampled_from([1.0, 1e-100]))
 def test_extreme_scalings_exit_with_a_documented_code(scaling, size):

@@ -179,3 +179,19 @@ def test_converged_value_checks_arrays_in_max_norm():
     converged_value(compute(1e-3, 0.0), QuadratureRule(order=8))
     with pytest.raises(QuadratureNotConverged):
         converged_value(compute(0.0, 1e-6), QuadratureRule(order=8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("orders", [{8}, {16}, {8, 16}])
+def test_converged_value_refuses_values_that_are_not_finite(bad, orders):
+    # NaN fails every comparison and an inf/finite pair gives inf <= inf, so
+    # neither would read as a disagreement; a scalar and one array entry
+    def scalar(rule):
+        return bad if rule.order in orders else 1.0
+
+    def array(rule):
+        return np.array([1.0, scalar(rule), 2.0 + 1j])
+
+    for compute in (scalar, array):
+        with pytest.raises(QuadratureNotConverged, match="not finite"):
+            converged_value(compute, QuadratureRule(order=8), context="test")
