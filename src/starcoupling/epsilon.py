@@ -33,17 +33,24 @@ as predictors used to seed brackets and to cross-check rates, never as the
 computation itself.
 
 The same-edge part of P is integrated in the cancellation-free form
-V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo), c = -ik eps, on the ordered nodes
-lo <= hi of ``double_integral``. At real k it is the real product of sines
-2 sin(theta lo) (sin(theta hi) - i cos(theta hi)), theta = k eps, with the hi
-factors on hi's own row or column; any other c keeps the complex exp/expm1
-form verbatim. That branch is pinned: the stored spectrum references hold
-the pole search, which runs at real c, bit for bit, and a sinh form there
-moves them; the branches can merge once those references are re-recorded.
+V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo), c = -ik eps, lo <= hi. At real k it
+is 2 sin(theta lo) (sin(theta hi) - i cos(theta hi)), theta = k eps, a
+function of hi times a function of lo, so ``_same_edge_sweep`` integrates
+it as a running integral over each edge's cells: 2m trig values per cell
+of m nodes, where the 2-d triangle rule of ``double_integral`` takes
+m^2 + 2m. Any other c keeps that 2-d rule on the complex exp/expm1 form
+verbatim. That branch is pinned: the stored spectrum references hold the
+pole search, which runs at real c, bit for bit, and any other form there
+moves them; once they are re-recorded, the real-c form
+e^{-c hi} V e^{-c lo} expm1(2c lo) can be swept the same way. The pairing
+is formed from the profiles times a power of two near the inverse of the
+potential's size (``_scale``), so its order-doubling check never compares
+subnormal values, and is scaled back after the check.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,9 +58,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AtPole, QuadratureNotConverged
-from .graph import ScalingFunction, StarPotential, coupling_constants
+from .graph import ScalingFunction, StarPotential, _size, coupling_constants
 from .limit import TOL_POLE, _free_kernel_grid, _positive
-from .quadrature import QuadratureRule, converged_value, merge_breaks
+from .quadrature import QuadratureRule, _running01, converged_value, merge_breaks
 from .roots import brentq
 
 #: smallest momentum considered by the pole search
@@ -134,6 +141,20 @@ def _node_values(op, j):
     )
 
 
+def _scale(op):
+    # 2^-e, e the binary exponent of the potential's size (``graph._size``),
+    # |e| <= 511 so that the scale and its square are normal numbers: the
+    # pairing is integrated from profile values times 2^-e and multiplied by
+    # 2^{2e} after its check, so it does not underflow for a small
+    # potential; a power of two scales every product exactly, so for a
+    # potential in the normal range the bits do not change
+    def build():
+        e = math.frexp(_size(op.potential))[1]
+        return 2.0 ** -min(max(e, -511), 511)
+
+    return op.potential.shared("scale", build)
+
+
 def _cell_values(op, j, rule):
     # profile j at the node arrays of ``rule.cells`` on edge j, keyed by id:
     # the table keeps each array alive, so no other shares its id; nodes it
@@ -192,51 +213,102 @@ def _pairing_raw(op, a, rule):
     # cancellation-free arrangement of the bracket: the same-edge difference
     # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
     # moment sum is the exact total mean plus the expm1 residuals, so the
-    # value keeps full relative precision down to c -> 0
+    # value keeps full relative precision down to c -> 0; both parts are
+    # formed from the profiles times _scale, so the value is P times scale^2
     diag = _shared_in_c(op, _same_edge_integrals, a, rule)
-    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule))
+    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule)) * _scale(op)
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
 
 
 def _same_edge_integrand(c):
     """V(lo) V(hi) e^{-c(lo+hi)} expm1(2c lo) as g(Vlo, Vhi, lo, hi), from
-    the nodes lo <= hi of ``double_integral`` and the profile values there.
-
-    At real k, c = -i theta is purely imaginary and the product is
-    2 sin(theta lo) (sin(theta hi) - i cos(theta hi)): a product of sines,
-    free of cancellation, in real arithmetic, with theta hi on hi's own row
-    or column, so an m x m cell takes m^2 + 2m trig values where the complex
-    form takes a complex exp and expm1. Any other c (real on the resolvent
-    side) keeps the complex form.
-    """
-    if np.iscomplexobj(c) and not np.any(c.real):
-        theta = -c.imag
-
-        def real_k(Vlo, Vhi, lo, hi):
-            s = Vlo * Vhi * (2.0 * np.sin(theta * lo))
-            out = np.empty(s.shape, dtype=complex)
-            np.multiply(s, np.sin(theta * hi), out=out.real)
-            np.multiply(s, np.negative(np.cos(theta * hi)), out=out.imag)
-            return out
-
-        return real_k
+    the nodes lo <= hi of ``double_integral`` and the profile values there:
+    the same-edge integrand at any c that is not purely imaginary."""
     return lambda Vlo, Vhi, lo, hi: Vlo * Vhi * np.exp(-c * (lo + hi)) * np.expm1(2.0 * c * lo)
 
 
 def _same_edge_integrals(op, c, rule):
+    # sum_j II V_j V_j e^{-c(u+v)} expm1(2c min(u,v)) du dv times scale^2:
+    # by the running-integral sweep at real k, by the 2-d rule of
+    # ``double_integral`` at any other c, with V(hi) times scale^2, which
+    # scales each product of the integrand exactly
+    if np.iscomplexobj(c) and not np.any(c.real):
+        return _same_edge_sweep(op, -c.imag, rule)
     diag = 0.0
-    g = _same_edge_integrand(c)
+    g, square = _same_edge_integrand(c), _scale(op) ** 2
     for j, p in enumerate(op.potential.profiles):
         if not p.is_zero():
             V = _cell_values(op, j, rule)
-            diag += rule.double_integral(lambda lo, hi: g(V(lo), V(hi), lo, hi), p.breakpoints)
+            diag += rule.double_integral(
+                lambda lo, hi: g(V(lo), V(hi) * square, lo, hi), p.breakpoints
+            )
     return diag
 
 
+def _same_edge_sweep(op, theta, rule):
+    """The same-edge integrals at real k, c = -i theta, as running integrals.
+
+    There the integrand is 2 sin(theta lo) (sin(theta hi) - i cos(theta hi)),
+    so each edge's integral is 2 int V(u) (sin(theta u) - i cos(theta u)) C(u) du
+    with C(u) = int_{v<u} G, G = 2 V sin(theta v). Swept over an edge's cells
+    from left to right, C at a cell's nodes is the integral of G over the
+    cells before it plus h (Q @ G), Q the running-integral matrix of the
+    rule's order: 2m trig values per cell of m nodes, where the 2-d rule
+    takes m^2 + 2m on a diagonal cell and m^2 on every pair of cells. All
+    cells of all edges are one array (``_sweep_cells``).
+    """
+    x, w, h, V2, wV, left = _sweep_cells(op, rule)
+    t = theta * x
+    s, co = np.sin(t), np.cos(t)
+    G = V2 * s
+    C = (left @ np.sum(w * G, axis=1))[:, None] + h * (G @ _running01(rule.order).T)
+    F = (wV * C).ravel()
+    return 2.0 * complex(F @ s.ravel(), -(F @ co.ravel()))
+
+
+def _sweep_cells(op, rule):
+    # every supported edge's cells, one row each: the nodes x, weights w and
+    # widths h of ``rule.cell_points``, 2V and wV for the profile V times
+    # _scale at x, read through _node_values (the moments' rows, so no node
+    # array is evaluated twice), and left[i, l] = 1 where cell l lies left
+    # of cell i on the same edge; none of it depends on eps or the momentum
+    def build():
+        x, w, h, V, edge = [], [], [], [], []
+        for j, p in enumerate(op.potential.profiles):
+            if not p.is_zero():
+                nodes, weights = rule.cell_points(p.breakpoints)
+                x.extend(nodes)
+                w.extend(weights)
+                h.extend(np.diff(p.breakpoints))
+                V.extend(map(_node_values(op, j), nodes))
+                edge.extend([j] * len(nodes))
+        m = rule.order
+        x, w = np.reshape(x, (-1, m)), np.reshape(w, (-1, m))
+        V = np.reshape(V, (-1, m)) * _scale(op)
+        edge, cell = np.array(edge), np.arange(len(edge))
+        left = (edge[:, None] == edge[None, :]) & (cell[None, :] < cell[:, None])
+        cells = (x, w, np.reshape(h, (-1, 1)), 2.0 * V, w * V, left.astype(float))
+        for arr in cells:
+            arr.setflags(write=False)
+        return cells
+
+    return op.potential.shared((_sweep_cells, rule), build)
+
+
 def _pairing(op, k, rule):
-    """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling."""
+    """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling.
+
+    The check runs on the value formed from the profiles times _scale, where
+    it cannot underflow; P is that value divided by scale^2, and raises
+    QuadratureNotConverged when it is not finite.
+    """
     a = _decay_rate(k)
-    return converged_value(lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>")
+    scale = _scale(op)
+    value = converged_value(lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>")
+    value = value / scale / scale
+    if not cmath.isfinite(value):
+        raise QuadratureNotConverged("<R0 V, V> is not finite at the potential's scale")
+    return value
 
 
 def _crease_cells(op, i, u, rule):

@@ -4,7 +4,9 @@ The double integrals all live on [0,1]^2 after rescaling and carry
 integrands that are analytic per cell except for a crease along x = y.
 Cells on the diagonal are therefore split into two triangles, each mapped
 to the unit square (x = s, y = s*t and its mirror image), which restores
-spectral accuracy of the tensor rule.
+spectral accuracy of the tensor rule. A double integral whose integrand
+is separable on each triangle is instead a 1-d running integral, taken at
+a cell's nodes with the matrix of ``_running01``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,22 @@ from .errors import QuadratureNotConverged
 def _gauss01(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+@lru_cache(maxsize=None)
+def _running01(order):
+    # Q[i, j] = int_0^{x_i} l_j for the Lagrange basis l_j on the order's
+    # nodes x in [0, 1], so that a + h x_i -> h (Q @ f)_i is the running
+    # integral of the interpolant of f over a cell [a, a + h]. With t = 2x - 1,
+    # l_j = w_j sum_{k<m} (2k+1) P_k(t_j) P_k(t) (discrete orthogonality of
+    # Gauss-Legendre), and (2k+1) int_0^x P_k(2s-1) ds = (P_{k+1} - P_{k-1})(t)/2
+    # with P_{-1} = -1
+    x, w = _gauss01(order)
+    P = np.polynomial.legendre.legvander(2.0 * x - 1.0, order)
+    J = 0.5 * (P[:, 1:] - np.hstack([-P[:, :1], P[:, : order - 1]]))
+    Q = J @ (w[:, None] * P[:, :order]).T
+    Q.setflags(write=False)
+    return Q
 
 
 @lru_cache(maxsize=64)
@@ -70,12 +88,16 @@ class QuadratureRule:
         x, w = _gauss01(self.order)
         return a + (b - a) * x, (b - a) * w
 
+    def cell_points(self, breaks):
+        """The rule's nodes and weights on each cell of the 1-d ``breaks``,
+        one row per cell."""
+        edges = np.asarray(breaks, dtype=float)[:, None]
+        return self.points(edges[:-1], edges[1:])
+
     def integrate(self, f, breaks):
         """Integral of a vectorized f over the cells of the 1-d ``breaks``."""
-        edges = np.asarray(breaks, dtype=float)[:, None]
-        nodes, weights = self.points(edges[:-1], edges[1:])
         total = 0.0
-        for x, w in zip(nodes, weights):
+        for x, w in zip(*self.cell_points(breaks)):
             total = total + np.sum(w * f(x), axis=-1)
         return total
 

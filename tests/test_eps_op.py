@@ -18,7 +18,6 @@ from starcoupling import (
 import starcoupling.epsilon as eps_mod
 from starcoupling.config import parse_config
 from starcoupling.quadrature import converged_value, merge_breaks
-from conftest import symmetric_same_edge_integrand
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,7 +112,9 @@ class TestInnerRVV:
     def test_node_values_match_direct_evaluation(self, request, potential, lam_neg):
         # the pairing, D and the edge moments read the profiles from a table
         # of node values; evaluating them inside the integrand, in the same
-        # products, must give the same bits at every momentum
+        # products, must give the same bits at real c and for the moments.
+        # D at real k is the running-integral sweep: the 2-d rule on the
+        # complex form, profiles evaluated in place, agrees to rounding
         op = sc.EpsOperator(
             potential=request.getfixturevalue(potential), scaling=lam_neg, eps=0.1
         )
@@ -123,8 +124,10 @@ class TestInnerRVV:
             direct = converged_value(lambda r: _direct_pairing(op, kappa, r), rule)
             assert sc.inner_RV_V(kappa, op) == direct
         for k in (0.5, 5.0):
-            direct = converged_value(lambda r: _direct_pairing(op, -1j * k, r), rule)
-            assert sc.fredholm_D_direct(op, k) == -strength * direct
+            direct = -strength * converged_value(
+                lambda r: _direct_pairing(op, -1j * k, r), rule
+            )
+            assert abs(sc.fredholm_D_direct(op, k) - direct) <= 1e-13 * abs(direct)
         for k, a in ((0.7j, 0.7), (3.0j, 3.0), (0.5, -0.5j), (5.0, -5.0j)):
             direct = converged_value(lambda r: _direct_moments(op, a, r), rule)
             assert np.array_equal(eps_mod._edge_moments(op, k, rule), direct)
@@ -142,8 +145,7 @@ def _direct_moments(op, a, rule):
 
 def _direct_pairing(op, a, rule):
     # the pairing bracket at decay rate a, profiles evaluated in the
-    # integrand; the same-edge integrand is the one the pairing takes at
-    # this kind of momentum (TestSameEdgeIntegrand pins both kinds)
+    # integrand of the 2-d rule, which the pairing takes at real c
     c = a * op.eps
     g = eps_mod._same_edge_integrand(c)
     diag = 0.0
@@ -171,24 +173,6 @@ class TestSameEdgeIntegrand:
     def _complex_form(c, Vx, Vy, x, y):
         return Vx * Vy * np.exp(-c * (x + y)) * np.expm1(2.0 * c * np.minimum(x, y))
 
-    @pytest.mark.parametrize("theta", np.geomspace(1e-4, 20.0, 13))
-    def test_real_k_matches_the_complex_form(self, bumpy_potential, theta):
-        # at real k, c = -i theta and the integrand is evaluated in real
-        # arithmetic; it must agree with the complex exp/expm1 form per node
-        # and equal the symmetric min/max form it replaced, taken at (x, y)
-        # and at (y, x), bit for bit
-        p = bumpy_potential.profiles[0]
-        c = np.array([[-1j * theta]])
-        g = eps_mod._same_edge_integrand(c)
-        symmetric = symmetric_same_edge_integrand(c)
-        for lo, hi in self._cells(sc.QuadratureRule(order=32)):
-            Vlo, Vhi = p.evaluate(lo), p.evaluate(hi)
-            got = g(Vlo, Vhi, lo, hi)
-            want = self._complex_form(c, Vlo, Vhi, lo, hi)
-            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-            assert np.array_equal(got, symmetric(Vlo, Vhi, lo, hi))
-            assert np.array_equal(got, symmetric(Vhi, Vlo, hi, lo))
-
     @pytest.mark.parametrize("c", [0.3, 2.0, 0.2 - 0.5j, -0.1 + 1j])
     def test_other_c_keeps_the_complex_form(self, bumpy_potential, c):
         # real c (the resolvent) and c with both parts nonzero keep the
@@ -203,11 +187,33 @@ class TestSameEdgeIntegrand:
             assert np.array_equal(got, self._complex_form(c, Vlo, Vhi, lo, hi))
             assert np.array_equal(got, self._complex_form(c, Vhi, Vlo, hi, lo))
 
+    @pytest.mark.parametrize("theta", np.geomspace(1e-4, 20.0, 13))
+    def test_real_k_sweep_matches_the_complex_form(self, lam_neg, bumpy_potential, theta):
+        # at real k, c = -i theta, the same-edge integrals are running
+        # integrals swept over the cells; the 2-d rule on the complex
+        # exp/expm1 form, with the profiles evaluated in place, agrees to
+        # rounding at each of the two orders the check compares
+        op = sc.EpsOperator(bumpy_potential, lam_neg, 0.5)
+        c = np.asarray(-1j * theta)
+        for rule in (op.quad, op.quad.doubled()):
+            want = 0.0
+            for p in bumpy_potential.profiles:
+                if not p.is_zero():
+                    want += rule.double_integral(
+                        lambda lo, hi, p=p: self._complex_form(
+                            c, p.evaluate(lo), p.evaluate(hi), lo, hi
+                        ),
+                        p.breakpoints,
+                    )
+            got = eps_mod._same_edge_integrals(op, c, rule) / eps_mod._scale(op) ** 2
+            assert abs(got - want) <= 1e-13 * abs(want)
+
 
 def test_real_k_pairing_trig_count(monkeypatch, vstar, lam_neg):
-    # sin(theta lo) on each triangle's grid, sin and cos of theta hi on its
-    # column only: 2 profiles x (m^2 + 2m) at m = 32 and at the doubled 64,
-    # where the min/max form took 3 m^2 each (30,720 values)
+    # the running-integral sweep takes sin and cos of theta x once per node
+    # of each cell: 2 profiles x 2m at m = 32 and at the doubled 64, where
+    # the 2-d rule took m^2 + 2m per triangle (10,624 values) and the
+    # min/max form 3 m^2 (30,720)
     sc.fredholm_D_direct(sc.EpsOperator(vstar, lam_neg, 0.1), 1.0)  # rule caches warm
     counted = []
     for name in ("sin", "cos"):
@@ -220,7 +226,7 @@ def test_real_k_pairing_trig_count(monkeypatch, vstar, lam_neg):
     fresh = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
     op = sc.EpsOperator(fresh, lam_neg, 0.1, sc.QuadratureRule(order=32))
     sc.fredholm_D_direct(op, 1.0)
-    assert sum(counted) == 2 * ((32**2 + 2 * 32) + (64**2 + 2 * 64)) == 10_624
+    assert sum(counted) == 2 * (2 * 32 + 2 * 64) == 384
 
 
 class TestZeta:

@@ -11,16 +11,29 @@ are the reference vstar (+1, -1, 0) and drawn ones with n = 2..4 edges of
 1-2 cubic pieces each; s = 2^e with e in [-40, 40]. The FD oracle is left
 out for run time. Draws are derandomized, so every run sees the same
 examples.
+
+Through the CLI, ``converge`` on the three shipped configs scaled by
+s = 2^-20 and 2^20 must write the unscaled run's CSV byte for byte, and a
+shipped config of amplitude 1e-155, whose products V V are subnormal, must
+run ``converge``, ``spectrum`` and ``oracle`` to exit 0.
 """
 
+import copy
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
 from conftest import coefficient
+from starcoupling.cli import run
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
 
 #: the shipped scaling branches
 BRANCHES = {
@@ -121,3 +134,50 @@ def test_scaling_by_a_power_of_two_changes_no_bit(potential, branch, higher, e):
     assert np.array_equal(scaled.Pi, s**2 * cc.Pi)
     assert scaled.beta == cc.beta / s**2
     assert _outputs(scaled_potential, scaled_scaling) == _outputs(potential, scaling)
+
+
+def _scaled_config(name, s):
+    # the shipped config with its coefficients times s and lambda0, lambda1
+    # and the higher coefficients divided by s^2
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw = copy.deepcopy(raw)
+    for edge in raw["potential"]:
+        for piece in edge:
+            piece["coeffs"] = [s * c for c in piece["coeffs"]]
+    scaling = raw["scaling"]
+    for key in ("lambda0", "lambda1"):
+        if key in scaling:
+            scaling[key] /= s**2
+    scaling["higher"] = [c / s**2 for c in scaling.get("higher", [])]
+    return raw
+
+
+def _run(tmp_path, command, raw, label):
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / label
+    return run([command, "--config", str(config), "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("e", [-20, 20])
+def test_converge_through_the_cli_changes_no_byte(tmp_path, name, e):
+    csvs = []
+    for label, s in (("unscaled", 1.0), ("scaled", 2.0**e)):
+        code, out = _run(tmp_path, "converge", _scaled_config(name, s), label)
+        assert code == 0
+        csvs.append((out / "converge.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("command", ["converge", "spectrum", "oracle"])
+def test_a_subnormal_pairing_is_checked_at_the_potential_scale(tmp_path, command):
+    # at amplitude 1e-155 the same-edge products V V and the pairing are
+    # subnormal, so an order-doubling check on them would compare rounding
+    # of a few bits; the pairing is checked on the profiles times a power of
+    # two near 1/size and scaled back after
+    raw = _scaled_config("vstar_nonresonant", 1.0)
+    raw["potential"][0][0]["coeffs"] = [1e-155]
+    raw["potential"][1][0]["coeffs"] = [-1e-155]
+    code, _ = _run(tmp_path, command, raw, command)
+    assert code == 0

@@ -6,12 +6,14 @@ integrals), shifted to total mean zero. At eps in 2^-3..2^-8 and k in
 (0, 20] the finite-eps S-matrix must be unitary and symmetric, and the
 Fredholm denominator D must match a complex exp/expm1 evaluation of its
 bilinear form; below MOMENTUM_MIN both refuse the momentum. The pairing
-on the ordered nodes of ``double_integral`` must equal the symmetric
-min/max integrand summed cell by cell, bit for bit. Drawn scalings with
-extreme finite numbers, and admissible potentials with coefficients of
-magnitude 10^-300..10^300, must leave every command with one of its
-documented exit codes. Draws are derandomized, so every run sees the same
-examples.
+at real c, on the ordered nodes of ``double_integral``, must equal the
+symmetric min/max integrand summed cell by cell, bit for bit; at real k,
+swept as running integrals, it must agree with that 2-d oracle to 1e-13
+relative, on supports away from the vertex too and at eps up to 1. Drawn
+scalings with extreme finite numbers, and admissible potentials with
+coefficients of magnitude 10^-300..10^300, must leave every command with
+one of its documented exit codes. Draws are derandomized, so every run
+sees the same examples.
 """
 
 import csv
@@ -34,30 +36,36 @@ from starcoupling.scattering import MOMENTUM_MIN
 
 
 @st.composite
-def profiles(draw):
+def profiles(draw, shifted=False):
+    # on [0, 1], or with shifted=True on any support of 1/20-grid points
     pieces = draw(st.integers(1, 3))
-    inner = draw(
-        st.lists(st.integers(1, 19), min_size=pieces - 1, max_size=pieces - 1, unique=True)
-    )
-    breaks = [0.0, *sorted(m / 20.0 for m in inner), 1.0]
+    if shifted:
+        ends = st.lists(st.integers(0, 20), min_size=pieces + 1, max_size=pieces + 1, unique=True)
+        breaks = [m / 20.0 for m in sorted(draw(ends))]
+    else:
+        inner = draw(
+            st.lists(st.integers(1, 19), min_size=pieces - 1, max_size=pieces - 1, unique=True)
+        )
+        breaks = [0.0, *sorted(m / 20.0 for m in inner), 1.0]
     coeffs = [draw(st.lists(coefficient, min_size=4, max_size=4)) for _ in range(pieces)]
     return breaks, coeffs
 
 
 @st.composite
-def potentials(draw):
+def potentials(draw, shifted=False):
     n = draw(st.integers(2, 6))
-    edges = [draw(st.one_of(st.none(), profiles())) for _ in range(n)]
-    edges[0] = edges[0] or draw(profiles())
+    edges = [draw(st.one_of(st.none(), profiles(shifted))) for _ in range(n)]
+    edges[0] = edges[0] or draw(profiles(shifted))
     built = [
         sc.PiecewisePolynomial.zero() if e is None else sc.PiecewisePolynomial(*e)
         for e in edges
     ]
-    # edge 1 is supported on [0, 1], so shifting the constant term of each
-    # of its pieces by the total mean removes it
+    # shifting the constant term of each of edge 1's pieces by the total
+    # mean over the length of its support removes the mean
     total = sum(p.integral() for p in built)
     breaks, coeffs = edges[0]
-    built[0] = sc.PiecewisePolynomial(breaks, [[c[0] - total, *c[1:]] for c in coeffs])
+    shift = total / (breaks[-1] - breaks[0])
+    built[0] = sc.PiecewisePolynomial(breaks, [[c[0] - shift, *c[1:]] for c in coeffs])
     # the resonant scalings need A != 0, that is a nonzero potential
     assume(not all(p.is_zero() for p in built))
     return sc.StarPotential(built)
@@ -130,10 +138,10 @@ def test_fredholm_D_matches_the_complex_form(potential, scaling, eps, k):
     k=st.sampled_from([0.5, 3.0, 12.0]),
 )
 def test_pairing_on_ordered_nodes_equals_the_symmetric_form(potential, scaling, eps, k):
-    # P at real k (a = -ik) and at real c (k = i kappa, a = kappa) equals the
-    # symmetric min/max integrand summed by the cell loop it replaced, bit
-    # for bit; every cell passes nodes lo <= hi, and a diagonal cell's hi is
-    # its column of shape (order, 1)
+    # P at real c (k = i kappa, a = kappa) equals the symmetric min/max
+    # integrand summed by the cell loop it replaced, bit for bit; every cell
+    # passes nodes lo <= hi, and a diagonal cell's hi is its column of shape
+    # (order, 1)
     op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
     double_integral = sc.QuadratureRule.double_integral
     seen = set()
@@ -153,11 +161,25 @@ def test_pairing_on_ordered_nodes_equals_the_symmetric_form(potential, scaling, 
         return double_integral(rule, g, breaks)
 
     with mock.patch.object(sc.QuadratureRule, "double_integral", checked):
-        at_k, at_c = eps_mod._pairing(op, k, op.quad), sc.inner_RV_V(k, op)
+        at_c = sc.inner_RV_V(k, op)
     assert True in seen
-    fine = op.quad.doubled()
-    assert at_k == symmetric_pairing_raw(op, -1j * k, fine)
-    assert at_c == symmetric_pairing_raw(op, k, fine)
+    assert at_c == symmetric_pairing_raw(op, k, op.quad.doubled())
+
+
+@examples
+@given(
+    potential=potentials(shifted=True),
+    eps=st.integers(0, 8).map(lambda m: 2.0**-m),
+    k=st.floats(MOMENTUM_MIN, 20.0),
+)
+def test_real_k_sweep_matches_the_two_d_oracle(potential, eps, k):
+    # P at real k, its same-edge part swept as running integrals, against
+    # the symmetric min/max integrand summed by the 2-d cell loop at the
+    # order the check returns
+    scaling = sc.ScalingFunction(lambda1=-1.0, resonant=True)
+    op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
+    want = symmetric_pairing_raw(op, -1j * k, op.quad.doubled())
+    assert abs(eps_mod._pairing(op, k, op.quad) - want) <= 1e-13 * abs(want)
 
 
 #: a finite number of either sign and magnitude 10^-300..10^300
