@@ -60,7 +60,7 @@ import numpy as np
 from .errors import AtPole, QuadratureNotConverged
 from .graph import ScalingFunction, StarPotential, _size, coupling_constants
 from .limit import TOL_POLE, _free_kernel_grid, _positive
-from .quadrature import QuadratureRule, _running01, converged_value, merge_breaks
+from .quadrature import BREAK_MARGIN, QuadratureRule, _running01, converged_value, merge_breaks
 from .roots import brentq
 
 #: smallest momentum considered by the pole search
@@ -313,20 +313,27 @@ def _pairing(op, k, rule):
 
 def _crease_cells(op, i, u, rule):
     # the cells of edge i's direct integrals at the scaled points u = x/eps,
-    # the crease split at v = u: points whose split has the same number of
-    # cells form one group, kept with its nodes, weights and profile values.
-    # None of them depends on eps or the momentum, and on power-of-two
-    # ladders u repeats bit for bit, so the potential keeps them per
-    # (edge, rule, u)
+    # the crease split at v = u: the profile's breaks, merged once, plus u
+    # where merge_breaks would add it (inside the support, not a break
+    # already). The unsplit points form one group and the split ones
+    # another, each kept with its nodes, weights and profile values. None
+    # of them depends on eps or the momentum, and on power-of-two ladders u
+    # repeats bit for bit, so the potential keeps them per (edge, rule, u)
     def build():
         profile = op.potential.profiles[i]
         lo, hi = profile.support
-        breaks = [merge_breaks(lo, hi, profile.breakpoints, [t]) for t in u]
-        sizes = np.array([b.size for b in breaks])
+        base = merge_breaks(lo, hi, profile.breakpoints)
+        near = base[np.minimum(np.searchsorted(base, u), base.size - 1)]
+        split = (lo + BREAK_MARGIN < u) & (u < hi - BREAK_MARGIN) & (near != u)
         groups = []
-        for size in sorted(set(sizes.tolist())):
-            rows = np.flatnonzero(sizes == size)
-            edges = np.array([breaks[r] for r in rows]).T[..., None]
+        for inserted in (False, True):
+            rows = np.flatnonzero(split == inserted)
+            if not rows.size:
+                continue
+            breaks = np.broadcast_to(base, (rows.size, base.size))
+            if inserted:
+                breaks = np.sort(np.column_stack([breaks, u[rows]]), axis=1)
+            edges = breaks.T[..., None]
             v, w = rule.points(edges[:-1], edges[1:])
             group = (rows, v, w, profile.evaluate(v))
             for arr in group:

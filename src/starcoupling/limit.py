@@ -73,21 +73,22 @@ def _positive(kappa):
 def _free_kernel_grid(kappa, i, j, xs, ys, n, rank_one=0.0):
     """Vectorized free kernel at k = i kappa on edge pair (i, j) over xs x ys.
 
-    The reflected term e^{ik(x+y)} is the outer product of the 1-d
-    exponentials e^{ikx} and e^{iky}; the direct term e^{ik|x-y|} is formed
-    only on a diagonal pair (i == j). ``rank_one`` is added to the reflected
-    coefficient, which turns the free kernel into the limit kernel.
+    At k = i kappa the kernel is real, so the grid is a float64 array. The
+    reflected term e^{-kappa(x+y)} is the outer product of the 1-d
+    exponentials e^{-kappa x} and e^{-kappa y}; the direct term
+    e^{-kappa|x-y|} is formed only on a diagonal pair (i == j). ``rank_one``
+    is added to the reflected coefficient, which turns the free kernel into
+    the limit kernel.
     """
     _check_edges(n, i, j)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    kc = 1j * kappa
-    pref = 1j / (2.0 * kc)
+    pref = 0.5 / kappa
     delta = 1.0 if i == j else 0.0
     coeff = pref * (2.0 / n - delta) + rank_one
-    grid = np.outer(coeff * np.exp(1j * kc * xs), np.exp(1j * kc * ys))
+    grid = np.outer(coeff * np.exp(-kappa * xs), np.exp(-kappa * ys))
     if i == j:
-        grid += pref * np.exp(1j * kc * np.abs(xs[:, None] - ys[None, :]))
+        grid += pref * np.exp(-kappa * np.abs(xs[:, None] - ys[None, :]))
     return grid
 
 

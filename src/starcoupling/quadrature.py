@@ -60,13 +60,17 @@ def _cell(rule, a, b):
     return arrays
 
 
+#: a break closer than this to an end of the interval is dropped
+BREAK_MARGIN = 1e-14
+
+
 def merge_breaks(lo, hi, *extra):
     """Sorted unique breakpoints covering [lo, hi], including any of
-    ``extra`` that fall strictly inside."""
+    ``extra`` that fall strictly inside, by more than BREAK_MARGIN."""
     pts = [lo, hi]
     for arr in extra:
         for t in np.atleast_1d(arr):
-            if lo + 1e-14 < t < hi - 1e-14:
+            if lo + BREAK_MARGIN < t < hi - BREAK_MARGIN:
                 pts.append(float(t))
     return np.array(sorted(set(pts)), dtype=float)
 

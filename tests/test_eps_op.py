@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.optimize import brentq
 
@@ -16,6 +18,7 @@ from starcoupling import (
     StarPotential,
 )
 import starcoupling.epsilon as eps_mod
+from conftest import coefficient
 from starcoupling.config import parse_config
 from starcoupling.quadrature import converged_value, merge_breaks
 
@@ -659,6 +662,64 @@ class TestBatchedCreaseIntegrals:
                     assert np.array_equal(values, sc.rank_one_factor(op, kappa, edge, xs))
                 for k, values in W.items():
                     assert values == [sc.assemble_W(op, k, edge, x) for x in xs[::3]]
+
+
+def _crease_cells_per_point(profile, u, rule):
+    # the crease cells with one merge_breaks call per point, grouped by the
+    # number of breaks in ascending order
+    lo, hi = profile.support
+    breaks = [merge_breaks(lo, hi, profile.breakpoints, [t]) for t in u]
+    sizes = np.array([b.size for b in breaks])
+    groups = []
+    for size in sorted(set(sizes.tolist())):
+        rows = np.flatnonzero(sizes == size)
+        edges = np.array([breaks[r] for r in rows]).T[..., None]
+        v, w = rule.points(edges[:-1], edges[1:])
+        groups.append((rows, v, w, profile.evaluate(v)))
+    return groups
+
+
+@st.composite
+def _profile_and_points(draw):
+    # a profile of 1-3 pieces on a support of 1/20-grid points, and points
+    # on its breaks, within 2e-14 of its ends on either side, outside it,
+    # and anywhere between
+    ends = draw(st.lists(st.integers(0, 20), min_size=2, max_size=4, unique=True))
+    breaks = [m / 20.0 for m in sorted(ends)]
+    coeffs = [draw(st.lists(coefficient, min_size=4, max_size=4)) for _ in breaks[1:]]
+    lo, hi = breaks[0], breaks[-1]
+    offset = st.sampled_from([0.0, 5e-15, 1e-14, 1.5e-14, 2e-14])
+    point = st.one_of(
+        st.sampled_from(breaks),
+        st.builds(lambda d: lo + d, offset),
+        st.builds(lambda d: hi - d, offset),
+        st.builds(lambda d: lo - d, offset),
+        st.builds(lambda d: hi + d, offset),
+        st.floats(-1.0, 2.0).filter(lambda t: not lo <= t <= hi),
+        st.floats(lo, hi),
+    )
+    return PiecewisePolynomial(breaks, coeffs), np.array(draw(st.lists(point, min_size=1, max_size=12)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(drawn=_profile_and_points(), order=st.sampled_from([4, 8]))
+def test_crease_cells_equal_per_point_merge_breaks(drawn, order):
+    # one merge of the profile's breaks per edge, with each point inserted
+    # where merge_breaks would take it, gives the per-point cells bit for bit
+    profile, u = drawn
+    other = PiecewisePolynomial([0.0, 1.0], [[-profile.integral()]])
+    op = sc.EpsOperator(
+        potential=StarPotential([profile, other]),
+        scaling=sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0),
+        eps=0.5,
+    )
+    rule = sc.QuadratureRule(order=order)
+    got = eps_mod._crease_cells(op, 0, u, rule)
+    want = _crease_cells_per_point(profile, u, rule)
+    assert len(got) == len(want)
+    for got_group, want_group in zip(got, want):
+        for a, b in zip(got_group, want_group):
+            assert np.array_equal(a, b)
 
 
 class TestPoleAsymptotic:

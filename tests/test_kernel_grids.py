@@ -89,6 +89,20 @@ class TestKernelGrids:
                     gap = kernel.on_grid(i, j, XS, YS) - sum(terms)
                     assert np.max(np.abs(gap)) <= 1e-14 * np.max(sum(map(np.abs, terms)))
 
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_grids_are_real_float64(self, op, seed):
+        # at k = i kappa every kernel is real: no complex array on any pair
+        rng = np.random.default_rng(seed)
+        kappa = rng.uniform(0.1, 10.0)
+        xs, ys = rng.uniform(0.0, 4.0, 9), rng.uniform(0.0, 4.0, 6)
+        xs[:3] = EPS * rng.uniform(0.0, 1.0, 3)
+        for kernel in _kernels(op, kappa):
+            for i in range(1, op.n + 1):
+                for j in range(1, op.n + 1):
+                    grid = kernel.on_grid(i, j, xs, ys)
+                    assert grid.dtype == np.float64
+                    assert grid.shape == (xs.size, ys.size)
+
     @pytest.mark.parametrize("kappa", [0.3, 1.0, 5.0])
     def test_swap_symmetry(self, op, kappa):
         # K_ij(x, y) = K_ji(y, x): hs_distance folds the pairs i > j onto i < j

@@ -445,6 +445,29 @@ class TestConvergeCommand:
         config.write_text(json.dumps(raw))
         assert run(["converge", "--config", str(config), "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_smatrix_errors_are_per_momentum_two_norms(self, seed):
+        # the rung's 2-norms are taken in one call over the stacked
+        # differences; each cell must be the 2-norm of its own matrix, bit
+        # for bit, on a drawn cubic potential at drawn momenta
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, (3, 4))
+        coeffs[:, 0] -= np.sum(coeffs @ (1.0 / np.arange(1, 5))) / 3
+        raw = {
+            **BASE_CONFIG,
+            "potential": [[{"interval": [0.0, 1.0], "coeffs": list(c)}] for c in coeffs],
+            "momenta": sorted(rng.uniform(0.1, 8.0, 4).tolist()),
+        }
+        config = parse_config(raw)
+        report = sc.cmd_converge(config)
+        rows = [r for r in report.rows if r["quantity"] == "smatrix_error"]
+        assert len(rows) == len(config.epsilons) * len(config.momenta)
+        for row in rows:
+            op = experiments._member(config, row["epsilon"])
+            s_eps = sc.smatrix_eps(op, row["k"]).entries
+            s_lim = sc.smatrix_limit(row["k"], op.constants).entries
+            assert row["value"] == row["error"] == float(np.linalg.norm(s_eps - s_lim, 2))
+
     def test_needs_four_epsilons(self, tmp_path):
         config = sc.load_config(write_config(tmp_path, {"epsilons": [0.125, 0.0625]}))
         with pytest.raises(ConfigError):
