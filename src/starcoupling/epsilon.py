@@ -50,10 +50,9 @@ subnormal values, and is scaled back after the check.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -129,7 +128,7 @@ def _decay_rate(k):
     # a = -ik, so that e^{ikx} = e^{-ax}; at k = +-i kappa it is real and the
     # resolvent side stays in real arithmetic
     a = -1j * k
-    return a.real if not np.any(a.imag) else a
+    return a.real if not np.count_nonzero(a.imag) else a
 
 
 def _node_values(op, j):
@@ -167,23 +166,35 @@ def _cell_values(op, j, rule):
     return lambda x: table[id(x)][1] if id(x) in table else V(x)
 
 
-def _shared_in_c(op, integrals, a, rule):
-    # integrals(op, c, rule) depends on a and eps only through c = a eps, so
-    # the potential keeps it per exact c and rule: every member and momentum
-    # meeting that c reuses it
-    c = np.asarray(a * op.eps)
-    key = (integrals, c.dtype.str, c.tobytes(), rule)
-    return op.potential.shared(key, lambda: integrals(op, c, rule))
+def _shared_in_c(op, integrals, c, rule):
+    # integrals(op, c, rule) takes a number c or a 1-d batch, each entry's result a function
+    # of that entry alone, and of eps and the momentum only through it: the potential keeps
+    # each per exact c and rule, and a batch integrates only the c no member met
+    c = np.asarray(c)
+    table = op.potential.shared((integrals, c.dtype.str, rule), dict)
+    if c.ndim == 0:
+        key = c.tobytes()
+        if key not in table:
+            table[key] = np.asarray(integrals(op, c, rule))
+            table[key].setflags(write=False)
+        return table[key]
+    new = {x.tobytes(): x for x in c if x.tobytes() not in table}
+    if new:
+        values = integrals(op, np.array(list(new.values())), rule)
+        values.setflags(write=False)
+        table.update(zip(new, values))
+    return np.array([table[x.tobytes()] for x in c])
 
 
 def _moment_residuals(op, c, rule):
-    # int V_j (e^{-c v} - 1) dv per edge: the moment less its exact mean,
-    # through expm1 so that it keeps full relative precision as c -> 0
-    out = np.zeros(op.n, dtype=np.result_type(c, 1.0))
+    # int V_j (e^{-c v} - 1) dv per momentum and edge, node axis last: the moment less its
+    # exact mean, through expm1 so that it keeps full relative precision as c -> 0
+    out = np.zeros(c.shape + (op.n,), dtype=np.result_type(c, 1.0))
+    column = c[:, None] if c.ndim else c
     for j, p in enumerate(op.potential.profiles):
         if not p.is_zero():
             V = _node_values(op, j)
-            out[j] = rule.integrate(lambda v: V(v) * np.expm1(-c * v), p.breakpoints)
+            out[..., j] = rule.integrate(lambda v: V(v) * np.expm1(-column * v), p.breakpoints)
     return out
 
 
@@ -193,20 +204,22 @@ def _edge_moments(op, k, rule):
     Returned as the residuals r_j(k) = m_j(k) - int V_j, computed through
     expm1 and checked relative to themselves, never to a small moment: the
     moments are the exact edge means plus these, and sums or differences
-    in which the means cancel are formed from the residuals alone.
+    in which the means cancel are formed from the residuals alone. For k a
+    1-d array of momenta, each row is checked against its own largest entry.
+    The potential keeps each checked row per exact c = -ik eps and rule, so
+    the factors, far field and HS tail read one; a failed check keeps none.
     """
-    a = _decay_rate(k)
-    return converged_value(
-        lambda r: _shared_in_c(op, _moment_residuals, a, r),
-        rule,
-        rtol=1e-10,
-        context="edge moments",
-    )
+    return _shared_in_c(op, _verified_moments, _decay_rate(k) * op.eps, rule)
+
+
+def _verified_moments(op, c, rule):
+    raw = partial(_shared_in_c, op, _moment_residuals, c)
+    return converged_value(raw, rule, context="edge moments", batch=c.ndim)
 
 
 def _moment_sum(op, residuals):
-    # sum_j m_j: the exact total mean plus the residuals, free of cancellation
-    return sum(residuals) + sum(op.potential.edge_means)
+    # sum_j m_j over the last axis: the exact total mean plus the residuals, free of cancellation
+    return sum(residuals.T) + sum(op.potential.edge_means)
 
 
 def _pairing_raw(op, a, rule):
@@ -215,8 +228,9 @@ def _pairing_raw(op, a, rule):
     # moment sum is the exact total mean plus the expm1 residuals, so the
     # value keeps full relative precision down to c -> 0; both parts are
     # formed from the profiles times _scale, so the value is P times scale^2
-    diag = _shared_in_c(op, _same_edge_integrals, a, rule)
-    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, a, rule)) * _scale(op)
+    c = a * op.eps
+    diag = _shared_in_c(op, _same_edge_integrals, c, rule)
+    smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, c, rule)) * _scale(op)
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
 
 
@@ -228,12 +242,15 @@ def _same_edge_integrand(c):
 
 
 def _same_edge_integrals(op, c, rule):
-    # sum_j II V_j V_j e^{-c(u+v)} expm1(2c min(u,v)) du dv times scale^2:
-    # by the running-integral sweep at real k, by the 2-d rule of
-    # ``double_integral`` at any other c, with V(hi) times scale^2, which
-    # scales each product of the integrand exactly
-    if np.iscomplexobj(c) and not np.any(c.real):
-        return _same_edge_sweep(op, -c.imag, rule)
+    # sum_j II V_j V_j e^{-c(u+v)} expm1(2c min(u,v)) du dv times scale^2 per
+    # momentum: by the running-integral sweep at real k, all at once; by the
+    # 2-d rule of ``double_integral`` at any other c, one c at a time, with
+    # V(hi) times scale^2, which scales each product of the integrand exactly
+    c = np.asarray(c)
+    if np.iscomplexobj(c) and not c.real.any():
+        return _same_edge_sweep(op, -c.imag[..., None, None], rule)
+    if c.ndim:
+        return np.array([_same_edge_integrals(op, x, rule) for x in c])
     diag = 0.0
     g, square = _same_edge_integrand(c), _scale(op) ** 2
     for j, p in enumerate(op.potential.profiles):
@@ -255,15 +272,15 @@ def _same_edge_sweep(op, theta, rule):
     cells before it plus h (Q @ G), Q the running-integral matrix of the
     rule's order: 2m trig values per cell of m nodes, where the 2-d rule
     takes m^2 + 2m on a diagonal cell and m^2 on every pair of cells. All
-    cells of all edges are one array (``_sweep_cells``).
+    cells of all edges are one array (``_sweep_cells``), behind theta's batch axes.
     """
     x, w, h, V2, wV, left = _sweep_cells(op, rule)
     t = theta * x
     s, co = np.sin(t), np.cos(t)
     G = V2 * s
-    C = (left @ np.sum(w * G, axis=1))[:, None] + h * (G @ _running01(rule.order).T)
-    F = (wV * C).ravel()
-    return 2.0 * complex(F @ s.ravel(), -(F @ co.ravel()))
+    C = left @ np.sum(w * G, axis=-1)[..., None] + h * (G @ _running01(rule.order).T)
+    F, s, co = (arr.reshape(t.shape[:-2] + (-1,)) for arr in (wV * C, s, co))
+    return 2.0 * (np.vecdot(F, s) - 1j * np.vecdot(F, co))
 
 
 def _sweep_cells(op, rule):
@@ -296,7 +313,7 @@ def _sweep_cells(op, rule):
 
 
 def _pairing(op, k, rule):
-    """The bilinear pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling.
+    """The pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling (each k of an array alone).
 
     The check runs on the value formed from the profiles times _scale, where
     it cannot underflow; P is that value divided by scale^2, and raises
@@ -304,9 +321,11 @@ def _pairing(op, k, rule):
     """
     a = _decay_rate(k)
     scale = _scale(op)
-    value = converged_value(lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>")
+    value = converged_value(
+        lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>", batch=np.ndim(k)
+    )
     value = value / scale / scale
-    if not cmath.isfinite(value):
+    if not np.isfinite(value).all():
         raise QuadratureNotConverged("<R0 V, V> is not finite at the potential's scale")
     return value
 

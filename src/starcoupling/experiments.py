@@ -321,10 +321,10 @@ def _converge_one_eps(config, eps):
             tail=tail,
         )
     )
-    # the 2-norms of all momenta in one call: the gufunc takes each matrix
-    # of the stack as it takes a single one, so the bits are the same
-    diffs = [smatrix_eps(op, k).entries - smatrix_limit(k, cc).entries for k in config.momenta]
-    errors = np.linalg.norm(np.stack(diffs), 2, axis=(1, 2))
+    # all momenta in one scattering call, and their 2-norms in one more: the
+    # gufunc takes each matrix of the stack as it takes a single one
+    limit = np.stack([smatrix_limit(k, cc).entries for k in config.momenta])
+    errors = np.linalg.norm(smatrix_eps(op, np.array(config.momenta)).entries - limit, 2, (1, 2))
     for k, err in zip(config.momenta, errors.tolist()):
         rows.append(_row("smatrix_error", epsilon=eps, k=k, value=err, error=err))
     return rows

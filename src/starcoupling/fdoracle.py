@@ -277,13 +277,14 @@ def _sampled_potential(op, h, p):
     """The potential at the vertex and at x = h, ..., p h on each edge.
 
     Jumps are sampled with the one-sided mean so the trapezoid pairing stays
-    second order."""
-    xs = h * np.arange(1, p + 1)
-    values = np.empty(1 + op.n * p)
+    second order. A profile is 0, and not evaluated, past its scaled support
+    and the 1e-13 jump window of ``evaluate_symmetric`` (1e-12 for rounding)."""
+    u = h * np.arange(1, p + 1) / op.eps
+    values = np.zeros(1 + op.n * p)
     values[0] = sum(prof.evaluate_symmetric(0.0) / op.n for prof in op.potential.profiles)
-    values[1:] = np.concatenate(
-        [prof.evaluate_symmetric(xs / op.eps) for prof in op.potential.profiles]
-    )
+    for j, prof in enumerate(op.potential.profiles):
+        inside = u[: np.searchsorted(u, prof.support[1] + 1e-12, side="right")]
+        values[1 + j * p : 1 + j * p + inside.size] = prof.evaluate_symmetric(inside)
     return values
 
 

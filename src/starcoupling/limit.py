@@ -33,7 +33,8 @@ TOL_POLE = 1e-12
 
 @dataclass(frozen=True)
 class SMatrix:
-    """On-shell scattering matrix at real momentum k > 0."""
+    """On-shell scattering matrix at real momentum k > 0, or a stack of them,
+    one per entry of a 1-d k, whose defects are the largest of its matrices'."""
 
     k: float
     entries: np.ndarray
@@ -42,19 +43,20 @@ class SMatrix:
         entries = np.asarray(self.entries, dtype=complex)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        if self.k <= 0:
+        if np.count_nonzero(np.less_equal(self.k, 0)):
             raise ValueError("scattering momentum must be positive")
 
     @property
     def n(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def unitarity_defect(self):
-        s = self.entries
-        return float(np.linalg.norm(s.conj().T @ s - np.eye(self.n)))
+        stack = self.entries.reshape(-1, self.n, self.n)
+        return max(float(np.linalg.norm(s.conj().T @ s - np.eye(self.n))) for s in stack)
 
     def symmetry_defect(self):
-        return float(np.linalg.norm(self.entries - self.entries.T))
+        stack = self.entries.reshape(-1, self.n, self.n)
+        return max(float(np.linalg.norm(s - s.T)) for s in stack)
 
 
 def _check_edges(n, *edges):

@@ -136,7 +136,7 @@ class QuadratureRule:
         return total
 
 
-def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
+def converged_value(compute, rule, rtol=1e-10, atol=0.0, context="", batch=0):
     """Evaluate ``compute(rule)`` and verify against the doubled order.
 
     Returns the doubled-order value, a scalar or an array; raises
@@ -144,20 +144,24 @@ def converged_value(compute, rule, rtol=1e-10, atol=0.0, context=""):
     to the largest magnitude) plus ``atol``, in the max-norm for arrays, or
     when either is not finite: a NaN fails every comparison and an infinite
     size admits any gap, so the gap must be finite first, and is formed only
-    from a finite fine value (inf - inf would warn).
+    from a finite fine value (inf - inf would warn). The first ``batch`` axes
+    index values each checked on its own, as a call on it alone would be.
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    size = np.max(np.abs(fine))
-    gap = np.max(np.abs(fine - coarse)) if math.isfinite(size) else size
-    if not math.isfinite(gap):
-        raise QuadratureNotConverged(
-            f"{context or 'integral'} or its change from order {rule.order} "
-            f"to {2 * rule.order} is not finite"
-        )
-    if gap > rtol * size + atol:
-        raise QuadratureNotConverged(
-            f"order {rule.order}->{2 * rule.order} changed "
-            f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"
-        )
+    shape = (-1, *np.shape(fine)[batch:])
+    pairs = zip(np.reshape(fine, shape), np.reshape(coarse, shape)) if batch else [(fine, coarse)]
+    for value, other in pairs:
+        size = np.max(np.abs(value))
+        gap = np.max(np.abs(value - other)) if math.isfinite(size) else size
+        if not math.isfinite(gap):
+            raise QuadratureNotConverged(
+                f"{context or 'integral'} or its change from order {rule.order} "
+                f"to {2 * rule.order} is not finite"
+            )
+        if gap > rtol * size + atol:
+            raise QuadratureNotConverged(
+                f"order {rule.order}->{2 * rule.order} changed "
+                f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"
+            )
     return fine

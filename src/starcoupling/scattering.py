@@ -90,10 +90,10 @@ def assemble_W(op, k, j, x):
 
 def fredholm_D_direct(op, k):
     """The Fredholm denominator D = -(lambda/eps^3) P(k) of every solve, from
-    the pairing P of ``epsilon``; k may be complex with Im k >= 0 and
-    |k| >= MOMENTUM_MIN.
+    the pairing P of ``epsilon``; k, a momentum or a 1-d array of them, may
+    be complex with Im k >= 0 and |k| >= MOMENTUM_MIN.
     """
-    if not abs(k) >= MOMENTUM_MIN:
+    if not np.all(np.abs(k) >= MOMENTUM_MIN):
         raise ValueError(f"|k| must be at least {MOMENTUM_MIN:g}")
     return -(op.lambda_value / op.eps**3) * _pairing(op, k, op.quad)
 
@@ -101,29 +101,30 @@ def fredholm_D_direct(op, k):
 def fredholm(op, k):
     """The numerators N_i of every incoming edge i and the one denominator D.
 
-    N_i = sum_j int_0^eps F V_eps from the verified edge moments and
-    D = sum_j int_0^eps W V_eps from the verified pairing; the scalar
-    unknown of incoming edge i is <psi_i, V_eps> = N_i/(1 - D).
+    N_i = sum_j int_0^eps F V_eps from the verified edge moments and D =
+    sum_j int_0^eps W V_eps from the verified pairing, a row of N and an entry
+    of D per momentum of a 1-d k; the unknown is <psi_i, V_eps> = N_i/(1 - D).
     """
-    if not k >= MOMENTUM_MIN:
+    if not np.all(np.asarray(k) >= MOMENTUM_MIN):
         raise ValueError(f"scattering momentum must be at least {MOMENTUM_MIN:g}")
     r = _edge_moments(op, k, op.quad)
-    N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r))
+    N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r)[..., None])
     return N, fredholm_D_direct(op, k)
 
 
 def _solve(N, D, k):
     denom = 1.0 - D
-    if abs(denom) <= TOL_FREDHOLM * max(1.0, abs(D)):
-        raise FredholmSingular(k, denom)
+    singular = np.abs(denom) <= TOL_FREDHOLM * np.maximum(1.0, np.abs(D))
+    if np.any(singular):
+        first = np.argmax(singular)
+        raise FredholmSingular(float(np.ravel(k)[first]), complex(np.ravel(denom)[first]))
     return N / denom
 
 
 def _amplitudes(op, k, inner, N):
-    # S_ij + delta_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j + 2/n, one row
-    # per entry of inner
-    factor = op.lambda_value * inner / (2j * k * op.eps**3)
-    return np.multiply.outer(factor, N) + 2.0 / op.n
+    # S_ij + delta_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j + 2/n, with k,
+    # inner and N broadcast to the entries wanted
+    return op.lambda_value * inner / (2j * k * op.eps**3) * N + 2.0 / op.n
 
 
 def smatrix_eps(op, k):
@@ -135,11 +136,14 @@ def smatrix_eps(op, k):
                + (1/(i n)) sum_l int V_eps(y_l) e^{i k y_l} dy ] + 2/n - delta_ij,
 
     whose bracket is N_j/2i; the O(eps) expansion of this formula is never
-    used here.
+    used here. k may be a 1-d array of momenta, integrated as one batch and
+    each checked on its own, for a stack of S-matrices; a number is a batch of one.
     """
+    k = np.asarray(k, dtype=float)
     N, D = fredholm(op, k)
-    entries = _amplitudes(op, k, _solve(N, D, k), N) - np.eye(op.n)
-    return SMatrix(k=float(k), entries=entries)
+    inner = _solve(N, np.expand_dims(D, -1), k)[..., None]
+    entries = _amplitudes(op, k[..., None, None], inner, N[..., None, :]) - np.eye(op.n)
+    return SMatrix(k=k if k.ndim else float(k), entries=entries)
 
 
 def scattering_solution(op, i, k):

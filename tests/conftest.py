@@ -159,6 +159,6 @@ def symmetric_pairing_raw(op, a, rule, double_integral=symmetric_cell_loop):
                 return g(p.evaluate(x), p.evaluate(y), x, y)
 
             diag += double_integral(rule, f, p.breakpoints)
-    residuals = eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule)
+    residuals = eps_mod._shared_in_c(op, eps_mod._moment_residuals, a * op.eps, rule)
     smoment = eps_mod._moment_sum(op, residuals)
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)

@@ -647,7 +647,7 @@ class TestSharedPotentialWork:
             op = sc.EpsOperator(potential, lam_neg, eps, rule)
             return (
                 eps_mod._pairing_raw(op, a, rule),
-                eps_mod._shared_in_c(op, eps_mod._moment_residuals, a, rule),
+                eps_mod._shared_in_c(op, eps_mod._moment_residuals, a * eps, rule),
                 eps_mod._direct_raw(op, 0, a, xs, rule),
             )
 
@@ -684,6 +684,49 @@ class TestSharedPotentialWork:
             counts.add((calls["evaluate"], calls["merge_breaks"]))
         ((evaluated, merged),) = counts
         assert evaluated and merged
+
+    def test_edge_moments_checked_once_per_c(self, monkeypatch):
+        # over one command, the doubling check of the edge moments runs once
+        # per exact c and rule: the factors, the far field and the HS tail of
+        # a rung read the kept vector, and a batch of momenta checks only the
+        # c no earlier batch met (k = 1 at eps / 2 meets k = 0.5 at eps)
+        checked, contexts = [], []
+        verified, converged_value = eps_mod._verified_moments, eps_mod.converged_value
+
+        def recording(op, c, rule):
+            checked.extend((x.tobytes(), rule) for x in c.reshape(-1))
+            return verified(op, c, rule)
+
+        def counted(compute, rule, **kwargs):
+            contexts.append(kwargs.get("context"))
+            return converged_value(compute, rule, **kwargs)
+
+        monkeypatch.setattr(eps_mod, "_verified_moments", recording)
+        monkeypatch.setattr(eps_mod, "converged_value", counted)
+        config = parse_config(FIVE_EDGES)
+        sc.cmd_converge(config)
+        assert checked and len(set(checked)) == len(checked)
+        # per rung: -ik eps at the HS kappa and its negative, and the momenta
+        # of the first rung; each later rung meets one new k eps
+        rungs = len(config.epsilons)
+        assert len(checked) == 2 * rungs + len(config.momenta) + rungs - 1
+        assert contexts.count("edge moments") == 3 * rungs
+
+    def test_failed_moment_check_is_not_kept(self, vstar, lam_neg, monkeypatch):
+        # a check that raises leaves nothing behind: asking again checks again
+        contexts = []
+        converged_value = eps_mod.converged_value
+
+        def counted(compute, rule, **kwargs):
+            contexts.append(kwargs.get("context"))
+            return converged_value(compute, rule, **kwargs)
+
+        monkeypatch.setattr(eps_mod, "converged_value", counted)
+        op = sc.EpsOperator(vstar, lam_neg, 0.5, sc.QuadratureRule(order=2))
+        for _ in range(2):
+            with pytest.raises(sc.QuadratureNotConverged):
+                eps_mod._edge_moments(op, 7.0, op.quad)
+        assert contexts == ["edge moments"] * 2
 
 
 class TestOracleCommand:

@@ -9,7 +9,10 @@ bilinear form; below MOMENTUM_MIN both refuse the momentum. The pairing
 at real c, on the ordered nodes of ``double_integral``, must equal the
 symmetric min/max integrand summed cell by cell, bit for bit; at real k,
 swept as running integrals, it must agree with that 2-d oracle to 1e-13
-relative, on supports away from the vertex too and at eps up to 1. Drawn
+relative, on supports away from the vertex too and at eps up to 1. A
+batch of momenta, with duplicates and k eps met by an earlier batch, must
+give each momentum's S-matrix to 1e-13 relative, and under a coarse rule
+must fail exactly when one of its momenta fails alone. Drawn
 scalings with extreme finite numbers, and admissible potentials with
 coefficients of magnitude 10^-300..10^300, must leave every command with
 one of its documented exit codes. Draws are derandomized, so every run
@@ -25,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
@@ -180,6 +183,60 @@ def test_real_k_sweep_matches_the_two_d_oracle(potential, eps, k):
     op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
     want = symmetric_pairing_raw(op, -1j * k, op.quad.doubled())
     assert abs(eps_mod._pairing(op, k, op.quad) - want) <= 1e-13 * abs(want)
+
+
+def _own(potential):
+    # the same profiles on a potential of their own, which shares no kept
+    # integral with the first
+    return sc.StarPotential(list(potential.profiles))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    potential=potentials(),
+    scaling=scalings,
+    eps=epsilons,
+    ks=st.lists(st.floats(MOMENTUM_MIN, 10.0), min_size=1, max_size=3),
+)
+def test_batched_smatrix_matches_single_momenta(potential, scaling, eps, ks):
+    # a batch with a duplicate at eps, then one at eps/2 whose momenta 2k
+    # meet the first batch's k eps, each S against its momentum alone
+    for at, batch in ((eps, ks + ks[:1]), (eps / 2, [2 * k for k in ks] + ks)):
+        got = sc.smatrix_eps(sc.EpsOperator(potential, scaling, at), np.array(batch))
+        for k, s in zip(batch, got.entries):
+            want = sc.smatrix_eps(sc.EpsOperator(_own(potential), scaling, at), k).entries
+            assert np.max(np.abs(s - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    potential=potentials(),
+    scaling=scalings,
+    eps=epsilons,
+    ks=st.lists(st.floats(-1.0, 2.5).map(lambda e: 10.0**e), min_size=1, max_size=3),
+)
+# k = 30 alone fails on its pairing (gap 1.7e-10 relative), by a gap that
+# the pairing at k = 0.1, about three times larger, would admit
+@example(
+    potential=sc.StarPotential.from_constants([1.0, -1.0, 0.0]),
+    scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
+    eps=0.125,
+    ks=[0.1, 30.0],
+)
+def test_low_order_batch_raises_when_a_single_momentum_does(potential, scaling, eps, ks):
+    # each momentum of a batch is checked on its own: under an order-8 rule,
+    # which resolves k eps up to about 2 and not much beyond, the batch fails
+    # exactly when one of its momenta fails alone
+    def raises(potential, k):
+        op = sc.EpsOperator(potential, scaling, eps, sc.QuadratureRule(order=8))
+        try:
+            sc.smatrix_eps(op, k)
+        except sc.QuadratureNotConverged:
+            return True
+        return False
+
+    alone = [raises(_own(potential), k) for k in ks]
+    assert raises(potential, np.array(ks)) == any(alone)
 
 
 #: a finite number of either sign and magnitude 10^-300..10^300

@@ -193,6 +193,19 @@ def test_converged_value_checks_arrays_in_max_norm():
         converged_value(compute(0.0, 1e-6), QuadratureRule(order=8))
 
 
+def test_converged_value_checks_each_batch_entry_on_its_own():
+    # with batch=1 each row is checked against its own largest entry: a
+    # change large relative to the small row fails beside the large one,
+    # which in the max-norm over both would admit it
+    def compute(rule):
+        fine = rule.order == 16
+        return np.array([[1.0, 0.5], [1e-12 * (1.0 + 1e-6 * fine), 0.0]])
+
+    converged_value(compute, QuadratureRule(order=8))
+    with pytest.raises(QuadratureNotConverged):
+        converged_value(compute, QuadratureRule(order=8), batch=1)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("orders", [{8}, {16}, {8, 16}])
 def test_converged_value_refuses_values_that_are_not_finite(bad, orders):
