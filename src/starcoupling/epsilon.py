@@ -131,15 +131,6 @@ def _decay_rate(k):
     return a.real if not np.count_nonzero(a.imag) else a
 
 
-def _node_values(op, j):
-    # profile j at an array of pairing or moment nodes, evaluated once per
-    # node array for the potential: the nodes never depend on eps or momentum
-    p = op.potential.profiles[j]
-    return lambda x: op.potential.shared(
-        ("nodes", j, x.shape, x.tobytes()), lambda: p.evaluate(x)
-    )
-
-
 def _scale(op):
     # 2^-e, e the binary exponent of the potential's size (``graph._size``),
     # |e| <= 511 so that the scale and its square are normal numbers: the
@@ -155,46 +146,44 @@ def _scale(op):
 
 
 def _cell_values(op, j, rule):
-    # profile j at the node arrays of ``rule.cells`` on edge j, keyed by id:
-    # the table keeps each array alive, so no other shares its id; nodes it
-    # lacks (a cell rebuilt after leaving the cache) go the _node_values way
-    V, breaks = _node_values(op, j), op.potential.profiles[j].breakpoints
+    # profile j at the node arrays of ``rule.cells`` on edge j, keyed by id (the table keeps
+    # each array alive, so no other shares its id); a node array it lacks (a cell rebuilt
+    # after leaving the cache) is evaluated once: no node depends on eps or the momentum
+    p = op.potential.profiles[j]
+    V = lambda x: op.potential.shared(("nodes", j, x.shape, x.tobytes()), lambda: p.evaluate(x))
     table = op.potential.shared(
         ("cells", j, rule),
-        lambda: {id(x): (x, V(x)) for cell in rule.cells(breaks) for x in cell[:2]},
+        lambda: {id(x): (x, V(x)) for cell in rule.cells(p.breakpoints) for x in cell[:2]},
     )
     return lambda x: table[id(x)][1] if id(x) in table else V(x)
 
 
 def _shared_in_c(op, integrals, c, rule):
-    # integrals(op, c, rule) takes a number c or a 1-d batch, each entry's result a function
-    # of that entry alone, and of eps and the momentum only through it: the potential keeps
-    # each per exact c and rule, and a batch integrates only the c no member met
+    # integrals(op, c, rule) takes a 1-d batch of c, each entry's result a function of it
+    # alone: the potential keeps each per exact c (its bytes) and rule, and integrates only
+    # the c no member met; a number c is a batch of one, its result reshaped back to a number
     c = np.asarray(c)
     table = op.potential.shared((integrals, c.dtype.str, rule), dict)
-    if c.ndim == 0:
-        key = c.tobytes()
-        if key not in table:
-            table[key] = np.asarray(integrals(op, c, rule))
-            table[key].setflags(write=False)
-        return table[key]
-    new = {x.tobytes(): x for x in c if x.tobytes() not in table}
+    raw, size = c.tobytes(), c.itemsize
+    keys = [raw[i : i + size] for i in range(0, len(raw), size)]
+    new = dict.fromkeys(key for key in keys if key not in table)
     if new:
-        values = integrals(op, np.array(list(new.values())), rule)
+        values = integrals(op, np.frombuffer(b"".join(new), c.dtype), rule)
         values.setflags(write=False)
         table.update(zip(new, values))
-    return np.array([table[x.tobytes()] for x in c])
+    if len(new) < len(keys):
+        values = np.array([table[key] for key in keys])
+    return values.reshape(c.shape + values.shape[1:])[()]
 
 
 def _moment_residuals(op, c, rule):
-    # int V_j (e^{-c v} - 1) dv per momentum and edge, node axis last: the moment less its
-    # exact mean, through expm1 so that it keeps full relative precision as c -> 0
+    # int V_j (e^{-c v} - 1) dv per momentum and edge: the moment less its exact mean, through
+    # expm1 for full relative precision as c -> 0; all edges in one ``rule.integrate`` call
+    *_, V, _, edges = _cells(op, rule)
     out = np.zeros(c.shape + (op.n,), dtype=np.result_type(c, 1.0))
-    column = c[:, None] if c.ndim else c
-    for j, p in enumerate(op.potential.profiles):
-        if not p.is_zero():
-            V = _node_values(op, j)
-            out[..., j] = rule.integrate(lambda v: V(v) * np.expm1(-column * v), p.breakpoints)
+    if edges:
+        breaks = [op.potential.profiles[j].breakpoints for j in edges]
+        out[:, edges] = rule.integrate(lambda v: V.ravel() * np.expm1(-c[:, None] * v), breaks)
     return out
 
 
@@ -204,17 +193,16 @@ def _edge_moments(op, k, rule):
     Returned as the residuals r_j(k) = m_j(k) - int V_j, computed through
     expm1 and checked relative to themselves, never to a small moment: the
     moments are the exact edge means plus these, and sums or differences
-    in which the means cancel are formed from the residuals alone. For k a
-    1-d array of momenta, each row is checked against its own largest entry.
-    The potential keeps each checked row per exact c = -ik eps and rule, so
-    the factors, far field and HS tail read one; a failed check keeps none.
+    in which the means cancel are formed from the residuals alone. A 1-d k
+    gives one row per momentum, each checked on its own and kept per exact
+    c = -ik eps and rule (a failed check keeps none) for every later reader.
     """
     return _shared_in_c(op, _verified_moments, _decay_rate(k) * op.eps, rule)
 
 
 def _verified_moments(op, c, rule):
     raw = partial(_shared_in_c, op, _moment_residuals, c)
-    return converged_value(raw, rule, context="edge moments", batch=c.ndim)
+    return converged_value(raw, rule, context="edge moments", batch=1)
 
 
 def _moment_sum(op, residuals):
@@ -246,20 +234,17 @@ def _same_edge_integrals(op, c, rule):
     # momentum: by the running-integral sweep at real k, all at once; by the
     # 2-d rule of ``double_integral`` at any other c, one c at a time, with
     # V(hi) times scale^2, which scales each product of the integrand exactly
-    c = np.asarray(c)
     if np.iscomplexobj(c) and not c.real.any():
-        return _same_edge_sweep(op, -c.imag[..., None, None], rule)
-    if c.ndim:
-        return np.array([_same_edge_integrals(op, x, rule) for x in c])
-    diag = 0.0
-    g, square = _same_edge_integrand(c), _scale(op) ** 2
-    for j, p in enumerate(op.potential.profiles):
-        if not p.is_zero():
-            V = _cell_values(op, j, rule)
-            diag += rule.double_integral(
-                lambda lo, hi: g(V(lo), V(hi) * square, lo, hi), p.breakpoints
-            )
-    return diag
+        return _same_edge_sweep(op, -c.imag[:, None, None], rule)
+    square, diag = _scale(op) ** 2, [0.0] * len(c)
+    for q, g in enumerate(map(_same_edge_integrand, c)):
+        for j, p in enumerate(op.potential.profiles):
+            if not p.is_zero():
+                V = _cell_values(op, j, rule)
+                diag[q] += rule.double_integral(
+                    lambda lo, hi: g(V(lo), V(hi) * square, lo, hi), p.breakpoints
+                )
+    return np.array(diag)
 
 
 def _same_edge_sweep(op, theta, rule):
@@ -272,23 +257,23 @@ def _same_edge_sweep(op, theta, rule):
     cells before it plus h (Q @ G), Q the running-integral matrix of the
     rule's order: 2m trig values per cell of m nodes, where the 2-d rule
     takes m^2 + 2m on a diagonal cell and m^2 on every pair of cells. All
-    cells of all edges are one array (``_sweep_cells``), behind theta's batch axes.
+    cells of all edges are one array (``_cells``), behind theta's batch axis.
     """
-    x, w, h, V2, wV, left = _sweep_cells(op, rule)
+    x, w, h, V, left, _ = _cells(op, rule)
+    V = V * _scale(op)
     t = theta * x
     s, co = np.sin(t), np.cos(t)
-    G = V2 * s
+    G = 2.0 * V * s
     C = left @ np.sum(w * G, axis=-1)[..., None] + h * (G @ _running01(rule.order).T)
-    F, s, co = (arr.reshape(t.shape[:-2] + (-1,)) for arr in (wV * C, s, co))
-    return 2.0 * (np.vecdot(F, s) - 1j * np.vecdot(F, co))
+    F, s, co = (arr.reshape(len(t), -1) for arr in (w * V * C, s, co))
+    return 2.0 * np.array([complex(f @ sin, -(f @ cos)) for f, sin, cos in zip(F, s, co)])
 
 
-def _sweep_cells(op, rule):
-    # every supported edge's cells, one row each: the nodes x, weights w and
-    # widths h of ``rule.cell_points``, 2V and wV for the profile V times
-    # _scale at x, read through _node_values (the moments' rows, so no node
-    # array is evaluated twice), and left[i, l] = 1 where cell l lies left
-    # of cell i on the same edge; none of it depends on eps or the momentum
+def _cells(op, rule):
+    # every supported edge's cells, one row each, in the order of ``rule.integrate`` over
+    # their breaks: the nodes x, weights w and widths h of ``rule.cell_points``, the profile
+    # V at x, left[i, l] = 1 where cell l lies left of cell i on the same edge, and the
+    # supported edges; none of it depends on eps or the momentum
     def build():
         x, w, h, V, edge = [], [], [], [], []
         for j, p in enumerate(op.potential.profiles):
@@ -297,19 +282,17 @@ def _sweep_cells(op, rule):
                 x.extend(nodes)
                 w.extend(weights)
                 h.extend(np.diff(p.breakpoints))
-                V.extend(map(_node_values(op, j), nodes))
+                V.extend(p.evaluate(nodes))
                 edge.extend([j] * len(nodes))
-        m = rule.order
-        x, w = np.reshape(x, (-1, m)), np.reshape(w, (-1, m))
-        V = np.reshape(V, (-1, m)) * _scale(op)
-        edge, cell = np.array(edge), np.arange(len(edge))
+        edge, cell, m = np.array(edge), np.arange(len(edge)), rule.order
         left = (edge[:, None] == edge[None, :]) & (cell[None, :] < cell[:, None])
-        cells = (x, w, np.reshape(h, (-1, 1)), 2.0 * V, w * V, left.astype(float))
+        rows = (np.reshape(x, (-1, m)), np.reshape(w, (-1, m)), np.reshape(h, (-1, 1)))
+        cells = (*rows, np.reshape(V, (-1, m)), left.astype(float))
         for arr in cells:
             arr.setflags(write=False)
-        return cells
+        return (*cells, sorted(set(edge.tolist())))
 
-    return op.potential.shared((_sweep_cells, rule), build)
+    return op.potential.shared((_cells, rule), build)
 
 
 def _pairing(op, k, rule):
@@ -321,9 +304,8 @@ def _pairing(op, k, rule):
     """
     a = _decay_rate(k)
     scale = _scale(op)
-    value = converged_value(
-        lambda r: _pairing_raw(op, a, r), rule, context="<R0 V, V>", batch=np.ndim(k)
-    )
+    raw = partial(_pairing_raw, op, a)
+    value = converged_value(raw, rule, context="<R0 V, V>", batch=np.ndim(k))
     value = value / scale / scale
     if not np.isfinite(value).all():
         raise QuadratureNotConverged("<R0 V, V> is not finite at the potential's scale")
@@ -377,11 +359,12 @@ def _direct_raw(op, i, a, xs, rule):
     return out
 
 
-def _far_field(op, k, rule, r):
-    # b_i = m_i(-k) - m_i(k) + (2/n) sum_j m_j(k) per edge, from the moment
-    # residuals r = m(k) - int V: beyond the scaled support f_i(x; k) is
-    # exactly (i eps/2k) b_i e^{ikx}
-    return _edge_moments(op, -k, rule) - r + (2.0 / op.n) * _moment_sum(op, r)
+def _far_field(op, k, rule):
+    # r = m(k) - int V, shared = (2/n) sum_j m_j(k) and b_i = m_i(-k) - m_i(k) + shared, from
+    # k and -k checked as one batch: beyond the scaled support f_i(x; k) = (i eps/2k) b_i e^{ikx}
+    r, reverse = _edge_moments(op, np.array([k, -k]), rule)
+    shared = (2.0 / op.n) * _moment_sum(op, r)
+    return r, shared, reverse - r + shared
 
 
 def _factor(op, k, edge, xs, rule):
@@ -397,14 +380,13 @@ def _factor(op, k, edge, xs, rule):
     eps = op.eps
     i = edge - 1
     profile = op.potential.profiles[i]
-    r = _edge_moments(op, k, rule)
-    shared = (2.0 / op.n) * _moment_sum(op, r)
+    r, shared, far = _far_field(op, k, rule)
     decay = np.exp(-a * xs)
     bracket = decay * (shared - op.potential.edge_means[i] - r[i])
     if not profile.is_zero():
         outside = xs >= eps * profile.support[1]
         if outside.any():
-            bracket[outside] = _far_field(op, k, rule, r)[i] * decay[outside]
+            bracket[outside] = far[i] * decay[outside]
         inside = xs[~outside]
         if inside.size:
             bracket[~outside] += converged_value(
@@ -459,7 +441,7 @@ def smeared_factor_coefficients(op, kappa):
     """Per-edge numbers b_i with (R0 V_eps)(x) = (eps/2kappa) b_i e^{-kappa x}
     exactly for x beyond the scaled support:
     b_i = m_i(-i kappa) + sum_j (2/n - delta_ij) m_j(i kappa)."""
-    return _far_field(op, 1j * kappa, op.quad, _edge_moments(op, 1j * kappa, op.quad))
+    return _far_field(op, 1j * kappa, op.quad)[2]
 
 
 class EpsKernel:

@@ -31,12 +31,12 @@ from .graph import CouplingConstants
 TOL_POLE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SMatrix:
-    """On-shell scattering matrix at real momentum k > 0, or a stack of them,
-    one per entry of a 1-d k, whose defects are the largest of its matrices'."""
+    """On-shell scattering matrix at real momentum k > 0, or a stack of them, one per
+    entry of a 1-d k, with the largest of their defects; compared by identity only."""
 
-    k: float
+    k: float | np.ndarray
     entries: np.ndarray
 
     def __post_init__(self):

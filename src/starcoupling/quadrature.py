@@ -11,7 +11,6 @@ a cell's nodes with the matrix of ``_running01``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -60,6 +59,16 @@ def _cell(rule, a, b):
     return arrays
 
 
+@lru_cache(maxsize=256)
+def _cell_rows(rule, *breaks):
+    # ``cell_points`` of each 1-d breaks (as bytes) stacked, read-only, and each row's breaks
+    cells = [rule.cell_points(np.frombuffer(b)) for b in breaks]
+    x, w = (np.concatenate(arrays) for arrays in zip(*cells))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w, tuple(i for i, (nodes, _) in enumerate(cells) for _ in nodes)
+
+
 #: a break closer than this to an end of the interval is dropped
 BREAK_MARGIN = 1e-14
 
@@ -85,6 +94,7 @@ class QuadratureRule:
         if self.order < 1:
             raise ValueError("order must be positive")
 
+    @lru_cache(maxsize=64)
     def doubled(self):
         return replace(self, order=2 * self.order)
 
@@ -99,11 +109,19 @@ class QuadratureRule:
         return self.points(edges[:-1], edges[1:])
 
     def integrate(self, f, breaks):
-        """Integral of a vectorized f over the cells of the 1-d ``breaks``."""
-        total = 0.0
-        for x, w in zip(*self.cell_points(breaks)):
-            total = total + np.sum(w * f(x), axis=-1)
-        return total
+        """Integral of a vectorized f over the cells of the 1-d ``breaks``, or of each of a
+        list of them, on the last axis: f is called once, on all their cells' nodes in the
+        order of ``cell_points``; each cell is summed, and each breaks' cells added in order."""
+        parts = breaks if np.ndim(breaks[0]) else [breaks]
+        x, w, interval = _cell_rows(self, *(np.asarray(b, dtype=float).tobytes() for b in parts))
+        values = f(x.ravel())
+        batch = np.shape(values)[:-1]
+        sums = np.sum(w * np.reshape(values, batch + w.shape), axis=-1).reshape(-1, len(w))
+        out = np.zeros((len(parts), len(sums)), dtype=sums.dtype)
+        for i, cell in zip(interval, sums.T):
+            out[i] += cell
+        out = out.T.reshape(batch + (len(parts),))
+        return out if parts is breaks else out[..., 0][()]
 
     def cells(self, breaks):
         """The cells of ``double_integral`` over ``breaks``^2 in its order, as
@@ -145,23 +163,23 @@ def converged_value(compute, rule, rtol=1e-10, atol=0.0, context="", batch=0):
     when either is not finite: a NaN fails every comparison and an infinite
     size admits any gap, so the gap must be finite first, and is formed only
     from a finite fine value (inf - inf would warn). The first ``batch`` axes
-    index values each checked on its own, as a call on it alone would be.
+    index values each checked on its own, relative to its own largest
+    magnitude, as a call on it alone would check it.
     """
     coarse = compute(rule)
     fine = compute(rule.doubled())
-    shape = (-1, *np.shape(fine)[batch:])
-    pairs = zip(np.reshape(fine, shape), np.reshape(coarse, shape)) if batch else [(fine, coarse)]
-    for value, other in pairs:
-        size = np.max(np.abs(value))
-        gap = np.max(np.abs(value - other)) if math.isfinite(size) else size
-        if not math.isfinite(gap):
-            raise QuadratureNotConverged(
-                f"{context or 'integral'} or its change from order {rule.order} "
-                f"to {2 * rule.order} is not finite"
-            )
-        if gap > rtol * size + atol:
-            raise QuadratureNotConverged(
-                f"order {rule.order}->{2 * rule.order} changed "
-                f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"
-            )
+    axes = tuple(range(batch, np.ndim(fine)))
+    size = np.abs(fine).max(axis=axes)
+    gap = np.abs(fine - coarse).max(axis=axes) if np.isfinite(size).all() else size
+    if not np.isfinite(gap).all():
+        raise QuadratureNotConverged(
+            f"{context or 'integral'} or its change from order {rule.order} "
+            f"to {2 * rule.order} is not finite"
+        )
+    if (over := gap > rtol * size + atol).any():
+        gap, size = np.asarray(gap)[over][0], np.asarray(size)[over][0]
+        raise QuadratureNotConverged(
+            f"order {rule.order}->{2 * rule.order} changed "
+            f"{context or 'integral'} by {gap:.3e} (value {size:.3e})"
+        )
     return fine

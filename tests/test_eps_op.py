@@ -208,7 +208,7 @@ class TestSameEdgeIntegrand:
                         ),
                         p.breakpoints,
                     )
-            got = eps_mod._same_edge_integrals(op, c, rule) / eps_mod._scale(op) ** 2
+            got = eps_mod._same_edge_integrals(op, c.reshape(1), rule)[0] / eps_mod._scale(op) ** 2
             assert abs(got - want) <= 1e-13 * abs(want)
 
 

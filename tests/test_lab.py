@@ -706,11 +706,11 @@ class TestSharedPotentialWork:
         config = parse_config(FIVE_EDGES)
         sc.cmd_converge(config)
         assert checked and len(set(checked)) == len(checked)
-        # per rung: -ik eps at the HS kappa and its negative, and the momenta
-        # of the first rung; each later rung meets one new k eps
+        # per rung: -ik eps at the HS kappa and its negative, one batch, and
+        # the momenta of the first rung; each later rung meets one new k eps
         rungs = len(config.epsilons)
         assert len(checked) == 2 * rungs + len(config.momenta) + rungs - 1
-        assert contexts.count("edge moments") == 3 * rungs
+        assert contexts.count("edge moments") == 2 * rungs
 
     def test_failed_moment_check_is_not_kept(self, vstar, lam_neg, monkeypatch):
         # a check that raises leaves nothing behind: asking again checks again

@@ -200,12 +200,12 @@ def _own(potential):
 )
 def test_batched_smatrix_matches_single_momenta(potential, scaling, eps, ks):
     # a batch with a duplicate at eps, then one at eps/2 whose momenta 2k
-    # meet the first batch's k eps, each S against its momentum alone
+    # meet the first batch's k eps, each S bit for bit its momentum's alone
     for at, batch in ((eps, ks + ks[:1]), (eps / 2, [2 * k for k in ks] + ks)):
         got = sc.smatrix_eps(sc.EpsOperator(potential, scaling, at), np.array(batch))
         for k, s in zip(batch, got.entries):
             want = sc.smatrix_eps(sc.EpsOperator(_own(potential), scaling, at), k).entries
-            assert np.max(np.abs(s - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(s, want)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

@@ -41,6 +41,26 @@ def test_piecewise_integration_respects_breaks():
     assert got == pytest.approx(2.0, abs=1e-14)
 
 
+def test_integrate_adds_the_cells_as_a_loop_over_them_does():
+    # one call of f on every cell's nodes, over one breaks or a list of them,
+    # gives the bits of summing each cell on its own and adding the cells in
+    # order, for a number-valued f and one with a batch axis before the nodes
+    rule = QuadratureRule(order=8)
+    breaks = [np.array([0.0, 0.3, 0.7, 1.0]), np.array([0.0, 1.0]), np.array([0.2, 0.25, 0.5])]
+    c = np.array([0.5, -2.0 + 1.0j, 7.0j])
+    for f in (np.cos, lambda x: np.expm1(-c[:, None] * x) * np.sin(3.0 * x)):
+
+        def loop(b, f=f):
+            total = 0.0
+            for x, w in zip(*rule.cell_points(b)):
+                total = total + np.sum(w * f(x), axis=-1)
+            return total
+
+        for b in breaks:
+            assert np.array_equal(rule.integrate(f, b), loop(b))
+        assert np.array_equal(rule.integrate(f, breaks), np.stack([loop(b) for b in breaks], -1))
+
+
 def test_double_integral_with_crease_closed_form():
     # II e^{-c|x-y|} over [0,1]^2 = 2(c - 1 + e^{-c})/c^2
     rule = QuadratureRule(order=32)
