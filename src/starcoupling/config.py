@@ -298,8 +298,9 @@ def load_config(path):
     """Read and validate a JSON experiment configuration file."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

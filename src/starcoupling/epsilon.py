@@ -313,50 +313,37 @@ def _pairing(op, k, rule):
 
 
 def _crease_cells(op, i, u, rule):
-    # the cells of edge i's direct integrals at the scaled points u = x/eps,
-    # the crease split at v = u: the profile's breaks, merged once, plus u
-    # where merge_breaks would add it (inside the support, not a break
-    # already). The unsplit points form one group and the split ones
-    # another, each kept with its nodes, weights and profile values. None
-    # of them depends on eps or the momentum, and on power-of-two ladders u
-    # repeats bit for bit, so the potential keeps them per (edge, rule, u)
+    # edge i's direct-integral cells at the scaled points u = x/eps, split at
+    # the crease v = u, as one table of nodes, weights and profile values,
+    # each of shape (cell, point, node). Each point's breaks are the
+    # profile's, merged once, plus u where merge_breaks would add it, else lo,
+    # so a point on a break, near an end or off the support gets one empty
+    # cell. None of it depends on eps or the momentum, and power-of-two
+    # ladders repeat u, so the potential keeps the table per (edge, rule, u)
     def build():
         profile = op.potential.profiles[i]
         lo, hi = profile.support
         base = merge_breaks(lo, hi, profile.breakpoints)
-        near = base[np.minimum(np.searchsorted(base, u), base.size - 1)]
-        split = (lo + BREAK_MARGIN < u) & (u < hi - BREAK_MARGIN) & (near != u)
-        groups = []
-        for inserted in (False, True):
-            rows = np.flatnonzero(split == inserted)
-            if not rows.size:
-                continue
-            breaks = np.broadcast_to(base, (rows.size, base.size))
-            if inserted:
-                breaks = np.sort(np.column_stack([breaks, u[rows]]), axis=1)
-            edges = breaks.T[..., None]
-            v, w = rule.points(edges[:-1], edges[1:])
-            group = (rows, v, w, profile.evaluate(v))
-            for arr in group:
-                arr.setflags(write=False)
-            groups.append(group)
-        return groups
+        extra = np.where((lo + BREAK_MARGIN < u) & (u < hi - BREAK_MARGIN), u, lo)
+        breaks = np.sort(np.column_stack([np.broadcast_to(base, (u.size, base.size)), extra]))
+        edges = breaks.T[..., None]
+        v, w = rule.points(edges[:-1], edges[1:])
+        cells = (v, w, profile.evaluate(v))
+        for arr in cells:
+            arr.setflags(write=False)
+        return cells
 
     return op.potential.shared((_crease_cells, i, rule, u.tobytes()), build)
 
 
 def _direct_raw(op, i, a, xs, rule):
-    # int V_i e^{-a |x - eps v|} dv at each x over the crease-split cells,
-    # each row summed cell by cell as rule.integrate sums its one-point call
-    eps = op.eps
-    out = np.empty(xs.shape, dtype=np.result_type(a, 1.0))
-    for rows, v, w, V in _crease_cells(op, i, xs / eps, rule):
-        terms = w * (V * np.exp(-a * np.abs(xs[rows, None] - eps * v)))
-        total = 0.0
-        for cell in np.sum(terms, axis=-1):
-            total = total + cell
-        out[rows] = total
-    return out
+    # int V_i e^{-a |x - eps v|} dv at each x, each summed cell by cell as
+    # rule.integrate sums a one-point call; an empty cell adds +-0.0
+    v, w, V = _crease_cells(op, i, xs / op.eps, rule)
+    total = 0.0
+    for cell in np.sum(w * (V * np.exp(-a * np.abs(xs[:, None] - op.eps * v))), axis=-1):
+        total = total + cell
+    return total
 
 
 def _far_field(op, k, rule):

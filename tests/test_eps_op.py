@@ -664,21 +664,6 @@ class TestBatchedCreaseIntegrals:
                     assert values == [sc.assemble_W(op, k, edge, x) for x in xs[::3]]
 
 
-def _crease_cells_per_point(profile, u, rule):
-    # the crease cells with one merge_breaks call per point, grouped by the
-    # number of breaks in ascending order
-    lo, hi = profile.support
-    breaks = [merge_breaks(lo, hi, profile.breakpoints, [t]) for t in u]
-    sizes = np.array([b.size for b in breaks])
-    groups = []
-    for size in sorted(set(sizes.tolist())):
-        rows = np.flatnonzero(sizes == size)
-        edges = np.array([breaks[r] for r in rows]).T[..., None]
-        v, w = rule.points(edges[:-1], edges[1:])
-        groups.append((rows, v, w, profile.evaluate(v)))
-    return groups
-
-
 @st.composite
 def _profile_and_points(draw):
     # a profile of 1-3 pieces on a support of 1/20-grid points, and points
@@ -703,23 +688,23 @@ def _profile_and_points(draw):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(drawn=_profile_and_points(), order=st.sampled_from([4, 8]))
-def test_crease_cells_equal_per_point_merge_breaks(drawn, order):
-    # one merge of the profile's breaks per edge, with each point inserted
-    # where merge_breaks would take it, gives the per-point cells bit for bit
+def test_direct_integrals_equal_per_point_merge_breaks(drawn, order):
+    # one table of crease cells per call, an empty cell where a point adds no
+    # break, gives each point's integral over its own merge_breaks cells, summed
+    # in order, bit for bit
     profile, u = drawn
     other = PiecewisePolynomial([0.0, 1.0], [[-profile.integral()]])
+    eps = 0.5
     op = sc.EpsOperator(
         potential=StarPotential([profile, other]),
         scaling=sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0),
-        eps=0.5,
+        eps=eps,
     )
     rule = sc.QuadratureRule(order=order)
-    got = eps_mod._crease_cells(op, 0, u, rule)
-    want = _crease_cells_per_point(profile, u, rule)
-    assert len(got) == len(want)
-    for got_group, want_group in zip(got, want):
-        for a, b in zip(got_group, want_group):
-            assert np.array_equal(a, b)
+    xs = eps * u
+    for a in (2.0, -12.0j, 0.5 - 3.0j):
+        got = eps_mod._direct_raw(op, 0, a, xs, rule)
+        assert np.array_equal(got, _direct_loop(profile, a, eps, xs, rule))
 
 
 class TestPoleAsymptotic:

@@ -871,6 +871,16 @@ class TestCli:
         cfg = write_config(tmp_path, {"epsilons": [0.1, 0.2]})
         assert run(["constants", "--config", str(cfg)]) == 2
 
+    def test_config_directory_exit_two(self, tmp_path, capsys):
+        assert run(["converge", "--config", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe" + '{"n": 3}'.encode("utf-16-le"))
+        assert run(["converge", "--config", str(cfg)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+
     def test_mean_violation_exit_two(self, tmp_path, capsys):
         pot = [[{"interval": [0.0, 1.0], "coeffs": [1.0]}], [], []]
         cfg = write_config(tmp_path, {"potential": pot})
