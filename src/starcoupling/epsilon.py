@@ -26,6 +26,9 @@ routines:
                             + e^{ikx} sum_j (2/n - delta_ij) m_j ]
 
 so that inner_RV_V(kappa) = P(i kappa) and rank_one_factor = f(.; i kappa).
+The moments and P's same-edge integrals depend on eps and k only through
+c = -ik eps: the potential keeps them per exact c and rule, so
+``certify_ladder`` checks all of a ladder's c in one batch per kind.
 Everything is computed from the exact finite-eps integrals after the
 substitution x -> eps x, which maps all integrals onto [0,1]^2 and keeps the
 quadrature nodes independent of eps. The small-eps expansions appear only
@@ -295,6 +298,23 @@ def _cells(op, rule):
     return op.potential.shared((_cells, rule), build)
 
 
+def certify_ladder(op, epsilons, momenta, kappa):
+    """Integrate in one batch per kind what the members at ``epsilons`` on op's potential
+    read per exact c for the S-matrices at ``momenta`` and the HS distance at ``kappa``: the
+    verified moments at c = -ik eps and +-kappa eps and the real-k same-edge integrals at
+    both orders. A failed check keeps nothing: the first member to meet it raises it."""
+    momenta, rule = np.asarray(momenta, dtype=float), op.quad
+    scattering = np.concatenate([_decay_rate(momenta) * eps for eps in epsilons])
+    hs = np.array([1j * kappa, -1j * kappa])
+    for c in (scattering, np.concatenate([_decay_rate(hs) * eps for eps in epsilons])):
+        try:
+            _shared_in_c(op, _verified_moments, c, rule)
+        except QuadratureNotConverged:
+            pass
+    for q in (rule, rule.doubled()):
+        _shared_in_c(op, _same_edge_integrals, scattering, q)
+
+
 def _pairing(op, k, rule):
     """The pairing P(k) = <R0(k) V_eps, V_eps>, verified by doubling (each k of an array alone).
 
@@ -312,77 +332,82 @@ def _pairing(op, k, rule):
     return value
 
 
-def _crease_cells(op, i, u, rule):
-    # edge i's direct-integral cells at the scaled points u = x/eps, split at
-    # the crease v = u, as one table of nodes, weights and profile values,
-    # each of shape (cell, point, node). Each point's breaks are the
-    # profile's, merged once, plus u where merge_breaks would add it, else lo,
-    # so a point on a break, near an end or off the support gets one empty
-    # cell. None of it depends on eps or the momentum, and power-of-two
-    # ladders repeat u, so the potential keeps the table per (edge, rule, u)
+def _crease_cells(op, edges, u, rule):
+    # the direct-integral cells of the edges (0-based, one breakpoint layout) at the scaled
+    # points u = x/eps, split at v = u: nodes and weights (cell, point, node), profile values
+    # (edge, cell, point, node). Each point's breaks are the profile's plus u where merge_breaks
+    # adds it, else lo (an empty cell). Nothing depends on eps or k: kept per (edges, rule, u)
     def build():
-        profile = op.potential.profiles[i]
-        lo, hi = profile.support
-        base = merge_breaks(lo, hi, profile.breakpoints)
+        profiles = [op.potential.profiles[i] for i in edges]
+        lo, hi = profiles[0].support
+        base = merge_breaks(lo, hi, profiles[0].breakpoints)
         extra = np.where((lo + BREAK_MARGIN < u) & (u < hi - BREAK_MARGIN), u, lo)
         breaks = np.sort(np.column_stack([np.broadcast_to(base, (u.size, base.size)), extra]))
-        edges = breaks.T[..., None]
-        v, w = rule.points(edges[:-1], edges[1:])
-        cells = (v, w, profile.evaluate(v))
+        ends = breaks.T[..., None]
+        v, w = rule.points(ends[:-1], ends[1:])
+        cells = (v, w, np.array([p.evaluate(v) for p in profiles]))
         for arr in cells:
             arr.setflags(write=False)
         return cells
 
-    return op.potential.shared((_crease_cells, i, rule, u.tobytes()), build)
+    return op.potential.shared((_crease_cells, edges, rule, u.tobytes()), build)
 
 
-def _direct_raw(op, i, a, xs, rule):
-    # int V_i e^{-a |x - eps v|} dv at each x, each summed cell by cell as
-    # rule.integrate sums a one-point call; an empty cell adds +-0.0
-    v, w, V = _crease_cells(op, i, xs / op.eps, rule)
+def _direct_raw(op, edges, a, xs, rule):
+    # int V_i e^{-a |x - eps v|} dv per edge i and point x, from one table of exponentials,
+    # summed cell by cell as rule.integrate sums a one-point call; an empty cell adds +-0.0
+    v, w, V = _crease_cells(op, edges, xs / op.eps, rule)
     total = 0.0
-    for cell in np.sum(w * (V * np.exp(-a * np.abs(xs[:, None] - op.eps * v))), axis=-1):
+    for cell in np.sum(w * (V * np.exp(-a * np.abs(xs[:, None] - op.eps * v))), -1).swapaxes(0, 1):
         total = total + cell
     return total
 
 
 def _far_field(op, k, rule):
-    # r = m(k) - int V, shared = (2/n) sum_j m_j(k) and b_i = m_i(-k) - m_i(k) + shared, from
-    # k and -k checked as one batch: beyond the scaled support f_i(x; k) = (i eps/2k) b_i e^{ikx}
-    r, reverse = _edge_moments(op, np.array([k, -k]), rule)
-    shared = (2.0 / op.n) * _moment_sum(op, r)
-    return r, shared, reverse - r + shared
+    # r = m(k) - int V, shared = (2/n) sum m_j(k), b_i = m_i(-k) - m_i(k) + shared (f_i(x; k) =
+    # (i eps/2k) b_i e^{ikx} off the support), k and -k one batch; kept per eps, k and rule
+    def build():
+        r, reverse = _edge_moments(op, np.array([k, -k]), rule)
+        shared = (2.0 / op.n) * _moment_sum(op, r)
+        return r, shared, reverse - r + shared
+
+    return op.potential.shared((_far_field, op.eps, k, rule), build)
 
 
-def _factor(op, k, edge, xs, rule):
-    """The factor f_i(x; k) = (R0(k) V_eps)_i(x) on one edge at the points xs.
+def _factor(op, k, edges, xs, rule):
+    """The factors f_i(x; k) = (R0(k) V_eps)_i(x) of the edges i at the points xs, one row each.
 
     The moments and the crease-split direct integrals are verified apart
     and only then summed, so no check is relative to their sum, which the
     zero total mean cancels at the vertex. Beyond the scaled support the
     direct integral is exactly e^{ikx} m_i(-k), and f_i = (i eps/2k) b_i e^{ikx}
-    with the far-field b_i of ``_far_field``.
+    with the far-field b_i of ``_far_field``. Edges with equal breakpoints share
+    one table of exponentials and one check, each row checked on its own.
     """
     a = _decay_rate(k)
-    eps = op.eps
-    i = edge - 1
-    profile = op.potential.profiles[i]
+    i = np.subtract(edges, 1)
     r, shared, far = _far_field(op, k, rule)
     decay = np.exp(-a * xs)
-    bracket = decay * (shared - op.potential.edge_means[i] - r[i])
-    if not profile.is_zero():
-        outside = xs >= eps * profile.support[1]
-        if outside.any():
-            bracket[outside] = far[i] * decay[outside]
+    bracket = decay * (shared - np.take(op.potential.edge_means, i) - r[i])[:, None]
+    groups = {}
+    for row, j in enumerate(i):
+        profile = op.potential.profiles[j]
+        if not profile.is_zero():
+            groups.setdefault(profile.breakpoints.tobytes(), (profile, []))[1].append(row)
+    for profile, rows in groups.values():
+        outside = xs >= op.eps * profile.support[1]
+        bracket[np.ix_(rows, outside)] = far[i[rows], None] * decay[outside]
         inside = xs[~outside]
         if inside.size:
-            bracket[~outside] += converged_value(
-                lambda q: _direct_raw(op, i, a, inside, q),
+            bracket[np.ix_(rows, ~outside)] += converged_value(
+                lambda q: _direct_raw(op, tuple(i[rows]), a, inside, q),
                 rule,
                 rtol=1e-10,
-                context=f"direct integrals of the factor on edge {edge}",
+                context="direct integrals of the factor on edge "
+                + ", ".join(map(str, i[rows] + 1)),
+                batch=1,
             )
-    return (eps / (2.0 * a)) * bracket
+    return (op.eps / (2.0 * a)) * bracket
 
 
 def inner_RV_V(kappa, op):
@@ -412,16 +437,19 @@ def zeta(op, kappa):
 
 
 def rank_one_factor(op, kappa, edge, xs):
-    """(R0 V_eps) on an edge at the points xs: the factor f(x; i kappa).
+    """(R0 V_eps) on an edge at the points xs: the factor f(x; i kappa); a
+    sequence of edges gives one row per edge, formed in one call.
 
     Beyond the scaled support this is exactly (eps/2kappa) b_i e^{-kappa x},
     b_i the ``smeared_factor_coefficients``; inside it the |x - eps v|
     crease is split at v = x/eps.
     """
-    if not 1 <= edge <= op.n:
+    edges = np.atleast_1d(edge)
+    if not np.all((1 <= edges) & (edges <= op.n)):
         raise ValueError(f"edge index {edge} outside 1..{op.n}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    return _factor(op, 1j * kappa, edge, xs, op.quad)
+    values = _factor(op, 1j * kappa, edges, xs, op.quad)
+    return values if np.ndim(edge) else values[0]
 
 
 def smeared_factor_coefficients(op, kappa):
@@ -442,11 +470,15 @@ class EpsKernel:
         self._factors = {}
 
     def _factor(self, edge, xs):
-        # each edge's factor depends on its own grid only, so the edge pairs
-        # of one grid share n factors
+        # each edge's factor depends on its own grid only, so the edge pairs of one grid share
+        # n factors; edges with edge's breakpoints (or zero with it) share its grids: one call
         key = (edge, xs.tobytes())
         if key not in self._factors:
-            self._factors[key] = rank_one_factor(self.op, self.kappa, edge, xs)
+            profiles = self.op.potential.profiles
+            geometry = [None if p.is_zero() else p.breakpoints.tobytes() for p in profiles]
+            edges = [e for e, g in enumerate(geometry, 1) if g == geometry[edge - 1]]
+            rows = rank_one_factor(self.op, self.kappa, edges, xs)
+            self._factors.update(((e, key[1]), row) for e, row in zip(edges, rows))
         return self._factors[key]
 
     def on_grid(self, i, j, xs, ys):

@@ -21,6 +21,7 @@ import numpy as np
 from .epsilon import (
     EpsKernel,
     EpsOperator,
+    certify_ladder,
     find_pole,
     pole_asymptotic,
     shared_constants,
@@ -44,7 +45,7 @@ from .graph import (
 from .limit import (
     FreeKernel,
     LimitKernel,
-    lambda_matrix,
+    lambda_matrix,  # unused here, but perfbench traces this binding
     limit_point_spectrum,
     smatrix_limit,
 )
@@ -172,7 +173,8 @@ def hs_distance(op, kappa):
     E_ij e^{-kappa(x+y)} with a coefficient matrix E that is O(eps).
     """
     eps_kernel = EpsKernel(op, kappa)
-    lim_kernel = LimitKernel(op.constants, kappa)
+    key = (LimitKernel, op.scaling, kappa)  # it does not depend on eps: one per command
+    lim_kernel = op.potential.shared(key, lambda: LimitKernel(op.constants, kappa))
     L = 1.0 + 8.0 / kappa
     grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
 
@@ -185,8 +187,7 @@ def hs_distance(op, kappa):
 
     # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
     b = smeared_factor_coefficients(op, kappa)
-    lam = lambda_matrix(kappa, op.constants)
-    E = eps_kernel.zeta * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lam
+    E = eps_kernel.zeta * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lim_kernel.lam
     tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
     tail_sq *= 1.001  # headroom over the 1e-10-certified quadrature factors
     return math.sqrt(total), tail_sq
@@ -308,22 +309,15 @@ def cmd_spectrum(config, parallel=1):
 
 def _converge_one_eps(config, eps):
     op = _member(config, eps)
-    cc = op.constants
-    rows = []
     distance, tail = hs_distance(op, config.kappa)
-    rows.append(
-        _row(
-            "hs_distance",
-            epsilon=eps,
-            kappa=config.kappa,
-            value=distance,
-            error=distance,
-            tail=tail,
-        )
+    hs = dict(epsilon=eps, kappa=config.kappa, value=distance, error=distance, tail=tail)
+    rows = [_row("hs_distance", **hs)]
+    # all momenta in one scattering call, and their 2-norms in one more: the gufunc takes
+    # each matrix of the stack as it takes a single one; the potential keeps the limit stack
+    key = (smatrix_limit, op.scaling, config.momenta)
+    limit = op.potential.shared(
+        key, lambda: np.stack([smatrix_limit(k, op.constants).entries for k in config.momenta])
     )
-    # all momenta in one scattering call, and their 2-norms in one more: the
-    # gufunc takes each matrix of the stack as it takes a single one
-    limit = np.stack([smatrix_limit(k, cc).entries for k in config.momenta])
     errors = np.linalg.norm(smatrix_eps(op, np.array(config.momenta)).entries - limit, 2, (1, 2))
     for k, err in zip(config.momenta, errors.tolist()):
         rows.append(_row("smatrix_error", epsilon=eps, k=k, value=err, error=err))
@@ -331,10 +325,14 @@ def _converge_one_eps(config, eps):
 
 
 def cmd_converge(config, parallel=1):
-    """Distances to the limit objects per eps plus log-log rate fits."""
+    """Distances to the limit objects per eps plus log-log rate fits. Serially, every
+    rung's c-only integrals are checked first, one batch per kind (``certify_ladder``)."""
     if len(config.epsilons) < 4:
         raise ConfigError("convergence study needs at least 4 eps values")
     report = Report(command="converge")
+    if parallel <= 1:
+        op = _member(config, config.epsilons[0])
+        certify_ladder(op, config.epsilons, config.momenta, config.kappa)
     for chunk in _sweep(_converge_one_eps, config, parallel):
         report.rows.extend(chunk)
 

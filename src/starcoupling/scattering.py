@@ -85,7 +85,7 @@ def assemble_W(op, k, j, x):
         raise ValueError(f"edge index {j} outside 1..{op.n}")
     if not 0 <= x <= op.eps:
         raise ValueError("W is defined on [0, eps]")
-    return -(op.lambda_value / op.eps**3) * _factor(op, k, j, np.array([x]), op.quad)[0]
+    return -(op.lambda_value / op.eps**3) * _factor(op, k, [j], np.array([x]), op.quad)[0, 0]
 
 
 def fredholm_D_direct(op, k):

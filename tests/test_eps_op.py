@@ -648,14 +648,15 @@ class TestBatchedCreaseIntegrals:
             for a in (0.7, 3.0, -0.5j, -5.0j, 1.0 - 2.0j):
                 for r in (rule, rule.doubled()):
                     assert np.array_equal(
-                        eps_mod._direct_raw(op, edge - 1, a, xs, r),
+                        eps_mod._direct_raw(op, (edge - 1,), a, xs, r)[0],
                         _direct_loop(profile, a, eps, xs, r),
                     )
             batched = {kappa: sc.rank_one_factor(op, kappa, edge, xs) for kappa in (0.7, 3.0)}
             W = {k: [sc.assemble_W(op, k, edge, x) for x in xs[::3]] for k in (0.5, 5.0)}
             with monkeypatch.context() as m:
-                def loop(op, i, a, xs, r):
-                    return _direct_loop(op.potential.profiles[i], a, op.eps, xs, r)
+                def loop(op, edges, a, xs, r):
+                    profiles = [op.potential.profiles[i] for i in edges]
+                    return np.array([_direct_loop(p, a, op.eps, xs, r) for p in profiles])
 
                 m.setattr(eps_mod, "_direct_raw", loop)
                 for kappa, values in batched.items():
@@ -703,8 +704,91 @@ def test_direct_integrals_equal_per_point_merge_breaks(drawn, order):
     rule = sc.QuadratureRule(order=order)
     xs = eps * u
     for a in (2.0, -12.0j, 0.5 - 3.0j):
-        got = eps_mod._direct_raw(op, 0, a, xs, rule)
+        got = eps_mod._direct_raw(op, (0,), a, xs, rule)[0]
         assert np.array_equal(got, _direct_loop(profile, a, eps, xs, rule))
+
+
+def _factor_per_edge(op, kappa, edge, xs):
+    # one edge's factor as the per-edge route formed it: its own far field, its own
+    # direct-integral check, and the per-point merge_breaks loop for the integrals
+    k, rule, eps, i = 1j * kappa, op.quad, op.eps, edge - 1
+    profile = op.potential.profiles[i]
+    r, reverse = eps_mod._edge_moments(op, np.array([k, -k]), rule)
+    shared = (2.0 / op.n) * eps_mod._moment_sum(op, r)
+    far = reverse - r + shared
+    decay = np.exp(-kappa * xs)
+    bracket = decay * (shared - op.potential.edge_means[i] - r[i])
+    if not profile.is_zero():
+        outside = xs >= eps * profile.support[1]
+        bracket[outside] = far[i] * decay[outside]
+        inside = xs[~outside]
+        if inside.size:
+            bracket[~outside] += converged_value(
+                lambda q: _direct_loop(profile, kappa, eps, inside, q), rule, rtol=1e-10
+            )
+    return (eps / (2.0 * kappa)) * bracket
+
+
+#: breakpoint layouts the drawn edges choose from, so that some edges share one
+LAYOUTS = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.3, 0.6), (0.25, 0.5, 0.75, 1.0))
+
+
+@st.composite
+def _star_potentials(draw):
+    # n = 2..5 edges, one of them zero, the others of 1-3 cubic pieces on a drawn
+    # layout, the first piece's constant term shifted to zero total mean
+    n = draw(st.integers(2, 5))
+    edges = []
+    for _ in range(n - 1):
+        breaks = draw(st.sampled_from(LAYOUTS))
+        coeffs = [draw(st.lists(coefficient, min_size=4, max_size=4)) for _ in breaks[1:]]
+        edges.append([list(zip(breaks, breaks[1:])), coeffs])
+    profiles = [PiecewisePolynomial.from_global_coeffs(list(zip(*edge))) for edge in edges]
+    (a, b), first = edges[0][0][0], edges[0][1][0]
+    first[0] -= sum(p.integral() for p in profiles) / (b - a)
+    profiles = [PiecewisePolynomial.from_global_coeffs(list(zip(*edge))) for edge in edges]
+    profiles.insert(draw(st.integers(0, n - 1)), PiecewisePolynomial.zero())
+    return StarPotential(profiles)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    potential=_star_potentials(),
+    eps=st.sampled_from([2.0**-3, 0.1]),
+    kappa=st.sampled_from([0.7, 3.0]),
+    ts=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=8),
+)
+def test_batched_factors_equal_per_edge_factors(potential, eps, kappa, ts):
+    # every edge in one call, edges on equal and on different breakpoints mixed, and the
+    # edges of one breakpoint layout as a kernel groups them: each row is the bits of the
+    # edge's own factor, at the layout's HS grid points and at drawn points
+    scaling = sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
+    op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
+    for e, profile in enumerate(potential.profiles, start=1):
+        grid = np.concatenate([eps * profile.breakpoints, eps * np.asarray(ts)])
+        edges = list(range(1, op.n + 1))
+        want = [_factor_per_edge(op, kappa, edge, grid) for edge in edges]
+        got = sc.rank_one_factor(op, kappa, edges, grid)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        kernel = sc.EpsKernel(op, kappa)
+        assert np.array_equal(kernel._factor(e, grid), want[e - 1])
+        assert np.array_equal(sc.rank_one_factor(op, kappa, e, grid), want[e - 1])
+
+
+def test_each_edge_of_a_factor_call_is_checked_on_its_own():
+    # edge 2's direct integrals miss the order-4 check relative to their own size;
+    # beside edge 1, a million times larger on the same layout, they must still miss it
+    big = PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [1e6])])
+    wiggly = PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [0.3, -2.0, 1.0, 1.5])])
+    mean = -(big.integral() + wiggly.integral()) / 0.5
+    potential = StarPotential([big, wiggly, PiecewisePolynomial.constant(mean, (0.0, 0.5))])
+    scaling = sc.ScalingFunction(lambda1=1.0, resonant=False, lambda0=1.0)
+    op = sc.EpsOperator(potential, scaling, 0.125, sc.QuadratureRule(order=4))
+    xs = 0.125 * np.linspace(0.0, 1.0, 9)
+    sc.rank_one_factor(op, 3.0, 1, xs)
+    for edges in (2, [1, 2]):
+        with pytest.raises(QuadratureNotConverged, match="direct integrals"):
+            sc.rank_one_factor(op, 3.0, edges, xs)
 
 
 class TestPoleAsymptotic:

@@ -193,9 +193,10 @@ class TestHSDistance:
             factor_calls.clear()
             value, _ = sc.hs_distance(op, kappa)
             assert math.isfinite(value)
-            # one call per pair i <= j, and the pairs share one factor per edge
+            # one call per pair i <= j, and the pairs share one factor per edge:
+            # one call for the two edges on [0, 1], one for the zero edge
             assert len(grids) == op.n * (op.n + 1) // 2
-            assert len(factor_calls) == op.n
+            assert [list(call[2]) for call in factor_calls] == [[1, 2], [3]]
         # 16 Gauss nodes plus the anchor on each supported edge, the anchor
         # alone on the zero edge, at every kappa
         assert sizes[1e-3] == sizes[1.0] == sizes[30.0]

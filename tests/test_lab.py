@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starcoupling as sc
 import starcoupling.epsilon as eps_mod
@@ -22,6 +24,7 @@ from starcoupling import ConfigError
 from starcoupling.config import parse_config
 from starcoupling.cli import run
 from starcoupling.experiments import CSV_COLUMNS
+from conftest import coefficient
 
 BUNDLE_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -504,6 +507,79 @@ def _raw(name):
     return json.loads((BUNDLE_DIR / f"{name}.json").read_text())
 
 
+def _fresh_rungs(monkeypatch):
+    # each rung on a potential and scaling of its own: nothing shared, so the
+    # rungs run one by one and the ladder's batch fills tables no rung reads
+    member = experiments._member
+
+    def fresh_member(config, eps, free=False):
+        op = member(config, eps, free)
+        if free:
+            return op
+        potential, scaling = config.build_potential(), config.build_scaling()
+        return sc.EpsOperator(potential, scaling, eps, op.quad)
+
+    monkeypatch.setattr(experiments, "_member", fresh_member)
+
+
+def _converge_outcome(raw, parallel=1):
+    # the rows, or the class and message of the error the command raised
+    try:
+        return sc.cmd_converge(parse_config(raw), parallel=parallel).rows
+    except sc.StarCouplingError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _converge_configs(draw):
+    # n = 2..5 edges, one of them zero, the others of 1-3 cubic pieces on a drawn
+    # breakpoint layout (some edges share one), the first piece's constant term shifted
+    # to zero total mean; momenta 0.5 and 1 meet the same k eps on successive rungs
+    n = draw(st.integers(2, 5))
+    layouts = ((0.0, 1.0), (0.0, 0.5, 1.0), (0.0, 0.3, 0.6), (0.25, 0.5, 0.75, 1.0))
+    potential = []
+    for _ in range(n - 1):
+        breaks = draw(st.sampled_from(layouts))
+        potential.append(
+            [
+                {"interval": [a, b], "coeffs": draw(st.lists(coefficient, min_size=4, max_size=4))}
+                for a, b in zip(breaks, breaks[1:])
+            ]
+        )
+    pieces = [piece for edge in potential for piece in edge]
+    total = sum(
+        c * (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+        for piece in pieces
+        for (a, b) in [piece["interval"]]
+        for p, c in enumerate(piece["coeffs"])
+    )
+    a, b = pieces[0]["interval"]
+    pieces[0]["coeffs"][0] -= total / (b - a)
+    potential.insert(draw(st.integers(0, n - 1)), [])
+    top = draw(st.integers(2, 4))
+    lambda0 = draw(st.sampled_from([-1.0, 1.0]))
+    return {
+        **BASE_CONFIG,
+        "n": n,
+        "potential": potential,
+        "scaling": {"resonant": False, "lambda0": lambda0, "lambda1": 1.0},
+        "epsilons": [2.0**-e for e in range(top, top + 4)],
+        "momenta": draw(st.sampled_from([[0.5, 1.0], [0.5, 1.0, 2.0], [1.0, 5.0]])),
+        "kappa": draw(st.sampled_from([1.0, 2.5])),
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(raw=_converge_configs(), parallel=st.sampled_from([1, 1, 2]))
+def test_ladder_batch_rows_equal_fresh_rungs(raw, parallel):
+    # the ladder's one batch per kind of integral gives the rows (or the error) that
+    # rungs on potentials of their own give one by one, as do two worker processes
+    batched = _converge_outcome(raw, parallel)
+    with pytest.MonkeyPatch.context() as m:
+        _fresh_rungs(m)
+        assert _converge_outcome(raw) == batched
+
+
 class TestSharedPotentialWork:
     """The potential, its constants and its eps-independent quadrature work
     are built once per command and shared by every rung."""
@@ -517,17 +593,7 @@ class TestSharedPotentialWork:
         one_rung = {**raw, "epsilons": raw["epsilons"][:1]}
         converge = sc.cmd_converge(parse_config(raw)).rows
         spectrum = sc.cmd_spectrum(parse_config(one_rung)).rows
-        member = experiments._member
-
-        def fresh_member(config, eps, free=False):
-            # each rung on a potential and scaling of its own: nothing shared
-            op = member(config, eps, free)
-            if free:
-                return op
-            potential, scaling = config.build_potential(), config.build_scaling()
-            return sc.EpsOperator(potential, scaling, eps, op.quad)
-
-        monkeypatch.setattr(experiments, "_member", fresh_member)
+        _fresh_rungs(monkeypatch)
         assert sc.cmd_converge(parse_config(raw)).rows == converge
         assert sc.cmd_spectrum(parse_config(one_rung)).rows == spectrum
 
@@ -648,7 +714,7 @@ class TestSharedPotentialWork:
             return (
                 eps_mod._pairing_raw(op, a, rule),
                 eps_mod._shared_in_c(op, eps_mod._moment_residuals, a * eps, rule),
-                eps_mod._direct_raw(op, 0, a, xs, rule),
+                eps_mod._direct_raw(op, (0,), a, xs, rule),
             )
 
         base = values(vstar, sc.QuadratureRule(order=32))
@@ -688,8 +754,8 @@ class TestSharedPotentialWork:
     def test_edge_moments_checked_once_per_c(self, monkeypatch):
         # over one command, the doubling check of the edge moments runs once
         # per exact c and rule: the factors, the far field and the HS tail of
-        # a rung read the kept vector, and a batch of momenta checks only the
-        # c no earlier batch met (k = 1 at eps / 2 meets k = 0.5 at eps)
+        # a rung read the kept vector, and a batch checks each c once (k = 1
+        # at eps / 2 meets k = 0.5 at eps)
         checked, contexts = [], []
         verified, converged_value = eps_mod._verified_moments, eps_mod.converged_value
 
@@ -706,11 +772,69 @@ class TestSharedPotentialWork:
         config = parse_config(FIVE_EDGES)
         sc.cmd_converge(config)
         assert checked and len(set(checked)) == len(checked)
-        # per rung: -ik eps at the HS kappa and its negative, one batch, and
-        # the momenta of the first rung; each later rung meets one new k eps
+        # per rung: -ik eps at the HS kappa and its negative, and the momenta
+        # of the first rung; each later rung meets one new k eps. The whole
+        # ladder is checked before the first rung, one batch per kind of c
         rungs = len(config.epsilons)
         assert len(checked) == 2 * rungs + len(config.momenta) + rungs - 1
-        assert contexts.count("edge moments") == 2 * rungs
+        assert contexts.count("edge moments") == 2
+
+    def test_far_field_formed_once_per_rung(self, monkeypatch):
+        # a rung's factors, one call per breakpoint layout, and its HS tail read one far
+        # field: its moments at +-i kappa are looked up once per rung
+        looked_up, factor_calls = [], []
+        edge_moments, factor = eps_mod._edge_moments, eps_mod.rank_one_factor
+
+        def recording(op, k, rule):
+            if np.iscomplexobj(k):
+                looked_up.append(op.eps)
+            return edge_moments(op, k, rule)
+
+        def spy(op, kappa, edges, xs):
+            factor_calls.append(list(edges))
+            return factor(op, kappa, edges, xs)
+
+        monkeypatch.setattr(eps_mod, "_edge_moments", recording)
+        monkeypatch.setattr(eps_mod, "rank_one_factor", spy)
+        config = parse_config(FIVE_EDGES)
+        sc.cmd_converge(config)
+        assert looked_up == list(config.epsilons)
+        # edges 2 and 5 lie on [0, 1], edges 1 and 3 on layouts of their own, edge 4 is zero
+        assert factor_calls == [[1], [2, 5], [3], [4]] * len(config.epsilons)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("smatrix_check", "changed edge moments"),
+            ("pole_first_rung", "zeta denominator"),
+            ("pole_late_rung", "zeta denominator"),
+        ],
+    )
+    def test_ladder_errors_come_from_the_rung_that_meets_them(
+        self, case, message, tmp_path, capsys, monkeypatch
+    ):
+        # the ladder's batch checks every rung's S-matrix moments before the first rung
+        # runs; a failure there is left to the rung that meets it, after that rung's HS
+        # distance, so an AtPole of the HS kappa on that rung or an earlier one comes first
+        raw = _raw("vstar_resonant_neg")
+        order, rung = 32, 2
+        if case != "pole_late_rung":
+            # at order 8 the k = 20 moments fail on the first rung of this ladder
+            raw.update(epsilons=[1.0, 0.5, 0.25, 0.125], momenta=[0.5, 20.0])
+            order, rung = 8, 0
+        if case != "smatrix_check":
+            config = parse_config(raw)
+            potential, scaling = config.build_potential(), config.build_scaling()
+            rule, eps = sc.QuadratureRule(order=order), raw["epsilons"][rung]
+            raw["kappa"] = sc.find_pole(sc.EpsOperator(potential, scaling, eps, rule)).kappa
+        cfg = tmp_path / "ladder.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["converge", "--config", str(cfg), "--out", str(tmp_path)]
+        argv += ["--quad-order", str(order)]
+        batched = run(argv), capsys.readouterr().err
+        _fresh_rungs(monkeypatch)
+        assert (run(argv), capsys.readouterr().err) == batched
+        assert batched[0] == 3 and message in batched[1]
 
     def test_failed_moment_check_is_not_kept(self, vstar, lam_neg, monkeypatch):
         # a check that raises leaves nothing behind: asking again checks again
