@@ -298,21 +298,27 @@ def _cells(op, rule):
     return op.potential.shared((_cells, rule), build)
 
 
+#: the most c that ``certify_ladder`` integrates in one batch, whose arrays grow with c x nodes
+LADDER_BLOCK = 32
+
+
 def certify_ladder(op, epsilons, momenta, kappa):
-    """Integrate in one batch per kind what the members at ``epsilons`` on op's potential
-    read per exact c for the S-matrices at ``momenta`` and the HS distance at ``kappa``: the
-    verified moments at c = -ik eps and +-kappa eps and the real-k same-edge integrals at
-    both orders. A failed check keeps nothing: the first member to meet it raises it."""
+    """Integrate per kind, in batches of at most LADDER_BLOCK c, what the members at ``epsilons``
+    on op's potential read per exact c for the S-matrices at ``momenta`` and the HS distance at
+    ``kappa``: the checked moments at c = -ik eps and +-kappa eps and the real-k same-edge sums
+    at both orders. No row depends on its batch; a failed batch keeps nothing (a member raises)."""
     momenta, rule = np.asarray(momenta, dtype=float), op.quad
     scattering = np.concatenate([_decay_rate(momenta) * eps for eps in epsilons])
-    hs = np.array([1j * kappa, -1j * kappa])
-    for c in (scattering, np.concatenate([_decay_rate(hs) * eps for eps in epsilons])):
-        try:
-            _shared_in_c(op, _verified_moments, c, rule)
-        except QuadratureNotConverged:
-            pass
-    for q in (rule, rule.doubled()):
-        _shared_in_c(op, _same_edge_integrals, scattering, q)
+    hs = _decay_rate(np.array([1j * kappa, -1j * kappa]))
+    hs = np.concatenate([hs * eps for eps in epsilons])
+    kinds = [(_verified_moments, scattering, rule), (_verified_moments, hs, rule)]
+    kinds += [(_same_edge_integrals, scattering, q) for q in (rule, rule.doubled())]
+    for integrals, c, q in kinds:
+        for start in range(0, len(c), LADDER_BLOCK):
+            try:
+                _shared_in_c(op, integrals, c[start : start + LADDER_BLOCK], q)
+            except QuadratureNotConverged:
+                pass
 
 
 def _pairing(op, k, rule):
@@ -469,23 +475,24 @@ class EpsKernel:
         self.zeta = zeta(op, self.kappa)
         self._factors = {}
 
-    def _factor(self, edge, xs):
-        # each edge's factor depends on its own grid only, so the edge pairs of one grid share
-        # n factors; edges with edge's breakpoints (or zero with it) share its grids: one call
+    def factor(self, edge, xs):
+        # f(x; i kappa) on edge at xs, of xs's shape; the edge pairs of one grid share n factors,
+        # and edges with edge's breakpoints (or zero with it) share its grids: one call
         key = (edge, xs.tobytes())
         if key not in self._factors:
             profiles = self.op.potential.profiles
             geometry = [None if p.is_zero() else p.breakpoints.tobytes() for p in profiles]
             edges = [e for e, g in enumerate(geometry, 1) if g == geometry[edge - 1]]
-            rows = rank_one_factor(self.op, self.kappa, edges, xs)
+            rows = rank_one_factor(self.op, self.kappa, edges, xs.ravel())
             self._factors.update(((e, key[1]), row) for e, row in zip(edges, rows))
-        return self._factors[key]
+        return self._factors[key].reshape(xs.shape)
 
     def on_grid(self, i, j, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         free = _free_kernel_grid(self.kappa, i, j, xs, ys, self.n)
-        return free - self.zeta * np.outer(self._factor(i, xs), self._factor(j, ys))
+        fi, fj = self.factor(i, xs)[..., :, None], self.factor(j, ys)[..., None, :]
+        return free - self.zeta * (fi * fj)
 
 
 def pole_equation(op, kappa):

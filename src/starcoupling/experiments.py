@@ -2,9 +2,9 @@
 
 Each command produces a uniform row set (columns quantity, epsilon, k,
 kappa, value, error, tail_bound; unused fields empty) plus a JSON-able
-summary. Identical configurations produce bit-identical output: quadrature
-orders and solver sequences are fixed and nothing here draws random
-numbers.
+summary. Identical configurations produce bit-identical output at a fixed
+BLAS thread count: quadrature orders and solver sequences are fixed and
+nothing here draws random numbers.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def _hs_grid(profile, eps, kappa, L):
     return np.append(x.ravel(), a), np.append(w.ravel(), anchor)
 
 
-def hs_distance(op, kappa):
+def hs_distance(ops, kappa):
     """Truncated Hilbert-Schmidt distance between the two resolvent kernels.
 
     Integrates |difference|^2 over [0, L]^2 per edge pair, L = 1 + 8/kappa,
@@ -166,31 +166,47 @@ def hs_distance(op, kappa):
     kappa. Both kernels satisfy K_ij(x, y) = K_ji(y, x), so only the pairs
     i <= j are integrated and each off-diagonal one counts twice.
 
+    ``ops`` is one member, or an iterable of members on one potential and
+    scaling (a ladder) for a list of (distance, tail) pairs. Each member's
+    kernel (zeta and factor rows), grids and tail are formed before the next
+    member is asked for; then each edge pair's grids of all members with
+    equal grid sizes at once, on a leading member axis, one member per slice.
+
     The distance scales like sqrt(eps), not eps: the limit kernel jumps at
     the vertex while the finite-eps kernel is continuous there, so an O(1)
     mismatch survives on a boundary layer of width eps and the squared
     integral is O(eps). Off the scaled support the difference is
     E_ij e^{-kappa(x+y)} with a coefficient matrix E that is O(eps).
     """
-    eps_kernel = EpsKernel(op, kappa)
-    key = (LimitKernel, op.scaling, kappa)  # it does not depend on eps: one per command
-    lim_kernel = op.potential.shared(key, lambda: LimitKernel(op.constants, kappa))
     L = 1.0 + 8.0 / kappa
-    grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
+    zetas, rows, tails, sizes = [], [], [], {}
+    for op in [ops] if isinstance(ops, EpsOperator) else ops:
+        eps_kernel = EpsKernel(op, kappa)
+        key = (LimitKernel, op.scaling, kappa)  # it does not depend on eps: one per command
+        lim_kernel = op.potential.shared(key, lambda: LimitKernel(op.constants, kappa))
+        grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
+        rows.append([(x, w, eps_kernel.factor(e, x)) for e, (x, w) in enumerate(grids, start=1)])
+        # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
+        b = smeared_factor_coefficients(op, kappa)
+        E = eps_kernel.zeta * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lim_kernel.lam
+        tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
+        tails.append(tail_sq * 1.001)  # headroom over the 1e-10-certified quadrature factors
+        zetas.append(eps_kernel.zeta)
+        sizes.setdefault(tuple(x.size for x, _ in grids), []).append(len(zetas) - 1)
 
-    total = 0.0
-    for i, (x, wx) in enumerate(grids, start=1):
-        for j, (y, wy) in enumerate(grids[i - 1 :], start=i):
-            diff = eps_kernel.on_grid(i, j, x, y) - lim_kernel.on_grid(i, j, x, y)
-            pair = float(np.sum(wx[:, None] * wy[None, :] * diff**2))
-            total += pair if i == j else 2.0 * pair
-
-    # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
-    b = smeared_factor_coefficients(op, kappa)
-    E = eps_kernel.zeta * (op.eps / (2.0 * kappa)) ** 2 * np.outer(b, b) + lim_kernel.lam
-    tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
-    tail_sq *= 1.001  # headroom over the 1e-10-certified quadrature factors
-    return math.sqrt(total), tail_sq
+    free, total = FreeKernel(lim_kernel.n, kappa), np.zeros(len(zetas))
+    for members in sizes.values():
+        zeta = np.array(zetas)[members, None, None]
+        # per edge: its nodes, weights and factor rows, each of shape (member, point)
+        stacked = [np.stack(edge, axis=1) for edge in zip(*(rows[r] for r in members))]
+        for i, (x, wx, fx) in enumerate(stacked, start=1):
+            for j, (y, wy, fy) in enumerate(stacked[i - 1 :], start=i):
+                eps_grid = free.on_grid(i, j, x, y) - zeta * (fx[..., :, None] * fy[..., None, :])
+                diff = eps_grid - lim_kernel.on_grid(i, j, x, y)
+                pair = np.sum(wx[..., :, None] * wy[..., None, :] * diff**2, axis=(-2, -1))
+                total[members] += pair if i == j else 2.0 * pair
+    distances = [(math.sqrt(t), tail) for t, tail in zip(total.tolist(), tails)]
+    return distances[0] if isinstance(ops, EpsOperator) else distances
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +258,14 @@ def _member(config, eps, free=False):
     return EpsOperator(potential, scaling, eps, QuadratureRule(order=config.quad_order))
 
 
-def _sweep(one_eps, config, parallel):
-    """one_eps(config, eps) for every eps of the ladder, in ladder order;
-    with ``parallel`` > 1 in worker processes, at most one per eps."""
+def _sweep(fn, config, parallel, items):
+    """fn(config, item) for every item, in order; with ``parallel`` > 1 in
+    worker processes, at most one per item."""
     if parallel > 1:
-        workers = min(parallel, len(config.epsilons))
+        workers = min(parallel, len(items))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_eps, itertools.repeat(config), config.epsilons))
-    return [one_eps(config, eps) for eps in config.epsilons]
+            return list(pool.map(fn, itertools.repeat(config), items))
+    return [fn(config, item) for item in items]
 
 
 def _spectrum_one_eps(config, eps):
@@ -270,7 +286,7 @@ def cmd_spectrum(config, parallel=1):
     """Limit eigenvalue, per-eps root-found pole, predictor, and FD oracle."""
     cc = shared_constants(config.potential, config.scaling)
     limit_ev = limit_point_spectrum(cc)
-    results = _sweep(_spectrum_one_eps, config, parallel)
+    results = _sweep(_spectrum_one_eps, config, parallel, config.epsilons)
 
     report = Report(command="spectrum")
     report.rows.append(_row("eigenvalue_limit", value=limit_ev))
@@ -307,34 +323,41 @@ def cmd_spectrum(config, parallel=1):
     return report
 
 
-def _converge_one_eps(config, eps):
-    op = _member(config, eps)
-    distance, tail = hs_distance(op, config.kappa)
-    hs = dict(epsilon=eps, kappa=config.kappa, value=distance, error=distance, tail=tail)
-    rows = [_row("hs_distance", **hs)]
-    # all momenta in one scattering call, and their 2-norms in one more: the gufunc takes
-    # each matrix of the stack as it takes a single one; the potential keeps the limit stack
-    key = (smatrix_limit, op.scaling, config.momenta)
-    limit = op.potential.shared(
-        key, lambda: np.stack([smatrix_limit(k, op.constants).entries for k in config.momenta])
-    )
-    errors = np.linalg.norm(smatrix_eps(op, np.array(config.momenta)).entries - limit, 2, (1, 2))
-    for k, err in zip(config.momenta, errors.tolist()):
-        rows.append(_row("smatrix_error", epsilon=eps, k=k, value=err, error=err))
+def _converge_rungs(config, epsilons):
+    """The rows of the rungs at ``epsilons``, from one ``certify_ladder`` and one
+    ``hs_distance`` call over them; each rung's S-matrices are solved before the next
+    rung's kernel is built, so an error comes from the first rung that meets it."""
+    op = _member(config, epsilons[0])
+    certify_ladder(op, epsilons, config.momenta, config.kappa)
+    limit = np.stack([smatrix_limit(k, op.constants).entries for k in config.momenta])
+    smatrix_errors = []
+
+    def members():
+        for eps in epsilons:
+            op = _member(config, eps)
+            yield op
+            # run when hs_distance asks for the next rung: all momenta in one call, one norm call
+            s = smatrix_eps(op, np.array(config.momenta)).entries
+            smatrix_errors.append(np.linalg.norm(s - limit, 2, (1, 2)).tolist())
+
+    rows, distances = [], hs_distance(members(), config.kappa)
+    for eps, (distance, tail), errors in zip(epsilons, distances, smatrix_errors):
+        hs = dict(epsilon=eps, kappa=config.kappa, value=distance, error=distance, tail=tail)
+        rows.append(_row("hs_distance", **hs))
+        for k, err in zip(config.momenta, errors):
+            rows.append(_row("smatrix_error", epsilon=eps, k=k, value=err, error=err))
     return rows
 
 
 def cmd_converge(config, parallel=1):
-    """Distances to the limit objects per eps plus log-log rate fits. Serially, every
-    rung's c-only integrals are checked first, one batch per kind (``certify_ladder``)."""
+    """Distances to the limit objects per eps plus log-log rate fits. The rungs run as one
+    chunk (``_converge_rungs``), or with ``parallel`` > 1 one chunk per rung in workers."""
     if len(config.epsilons) < 4:
         raise ConfigError("convergence study needs at least 4 eps values")
     report = Report(command="converge")
-    if parallel <= 1:
-        op = _member(config, config.epsilons[0])
-        certify_ladder(op, config.epsilons, config.momenta, config.kappa)
-    for chunk in _sweep(_converge_one_eps, config, parallel):
-        report.rows.extend(chunk)
+    chunks = [(eps,) for eps in config.epsilons] if parallel > 1 else [config.epsilons]
+    for rows in _sweep(_converge_rungs, config, parallel, chunks):
+        report.rows.extend(rows)
 
     fits = []
     quantities = [("hs_distance", None)] + [

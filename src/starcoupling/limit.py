@@ -80,17 +80,17 @@ def _free_kernel_grid(kappa, i, j, xs, ys, n, rank_one=0.0):
     exponentials e^{-kappa x} and e^{-kappa y}; the direct term
     e^{-kappa|x-y|} is formed only on a diagonal pair (i == j). ``rank_one``
     is added to the reflected coefficient, which turns the free kernel into
-    the limit kernel.
+    the limit kernel. Leading axes broadcast, each grid as a 1-d call's.
     """
     _check_edges(n, i, j)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))[..., :, None]
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))[..., None, :]
     pref = 0.5 / kappa
     delta = 1.0 if i == j else 0.0
     coeff = pref * (2.0 / n - delta) + rank_one
-    grid = np.outer(coeff * np.exp(-kappa * xs), np.exp(-kappa * ys))
+    grid = coeff * np.exp(-kappa * xs) * np.exp(-kappa * ys)
     if i == j:
-        grid += pref * np.exp(-kappa * np.abs(xs[:, None] - ys[None, :]))
+        grid += pref * np.exp(-kappa * np.abs(xs - ys))
     return grid
 
 

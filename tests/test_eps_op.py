@@ -771,7 +771,7 @@ def test_batched_factors_equal_per_edge_factors(potential, eps, kappa, ts):
         got = sc.rank_one_factor(op, kappa, edges, grid)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         kernel = sc.EpsKernel(op, kappa)
-        assert np.array_equal(kernel._factor(e, grid), want[e - 1])
+        assert np.array_equal(kernel.factor(e, grid), want[e - 1])
         assert np.array_equal(sc.rank_one_factor(op, kappa, e, grid), want[e - 1])
 
 

@@ -113,6 +113,19 @@ class TestKernelGrids:
                     b = kernel.on_grid(j, i, YS, XS).T
                     assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
 
+    def test_stacked_grids_equal_1d_calls(self, op):
+        # leading axes broadcast: each grid of a stacked call is the 1-d call's, bit for bit
+        rng = np.random.default_rng(9)
+        xs, ys = rng.uniform(0.0, 4.0, (3, 9)), rng.uniform(0.0, 4.0, (3, 6))
+        xs[:, :4] = EPS * rng.uniform(0.0, 1.0, (3, 4))
+        for stacked, single in zip(_kernels(op, 1.7), _kernels(op, 1.7)):
+            for i in range(1, op.n + 1):
+                for j in range(1, op.n + 1):
+                    grids = stacked.on_grid(i, j, xs, ys)
+                    assert grids.shape == (3, 9, 6)
+                    for m in range(3):
+                        assert np.array_equal(grids[m], single.on_grid(i, j, xs[m], ys[m]))
+
     def test_limit_kernel_rejects_bad_edge(self, op):
         with pytest.raises(ValueError):
             LimitKernel(op.constants, 1.0).on_grid(op.n + 1, 1, XS, YS)
@@ -201,6 +214,24 @@ class TestHSDistance:
         # alone on the zero edge, at every kappa
         assert sizes[1e-3] == sizes[1.0] == sizes[30.0]
         assert sizes[1.0] == [(17, 17), (17, 17), (17, 1), (17, 17), (17, 1), (1, 1)]
+
+    def test_ladder_of_unequal_grid_sizes_equals_single_members(self, lam_neg):
+        # a piece of width 1e-11 at the support's end is a panel of its own at eps = 1/2, but
+        # within BREAK_MARGIN of the scaled end at eps = 2^-12: the ladder stacks the members
+        # of each grid size apart and still returns each member's values in ladder order
+        def potential():
+            pieces = [((0.0, 1.0 - 1e-11), [1.0]), ((1.0 - 1e-11, 1.0), [2.0])]
+            profiles = [PiecewisePolynomial.from_global_coeffs(pieces)]
+            profiles.append(PiecewisePolynomial.from_global_coeffs([((0.0, 1.0), [-1.0 - 1e-11])]))
+            return StarPotential(profiles + [PiecewisePolynomial.zero()])
+
+        ladder = [0.5, 2**-12, 0.3, 2**-13]
+        shared = potential()
+        sizes = [ex._hs_grid(shared.profiles[0], eps, 1.0, 9.0)[0].size for eps in ladder]
+        assert sizes == [33, 17, 33, 17]
+        members = [sc.EpsOperator(shared, lam_neg, eps) for eps in ladder]
+        single = [sc.hs_distance(sc.EpsOperator(potential(), lam_neg, eps), 1.0) for eps in ladder]
+        assert np.array_equal(sc.hs_distance(members, 1.0), single)
 
     def test_memory_bounded_at_small_kappa(self, vstar, lam_neg):
         # the grids cover the scaled support only, whatever L = 1 + 8/kappa

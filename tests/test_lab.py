@@ -580,6 +580,76 @@ def test_ladder_batch_rows_equal_fresh_rungs(raw, parallel):
         assert _converge_outcome(raw) == batched
 
 
+def _hs_outcome(hs):
+    # the (distance, tail) rows as one array, or the class and message of the error raised
+    try:
+        return np.array(hs(), dtype=float)
+    except sc.StarCouplingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(
+    raw=_converge_configs(),
+    ladder=st.lists(st.integers(5, 95), min_size=1, max_size=5, unique=True),
+)
+def test_ladder_hs_distance_equals_single_members(raw, ladder):
+    # a ladder's stacked HS pair grids give each member's distance and tail bit for bit,
+    # as one member on a potential of its own does, and the error of its first bad member
+    config = parse_config(raw)
+    epsilons = sorted((e / 100.0 for e in ladder), reverse=True)  # not powers of two
+    rule = sc.QuadratureRule(order=config.quad_order)
+
+    def fresh(eps):
+        potential, scaling = config.build_potential(), config.build_scaling()
+        return sc.EpsOperator(potential, scaling, eps, rule)
+
+    members = [sc.EpsOperator(config.potential, config.scaling, eps, rule) for eps in epsilons]
+    stacked = _hs_outcome(lambda: sc.hs_distance(members, config.kappa))
+    single = _hs_outcome(lambda: [sc.hs_distance(fresh(eps), config.kappa) for eps in epsilons])
+    if isinstance(single, tuple):
+        assert stacked == single
+    else:
+        assert np.array_equal(stacked, single)
+
+
+def test_split_ladder_batch_rows_equal_one_batch(monkeypatch):
+    # certify_ladder integrates a ladder's c in batches of at most LADDER_BLOCK: every
+    # c's row of every kind equals the row of one batch of all of them, bit for bit
+    raw = {**_raw("five_edges"), "momenta": [0.5 * m for m in range(1, 13)]}
+    config = parse_config(raw)
+    epsilons, momenta, kappa = config.epsilons, config.momenta, config.kappa
+    block = eps_mod.LADDER_BLOCK
+    assert len(epsilons) * len(momenta) > block
+    kinds = (eps_mod._verified_moments, eps_mod._same_edge_integrals)
+    tables, batches = [], []
+    shared_in_c = eps_mod._shared_in_c
+
+    def recording(op, integrals, c, rule):
+        batches[-1].append(np.size(c))
+        return shared_in_c(op, integrals, c, rule)
+
+    monkeypatch.setattr(eps_mod, "_shared_in_c", recording)
+    for size in (block, 10**6):
+        monkeypatch.setattr(eps_mod, "LADDER_BLOCK", size)
+        batches.append([])
+        op = sc.EpsOperator(config.build_potential(), config.build_scaling(), 1.0)
+        eps_mod.certify_ladder(op, epsilons, momenta, kappa)
+        tables.append(
+            {
+                (kind, rule, key): value
+                for kind in kinds
+                for rule in (op.quad, op.quad.doubled())
+                for dtype in ("<c16", "<f8")
+                for key, value in op.potential.shared((kind, dtype, rule), dict).items()
+            }
+        )
+    assert max(batches[0]) == block < max(batches[1])
+    split, whole = tables
+    assert split.keys() == whole.keys() and len(split) > block
+    assert all(np.array_equal(split[key], whole[key]) for key in whole)
+
+
 class TestSharedPotentialWork:
     """The potential, its constants and its eps-independent quadrature work
     are built once per command and shared by every rung."""
@@ -808,6 +878,7 @@ class TestSharedPotentialWork:
             ("smatrix_check", "changed edge moments"),
             ("pole_first_rung", "zeta denominator"),
             ("pole_late_rung", "zeta denominator"),
+            ("pole_after_smatrix_check", "changed edge moments"),
         ],
     )
     def test_ladder_errors_come_from_the_rung_that_meets_them(
@@ -815,13 +886,15 @@ class TestSharedPotentialWork:
     ):
         # the ladder's batch checks every rung's S-matrix moments before the first rung
         # runs; a failure there is left to the rung that meets it, after that rung's HS
-        # distance, so an AtPole of the HS kappa on that rung or an earlier one comes first
+        # kernel, so an AtPole of the HS kappa on that rung or an earlier one comes first,
+        # and one on a later rung comes after it: each rung's S-matrices are solved before
+        # the next rung's kernel is built
         raw = _raw("vstar_resonant_neg")
         order, rung = 32, 2
         if case != "pole_late_rung":
             # at order 8 the k = 20 moments fail on the first rung of this ladder
             raw.update(epsilons=[1.0, 0.5, 0.25, 0.125], momenta=[0.5, 20.0])
-            order, rung = 8, 0
+            order, rung = 8, 2 if case == "pole_after_smatrix_check" else 0
         if case != "smatrix_check":
             config = parse_config(raw)
             potential, scaling = config.build_potential(), config.build_scaling()
@@ -1364,13 +1437,16 @@ class TestCli:
         assert fanned.rows == sc.cmd_converge(config, parallel=1).rows
 
     def test_converge_parallel_flag(self, tmp_path, capsys):
+        # one rung per worker writes the serial run's bytes
         cfg = write_config(tmp_path)
-        out = tmp_path / "out"
+        out, serial = tmp_path / "out", tmp_path / "serial"
         code = run(
             ["converge", "--config", str(cfg), "--out", str(out), "--parallel", "2"]
         )
         assert code == 0
-        assert (out / "converge.csv").exists()
+        assert run(["converge", "--config", str(cfg), "--out", str(serial)]) == 0
+        for name in ("converge.csv", "converge_summary.json"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
 
 
 class TestStartup:
