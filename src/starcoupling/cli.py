@@ -22,39 +22,33 @@ from .experiments import cmd_constants, cmd_converge, cmd_oracle, cmd_spectrum, 
 ENV_OUT = "STARCOUPLING_OUT"
 
 
+#: the commands and their one-line descriptions, listed under --help
+COMMANDS = {
+    "constants": "derived coupling constants and boundary matrices",
+    "spectrum": "limit eigenvalue and per-eps pole locations",
+    "converge": "resolvent and S-matrix convergence rates",
+    "oracle": "finite-difference cross-validation",
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser():
-    # built on the first run() and reused: parse_args keeps no state
+    # one flat parser, built on the first run() and reused: parse_args keeps no state
+    listing = [f"  {name:<10} {text}" for name, text in COMMANDS.items()]
     parser = argparse.ArgumentParser(
         prog="starcoupling",
         description="Vertex-coupling approximation experiments on star graphs",
+        epilog="\n".join(["commands:", *listing]),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("constants", "derived coupling constants and boundary matrices"),
-        ("spectrum", "limit eigenvalue and per-eps pole locations"),
-        ("converge", "resolvent and S-matrix convergence rates"),
-        ("oracle", "finite-difference cross-validation"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument(
-            "--quad-order", type=int, default=None, help="override quadrature order"
-        )
-        cmd.add_argument(
-            "--parallel", type=int, default=1, help="worker processes for sweeps"
-        )
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--quad-order", type=int, default=None, help="override quadrature order")
+    parser.add_argument("--parallel", type=int, default=1, help="worker processes for sweeps")
     return parser
-
-
-def _resolve_out(args, config):
-    if args.out:
-        return args.out
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return env
-    return config.output_dir
 
 
 def run(argv=None):
@@ -76,7 +70,7 @@ def run(argv=None):
         print(f"{label}: {exc}", file=sys.stderr)
         return exc.exit_code
 
-    out_dir = _resolve_out(args, config)
+    out_dir = args.out or os.environ.get(ENV_OUT) or config.output_dir
     csv_path, json_path = write_report(report, out_dir)
     print(f"wrote {csv_path} and {json_path}")
     for row in report.rows:

@@ -27,7 +27,8 @@ routines:
 
 so that inner_RV_V(kappa) = P(i kappa) and rank_one_factor = f(.; i kappa).
 The moments and P's same-edge integrals depend on eps and k only through
-c = -ik eps: the potential keeps them per exact c and rule, so
+c = -ik eps: the potential keeps per exact c and rule what a later reader
+reads (the moments, and the same-edge integrals at complex c), so
 ``certify_ladder`` checks all of a ladder's c in one batch per kind.
 Everything is computed from the exact finite-eps integrals after the
 substitution x -> eps x, which maps all integrals onto [0,1]^2 and keeps the
@@ -218,9 +219,14 @@ def _pairing_raw(op, a, rule):
     # e^{-c|u-v|} - e^{-c(u+v)} is e^{-c(u+v)} expm1(2c min(u,v)), and the
     # moment sum is the exact total mean plus the expm1 residuals, so the
     # value keeps full relative precision down to c -> 0; both parts are
-    # formed from the profiles times _scale, so the value is P times scale^2
-    c = a * op.eps
-    diag = _shared_in_c(op, _same_edge_integrals, c, rule)
+    # formed from the profiles times _scale, so the value is P times scale^2;
+    # at real c (the pole search, an HS kernel) no second reader asks for the
+    # same-edge integrals, so they are not kept
+    c = np.asarray(a * op.eps)
+    if np.iscomplexobj(c):
+        diag = _shared_in_c(op, _same_edge_integrals, c, rule)
+    else:
+        diag = _same_edge_integrals(op, c.reshape(-1), rule).reshape(c.shape)[()]
     smoment = _moment_sum(op, _shared_in_c(op, _moment_residuals, c, rule)) * _scale(op)
     return (op.eps**2 / (2.0 * a)) * (diag + (2.0 / op.n) * smoment**2)
 

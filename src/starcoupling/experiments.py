@@ -13,8 +13,9 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ def ProcessPoolExecutor(max_workers):
     return ProcessPoolExecutor(max_workers=max_workers)
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Least-squares slope of log(error) against log(eps)."""
 
     quantity: str
@@ -75,24 +75,24 @@ class RateFit:
 
 
 def fit_rate(quantity, eps_values, errors):
-    """Fit error ~ C * eps^slope by least squares in log-log coordinates."""
-    if len(eps_values) < 4:
-        raise ValueError("rate fits need at least 4 points")
-    if any(e <= 0 for e in errors):
-        raise ValueError("rate fits need positive errors")
-    x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    predicted = slope * x + intercept
-    ss_res = float(np.sum((y - predicted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    """Fit error ~ C * eps^slope by least squares in log-log coordinates, in closed form from
+    the centred sums of the logs; every eps and error must be finite and positive."""
+    if len(eps_values) < 4 or len(errors) != len(eps_values) or len(set(eps_values)) < 2:
+        raise ValueError("rate fits need at least 4 points, one error each, two distinct eps")
+    if not all(0.0 < v < math.inf for v in (*eps_values, *errors)):
+        raise ValueError("rate fits need finite positive eps values and errors")
+    x, y = [math.log(e) for e in eps_values], [math.log(e) for e in errors]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [v - x_mean for v in x], [v - y_mean for v in y]
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / math.fsum(a * a for a in dx)
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     return RateFit(
         quantity=quantity,
         pairs=tuple(zip(map(float, eps_values), map(float, errors))),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r_squared,
+        slope=slope,
+        intercept=y_mean - slope * x_mean,
+        r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
     )
 
 
@@ -360,22 +360,16 @@ def cmd_converge(config, parallel=1):
         report.rows.extend(rows)
 
     fits = []
-    quantities = [("hs_distance", None)] + [
-        (f"smatrix_error_k_{k}", k) for k in config.momenta
-    ]
-    for name, k in quantities:
-        base = "hs_distance" if k is None else "smatrix_error"
-        pairs = [
-            (r["epsilon"], r["error"])
-            for r in report.rows
-            if r["quantity"] == base and (k is None or r["k"] == k)
-        ]
-        errors = [p[1] for p in pairs]
+    quantities = [("hs_distance", "hs_distance", None)]
+    quantities += [(f"smatrix_error_k_{k}", "smatrix_error", k) for k in config.momenta]
+    for name, base, k in quantities:
+        rows = [r for r in report.rows if r["quantity"] == base and r["k"] == k]
+        errors = [r["error"] for r in rows]
         if min(errors) <= 1e-14:
             # identically vanishing distances (e.g. zero potential): no rate
             fits.append({"quantity": name, "degenerate": True, "max_error": max(errors)})
         else:
-            fits.append(asdict(fit_rate(name, [p[0] for p in pairs], errors)))
+            fits.append(fit_rate(name, [r["epsilon"] for r in rows], errors)._asdict())
     report.summary = {
         "kappa": config.kappa,
         "momenta": list(config.momenta),

@@ -6,16 +6,18 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import starcoupling as sc
+import starcoupling.cli as cli_mod
 import starcoupling.epsilon as eps_mod
 import starcoupling.experiments as experiments
 import starcoupling.graph as graph
@@ -26,7 +28,8 @@ from starcoupling.cli import run
 from starcoupling.experiments import CSV_COLUMNS
 from conftest import coefficient
 
-BUNDLE_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLE_DIR = ROOT / "configs"
 
 BASE_CONFIG = {
     "n": 3,
@@ -220,6 +223,67 @@ class TestRateFit:
     def test_requires_positive_errors(self):
         with pytest.raises(ValueError):
             sc.fit_rate("q", [0.1, 0.05, 0.025, 0.0125], [1.0, 0.5, 0.0, 0.1])
+
+    @pytest.mark.parametrize(
+        "eps, errors",
+        [
+            ([0.1] * 4, [1.0, 2.0, 3.0, 4.0]),  # one distinct eps: no line
+            ([0.1, 0.05, 0.025, 0.0125], [1.0, math.nan, 0.5, 0.1]),
+            ([0.1, 0.05, 0.025, 0.0125], [1.0, math.inf, 0.5, 0.1]),
+            ([0.1, math.nan, 0.025, 0.0125], [1.0, 0.7, 0.5, 0.1]),
+            ([0.1, 0.05, 0.025, -0.0125], [1.0, 0.7, 0.5, 0.1]),
+            ([0.1, 0.05, 0.025, 0.0125], [1.0, 0.7, 0.5]),  # one error short
+        ],
+    )
+    def test_rejects_degenerate_input(self, eps, errors):
+        with pytest.raises(ValueError):
+            sc.fit_rate("q", eps, errors)
+
+    def test_flat_errors_fit_exactly(self):
+        fit = sc.fit_rate("q", [0.1, 0.05, 0.025, 0.0125], [0.3] * 4)
+        assert (fit.slope, fit.intercept, fit.r_squared) == (0.0, math.log(0.3), 1.0)
+
+    @settings(deadline=None)
+    @given(
+        top=st.floats(1e-3, 1.0),
+        ratios=st.lists(st.floats(1.1, 4.0), min_size=3, max_size=9),
+        slope=st.floats(-1.0, 3.0),
+        log_c=st.floats(-5.0, 5.0),
+        noise=st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10),
+    )
+    def test_equals_polyfit(self, top, ratios, slope, log_c, noise):
+        # the closed form against np.polyfit on a ladder of 4-10 points
+        eps = [top]
+        for ratio in ratios:
+            eps.append(eps[-1] / ratio)
+        errors = [math.exp(log_c + d) * e**slope for e, d in zip(eps, noise)]
+        # a flat line has no r^2 to compare: its fit is test_flat_errors_fit_exactly
+        assume(max(errors) - min(errors) > 1e-3 * max(errors))
+        fit = sc.fit_rate("q", eps, errors)
+        assert (fit.slope, fit.intercept, fit.r_squared) == _polyfit_rate(eps, errors)
+        assert fit.pairs == tuple(zip(eps, errors))
+
+    @pytest.mark.parametrize(
+        "name", ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
+    )
+    def test_shipped_summaries_equal_polyfit(self, name):
+        fits = sc.cmd_converge(parse_config(_raw(name))).summary["rate_fits"]
+        assert fits
+        for fit in fits:
+            assert list(fit) == ["quantity", "pairs", "slope", "intercept", "r_squared"]
+            eps, errors = zip(*fit["pairs"])
+            want = _polyfit_rate(eps, errors)
+            assert (fit["slope"], fit["intercept"], fit["r_squared"]) == want
+
+
+def _polyfit_rate(eps, errors):
+    # the least-squares line of log(error) on log(eps) by np.polyfit, and its r^2: the
+    # oracle of fit_rate's closed form, to 1e-12
+    x, y = np.log(eps), np.log(errors)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = np.sum((y - (slope * x + intercept)) ** 2)
+    r_squared = 1.0 - ss_res / np.sum((y - y.mean()) ** 2)
+    return tuple(pytest.approx(v, rel=1e-12, abs=1e-12) for v in (slope, intercept, r_squared))
 
 
 class TestConstantsCommand:
@@ -909,6 +973,25 @@ class TestSharedPotentialWork:
         assert (run(argv), capsys.readouterr().err) == batched
         assert batched[0] == 3 and message in batched[1]
 
+    def test_real_c_same_edge_integrals_are_not_kept(self):
+        # the pole search meets a new kappa at every evaluation and a rung's HS kernel its
+        # kappa once: the potential keeps no same-edge integral at real c, only those at
+        # complex c (real k) and the moment residuals that certify_ladder fills at real c
+        raw = _raw("vstar_resonant_neg")
+        spectrum = parse_config({**raw, "epsilons": raw["epsilons"][:2]})
+        converge = parse_config(raw)
+        sc.cmd_spectrum(spectrum)
+        sc.cmd_converge(converge)
+
+        def tables(config, integrals):
+            shared = config.potential._shared
+            return {key[1]: shared[key] for key in shared if key[0] is integrals}
+
+        assert "<f8" not in tables(spectrum, eps_mod._same_edge_integrals)
+        same_edge = tables(converge, eps_mod._same_edge_integrals)
+        assert "<f8" not in same_edge and same_edge["<c16"]
+        assert tables(converge, eps_mod._moment_residuals)["<f8"]
+
     def test_failed_moment_check_is_not_kept(self, vstar, lam_neg, monkeypatch):
         # a check that raises leaves nothing behind: asking again checks again
         contexts = []
@@ -1435,6 +1518,42 @@ class TestCli:
         fanned = sc.cmd_converge(config, parallel=64)
         assert started == [len(config.epsilons)]
         assert fanned.rows == sc.cmd_converge(config, parallel=1).rows
+
+    def test_readme_invocations_parse_as_documented(self):
+        # the invocations of README's "Command-line interface" block, and the two flags
+        # they leave out, as the parser reads them
+        block = (ROOT / "README.md").read_text().split("## Command-line interface")[1]
+        lines = block.split("```")[1].splitlines()
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("starcoupling ")]
+        config = "configs/vstar_resonant_neg.json"
+        argvs.append(["oracle", "--config", config, "--out", "o", "--quad-order", "16"])
+        base = {"config": config, "out": None, "quad_order": None, "parallel": 1}
+        assert [vars(cli_mod.build_parser().parse_args(argv)) for argv in argvs] == [
+            {"command": "constants", **base},
+            {"command": "spectrum", **base},
+            {"command": "converge", **base, "parallel": 4},
+            {"command": "oracle", **base},
+            {"command": "oracle", **base, "out": "o", "quad_order": 16},
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bogus", "--config", "c.json"], ["converge"], ["--config", "c.json"], []],
+        ids=["unknown_command", "no_config", "no_command", "nothing"],
+    )
+    def test_argument_errors_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 2
+        assert "usage: starcoupling" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        for name, description in cli_mod.COMMANDS.items():
+            assert name in text and description in text
 
     def test_converge_parallel_flag(self, tmp_path, capsys):
         # one rung per worker writes the serial run's bytes
