@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
 failure (quadrature, solvers, grids), 4 oracle tolerance failure; an
-error's code is the ``exit_code`` of its class. The output directory
-resolves as --out flag > STARCOUPLING_OUT environment variable > config
-"output.dir" > ./results.
+error's code is the ``exit_code`` of its class. A stdout closed early (the
+command piped into ``head``) ends the listing of rows with no traceback, and
+the run still exits 0 (4 for an oracle run outside its tolerances): the
+reports are already written. The output directory resolves as --out flag >
+STARCOUPLING_OUT environment variable > config "output.dir" > ./results.
 """
 
 from __future__ import annotations
@@ -72,12 +74,19 @@ def run(argv=None):
 
     out_dir = args.out or os.environ.get(ENV_OUT) or config.output_dir
     csv_path, json_path = write_report(report, out_dir)
-    print(f"wrote {csv_path} and {json_path}")
-    for row in report.rows:
-        cells = ", ".join(
-            f"{key}={row[key]}" for key in ("epsilon", "k", "kappa") if row[key] is not None
-        )
-        print(f"{row['quantity']}: value={row['value']}" + (f" ({cells})" if cells else ""))
+    try:
+        print(f"wrote {csv_path} and {json_path}")
+        for row in report.rows:
+            cells = ", ".join(
+                f"{key}={row[key]}" for key in ("epsilon", "k", "kappa") if row[key] is not None
+            )
+            print(f"{row['quantity']}: value={row['value']}" + (f" ({cells})" if cells else ""))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the reports are written, so the
+        # listing stops there; stdout goes to devnull so that the flush at
+        # exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "oracle" and not report.passed:
         print("oracle tolerances violated", file=sys.stderr)
         return 4

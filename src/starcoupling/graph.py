@@ -34,7 +34,7 @@ from .errors import (
     ResonantWithZeroA,
     SupportViolation,
 )
-from .piecewise import PiecewisePolynomial, definite_integral
+from .piecewise import PiecewisePolynomial, power_integral
 
 #: tolerance on the total mean, relative to the size in validate_potential
 TOL_MEAN = 1e-12
@@ -224,7 +224,7 @@ def _size(potential):
     size = 0.0
     for p in potential.profiles:
         for h, c in zip(np.diff(p.breakpoints).tolist(), p.coefficients):
-            size += definite_integral([abs(x) for x in c.tolist()], h)
+            size += power_integral([abs(x) for x in c.tolist()], h)
     return size
 
 

@@ -6,22 +6,22 @@ comes out of closed-form polynomial arithmetic instead of quadrature.
 Coefficients are stored per piece in ascending powers of the local
 variable ``u = x - breakpoints[j]``.
 
-The exact calculus (the local coefficients of ``from_global_coeffs``,
-``integral``, ``times_x``, ``antiderivative`` and the size bound of
-``graph.validate_potential``) runs in scalar float arithmetic on
-coefficient lists, repeating numpy.polynomial's own sequence of operations:
-Horner steps, sums of two-term products started at +0.0, and trailing-zero
-trimming. The stored benchmark references pin the bits of theta, A and the
-edge means, so the order cannot change. The scalar route takes microseconds
-a piece; the ``Polynomial`` composition it replaces in ``from_global_coeffs``
-took about 0.5 ms a piece. The general products (``multiply`` and the one
-inside ``min_kernel_self_integral``) keep ``npoly.polymul``: its sums of
-three or more products run in BLAS order.
+Every exact constant is a sum over the pieces of one closed form,
+``power_integral``: int_0^h u^p c(u) du = sum_k c_k h^(k+p+1) / (k+p+1) on
+a piece of width h. Powers of the global coordinate x = a + u, a the
+piece's left breakpoint, enter by the binomial theorem: the local
+coefficients of ``from_global_coeffs`` are sum_k binom(k, j) a^(k-j) c_k,
+and ``moment`` of order m is sum_j binom(m, j) a^(m-j) times the form with
+p = j. The forms run in scalar float arithmetic on coefficient lists,
+microseconds a piece. ``evaluate`` keeps ``npoly.polyval``: its values at
+the quadrature nodes feed the pairing, whose bits the stored pole rows
+hold. ``multiply`` keeps ``npoly.polymul``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -57,7 +57,7 @@ class PiecewisePolynomial:
             c.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coefficients", coeffs)
-        # the scalar calculus works on Python floats: widths bp[j+1] - bp[j]
+        # the closed forms run on Python floats: widths bp[j+1] - bp[j]
         # and one coefficient list per piece
         object.__setattr__(self, "_widths", np.diff(bp).tolist())
         object.__setattr__(self, "_lists", tuple(c.tolist() for c in coeffs))
@@ -90,7 +90,11 @@ class PiecewisePolynomial:
             coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
             if coeffs.ndim != 1 or coeffs.size == 0:
                 raise ValueError("coefficients must be a nonempty 1-d array")
-            locals_.append(_shift(coeffs.tolist(), float(a)))
+            c, a, n = coeffs.tolist(), float(a), coeffs.size
+            # c(a + u) in powers of u, by the binomial theorem
+            locals_.append(
+                [sum(comb(k, j) * a ** (k - j) * c[k] for k in range(j, n)) for j in range(n)]
+            )
         return cls(bp, locals_)
 
     # -- basic queries ------------------------------------------------
@@ -159,28 +163,34 @@ class PiecewisePolynomial:
 
     def integral(self):
         """Exact integral over the whole support."""
-        return _integral(self._widths, self._lists)
+        return sum(power_integral(c, h) for h, c in zip(self._widths, self._lists))
 
     def _times_x(self, lists):
-        # pieces times the global coordinate x = breakpoints[j] + u
-        return [_times_line(c, a) for a, c in zip(self.breakpoints.tolist(), lists)]
+        # pieces times the global coordinate x = a + u: a c_k + c_(k-1)
+        return [
+            [a * ck + prev for ck, prev in zip([*c, 0.0], [0.0, *c])]
+            for a, c in zip(self.breakpoints.tolist(), lists)
+        ]
 
     def times_x(self):
         """Exact product with the global coordinate x."""
         return PiecewisePolynomial(self.breakpoints, self._times_x(self._lists))
 
     def moment(self, order):
-        """Exact moment ``int x^order p(x) dx``."""
-        lists = self._lists
-        for _ in range(order):
-            lists = self._times_x(lists)
-        return _integral(self._widths, lists)
+        """Exact moment ``int x^order p(x) dx``: on a piece at a, x^order is
+        sum_j binom(order, j) a^(order-j) u^j."""
+        return sum(
+            comb(order, j) * a ** (order - j) * power_integral(c, h, j)
+            for a, h, c in zip(self.breakpoints.tolist(), self._widths, self._lists)
+            for j in range(order + 1)
+        )
 
     def _antiderivative(self, lists):
+        # each piece: the integral over the pieces before it plus int_0^u c
         out, acc = [], 0.0
         for h, c in zip(self._widths, lists):
-            out.append([acc, *_polyint(c)[1:]])
-            acc = _polyval(h, out[-1])
+            out.append([acc, *(ck / (k + 1) for k, ck in enumerate(c))])
+            acc += power_integral(c, h)
         return out
 
     def antiderivative(self):
@@ -206,72 +216,19 @@ class PiecewisePolynomial:
         """Exact ``int int min(x, y) p(x) p(y) dx dy`` over the support square.
 
         Uses the symmetric split: twice the integral of ``p(x)`` against the
-        cumulative first moment of ``p`` up to x.
+        cumulative first moment F of ``p`` up to x, on each piece
+        sum_k c_k int_0^h u^k F(u) du.
         """
         cumulative = self._antiderivative(self._times_x(self._lists))
-        product = [npoly.polymul(a, b).tolist() for a, b in zip(self._lists, cumulative)]
-        return 2.0 * _integral(self._widths, product)
+        return 2.0 * sum(
+            ck * power_integral(f, h, k)
+            for h, c, f in zip(self._widths, self._lists, cumulative)
+            for k, ck in enumerate(c)
+        )
 
 
-# -- scalar polynomial arithmetic in numpy.polynomial's order -----------
 
-
-def _trim(c):
-    # pu.trimseq: drop trailing zeros, keeping at least one coefficient
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _times_line(c, a):
-    """c times (a + u) as ``npoly.polymul`` forms it: the trimmed operands'
-    convolution, each sum of at most two products started at +0.0 the way
-    numpy's dot starts, then trimmed."""
-    c = _trim(c)
-    out = [0.0 + c[0] * a]
-    out += [0.0 + c[k] * a + c[k - 1] for k in range(1, len(c))]
-    out.append(0.0 + c[-1])
-    return _trim(out)
-
-
-def _shift(c, a):
-    """c(a + u) in powers of u, as ``Polynomial(c)(Polynomial([a, 1]))``
-    forms it: Horner's rule in Polynomial arithmetic, each step a product
-    by (a + u) and the next coefficient added to the constant term."""
-    out = [0.0 + c[-1]]
-    for ck in reversed(c[:-1]):
-        out = _times_line(out, a)
-        out[0] += ck
-    return out
-
-
-def _polyval(x, c):
-    """``npoly.polyval`` at one point x."""
-    acc = c[-1] + x * 0.0
-    for ck in reversed(c[:-1]):
-        acc = ck + acc * x
-    return acc
-
-
-def _polyint(c):
-    """``npoly.polyint(c)``: the primitive vanishing at 0. A lone zero
-    coefficient stays one coefficient, as numpy keeps it."""
-    if len(c) == 1 and c[0] == 0:
-        return [c[0] + 0.0]
-    prim = [c[0] * 0.0, c[0], *(ck / (k + 1) for k, ck in enumerate(c[1:], start=1))]
-    prim[0] += 0.0 - _polyval(0.0, prim)
-    return prim
-
-
-def definite_integral(c, h):
-    """int_0^h of the polynomial with ascending coefficient list c, as
-    ``npoly.polyval(h, npoly.polyint(c))`` forms it."""
-    return _polyval(h, _polyint(c))
-
-
-def _integral(widths, lists):
-    total = 0.0
-    for h, c in zip(widths, lists):
-        total += definite_integral(c, h)
-    return total
+def power_integral(c, h, p=0):
+    """int_0^h u^p c(u) du = sum_k c_k h^(k+p+1) / (k+p+1), for the ascending
+    coefficient list c of a piece of width h."""
+    return sum(ck * h ** (k + p + 1) / (k + p + 1) for k, ck in enumerate(c))

@@ -1555,6 +1555,26 @@ class TestCli:
         for name, description in cli_mod.COMMANDS.items():
             assert name in text and description in text
 
+    def test_closed_stdout_exits_zero_without_traceback(self, tmp_path):
+        # the reader closes the pipe before the child writes its first line,
+        # as `starcoupling constants ... | head -n 1` may
+        env = dict(os.environ)
+        paths = [str(BUNDLE_DIR.parent / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        config, out = BUNDLE_DIR / "vstar_resonant_neg.json", tmp_path / "out"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "starcoupling.cli", "constants", "--config", str(config)]
+            + ["--out", str(out)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 0
+        assert stderr == b""
+        assert (out / "constants.csv").exists() and (out / "constants_summary.json").exists()
+
     def test_converge_parallel_flag(self, tmp_path, capsys):
         # one rung per worker writes the serial run's bytes
         cfg = write_config(tmp_path)
