@@ -372,10 +372,11 @@ def _doubled(lo):
 
 def _permuted(T, order):
     """(A, perm): A = T[perm][:, perm] with sorted indices, perm the inverse
-    of the permutation ``order``, formed by scatter."""
+    of ``order``, by scatter: one column gather, row r relabelled order[r]."""
     perm = np.empty_like(order)
     perm[order] = np.arange(order.size, dtype=order.dtype)
-    A = T[perm][:, perm]
+    A = T[:, perm]
+    A.indices = order[A.indices]
     A.sort_indices()
     return A, perm
 

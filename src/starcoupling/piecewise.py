@@ -13,9 +13,10 @@ piece's left breakpoint, enter by the binomial theorem: the local
 coefficients of ``from_global_coeffs`` are sum_k binom(k, j) a^(k-j) c_k,
 and ``moment`` of order m is sum_j binom(m, j) a^(m-j) times the form with
 p = j. The forms run in scalar float arithmetic on coefficient lists,
-microseconds a piece. ``evaluate`` keeps ``npoly.polyval``: its values at
-the quadrature nodes feed the pairing, whose bits the stored pole rows
-hold. ``multiply`` keeps ``npoly.polymul``.
+microseconds a piece. ``evaluate`` looks up each point's piece once and
+makes one ``npoly.polyval`` call per piece: its values at the quadrature
+nodes feed the pairing, whose bits the stored pole rows hold.
+``multiply`` keeps ``npoly.polymul``.
 """
 
 from __future__ import annotations
@@ -116,20 +117,15 @@ class PiecewisePolynomial:
         At interior breakpoints the right-continuous piece wins; the last
         breakpoint belongs to the last piece.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         bp = self.breakpoints
-        inside = (x >= bp[0]) & (x <= bp[-1])
-        idx = np.clip(np.searchsorted(bp, x[inside], side="right") - 1, 0, len(bp) - 2)
-        vals = np.empty(idx.shape)
-        xin = x[inside]
-        for j in range(len(bp) - 1):
-            sel = idx == j
-            if sel.any():
-                vals[sel] = npoly.polyval(xin[sel] - bp[j], self.coefficients[j])
-        out[inside] = vals
+        # each point's piece: -1 below the span, bp.size - 1 above it or NaN
+        piece = np.where(x == bp[-1], bp.size - 2, np.searchsorted(bp, x, side="right") - 1)
+        for j, c in enumerate(self.coefficients):
+            sel = piece == j
+            out[sel] = npoly.polyval(x[sel] - bp[j], c)
         return float(out[0]) if scalar else out
 
     def evaluate_symmetric(self, x):
@@ -140,21 +136,15 @@ class PiecewisePolynomial:
         The halfline starts at 0, so a breakpoint at 0 is a domain boundary,
         not a jump.
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.atleast_1d(self.evaluate(x)).copy()
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self.evaluate(x)
         bp = self.breakpoints
         for j, t in enumerate(bp):
             at = np.abs(x - t) < 1e-13
-            if not np.any(at):
+            if not np.any(at) or (j == 0 and t <= 1e-13):
                 continue
-            if j == 0:
-                if t <= 1e-13:
-                    continue
-                left = 0.0
-            else:
-                left = npoly.polyval(t - bp[j - 1], self.coefficients[j - 1])
+            left = npoly.polyval(t - bp[j - 1], self.coefficients[j - 1]) if j else 0.0
             right = npoly.polyval(0.0, self.coefficients[j]) if j < len(bp) - 1 else 0.0
             out[at] = 0.5 * (left + right)
         return float(out[0]) if scalar else out

@@ -11,7 +11,7 @@ a cell's nodes with the matrix of ``_running01``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,19 +84,28 @@ def merge_breaks(lo, hi, *extra):
     return np.array(sorted(set(pts)), dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class QuadratureRule:
-    """Per-cell Gauss-Legendre rule of fixed order."""
+    """Per-cell Gauss-Legendre rule of fixed order, one rule per (class, order),
+    also unpickled (``--parallel``): the memo keys holding it stay class-aware
+    (other nodes, other tables) and hash and compare by identity, in C."""
 
     order: int = 32
+    _rules = {}
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __new__(cls, order=32):
+        if order < 1:
             raise ValueError("order must be positive")
+        if (cls, order) not in cls._rules:
+            cls._rules[cls, order] = super().__new__(cls)
+            object.__setattr__(cls._rules[cls, order], "order", order)
+        return cls._rules[cls, order]
 
-    @lru_cache(maxsize=64)
+    def __reduce__(self):
+        return type(self), (self.order,)
+
     def doubled(self):
-        return replace(self, order=2 * self.order)
+        return type(self)(2 * self.order)
 
     def points(self, a, b):
         x, w = _gauss01(self.order)

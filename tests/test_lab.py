@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import re
 import shlex
 import subprocess
@@ -1007,6 +1008,106 @@ class TestSharedPotentialWork:
             with pytest.raises(sc.QuadratureNotConverged):
                 eps_mod._edge_moments(op, 7.0, op.quad)
         assert contexts == ["edge moments"] * 2
+
+
+class HalfNodes(sc.QuadratureRule):
+    """A rule of the same order with other nodes; at module level, so it pickles."""
+
+    def points(self, a, b):
+        x, w = quadrature._gauss01(self.order // 2)
+        return a + (b - a) * x, (b - a) * w
+
+
+def _rule_work(potential, scaling, rule, eps=0.125, a=40.0):
+    # a member's pairing at a real and at a complex c (kept per c), and its
+    # crease-split direct integrals, under ``rule``
+    op = sc.EpsOperator(potential, scaling, eps, rule)
+    return (
+        eps_mod._pairing_raw(op, a, rule),
+        eps_mod._pairing_raw(op, a - 4j, rule),
+        eps_mod._direct_raw(op, (0,), a, eps * np.linspace(0.0, 1.0, 9), rule),
+    )
+
+
+def _tables(potential):
+    # each table the potential keeps, and how many entries a per-c table holds
+    return {
+        key: (id(value), len(value) if isinstance(value, dict) else None)
+        for key, value in potential._shared.items()
+    }
+
+
+def _no_evaluate(self, x):
+    raise AssertionError("a profile was evaluated at the same nodes again")
+
+
+class TestRuleKeys:
+    """One rule per (class, order): the potential's memo keys hash and compare
+    in C, by identity, and a rule with other nodes keeps tables of its own."""
+
+    def test_order_must_be_positive(self):
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                sc.QuadratureRule(order)
+        assert sc.QuadratureRule.order == 32 and sc.QuadratureRule().order == 32
+
+    def test_keys_hash_and_compare_as_objects(self):
+        rule = sc.QuadratureRule(order=32)
+        assert type(rule).__hash__ is object.__hash__ and type(rule).__eq__ is object.__eq__
+        assert rule is sc.QuadratureRule(32) and rule != HalfNodes(32)
+        assert HalfNodes(32) is HalfNodes(order=32)
+
+    @pytest.mark.parametrize("cls", [sc.QuadratureRule, HalfNodes])
+    def test_doubled_meets_the_tables_of_a_fresh_rule(self, cls, lam_neg, monkeypatch):
+        doubled = cls(order=16).doubled()
+        assert type(doubled) is cls and doubled.order == 32
+        potential = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
+        first = _rule_work(potential, lam_neg, doubled)
+        tables = _tables(potential)
+        monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", _no_evaluate)
+        again = _rule_work(potential, lam_neg, cls(order=32))
+        assert _tables(potential) == tables
+        assert all(np.array_equal(got, want) for got, want in zip(again, first))
+
+    @pytest.mark.parametrize("cls", [sc.QuadratureRule, HalfNodes])
+    def test_pickled_tables_meet_the_same_rule(self, cls, lam_neg, monkeypatch):
+        # --parallel pickles the config, its potential's tables included: the
+        # rules in their keys load as this process's rules
+        rule = cls(order=16)
+        assert pickle.loads(pickle.dumps(rule)) is rule and copy.deepcopy(rule) is rule
+        assert cls().order == 32 and rule.order == 16
+        potential = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
+        first = _rule_work(potential, lam_neg, rule)
+        loaded = pickle.loads(pickle.dumps(potential))
+        tables = _tables(loaded)
+        monkeypatch.setattr(sc.PiecewisePolynomial, "evaluate", _no_evaluate)
+        again = _rule_work(loaded, lam_neg, rule)
+        assert _tables(loaded) == tables
+        assert all(np.array_equal(got, want) for got, want in zip(again, first))
+
+    def test_members_share_tables_without_comparing_rules(self, monkeypatch):
+        # two members of one config hold the one rule, so every lookup of a
+        # rule key matches by identity and no Python __eq__ is called, in
+        # their shared tables or anywhere in a whole command
+        def no_eq(self, other):
+            raise AssertionError("a rule key was compared in Python")
+
+        monkeypatch.setattr(sc.QuadratureRule, "__eq__", no_eq)
+        config = parse_config(BASE_CONFIG)
+        first, second = (experiments._member(config, eps) for eps in (0.125, 0.0625))
+
+        def work(op):
+            sc.inner_RV_V(1.0, op)
+            sc.rank_one_factor(op, 1.0, (1, 2), op.eps * np.array([0.0, 0.4, 2.0]))
+
+        work(first)
+        tables = {key: value for key, (value, _) in _tables(config.potential).items()}
+        with monkeypatch.context() as patched:
+            patched.setattr(sc.PiecewisePolynomial, "evaluate", _no_evaluate)
+            work(second)
+        shared = {key: value for key, (value, _) in _tables(config.potential).items()}
+        assert {key: shared[key] for key in tables} == tables
+        assert sc.cmd_converge(config).rows
 
 
 class TestOracleCommand:

@@ -246,3 +246,50 @@ def test_non_finite_coefficients_give_non_finite_results(support, coeffs):
     results = [p.integral(), p.moment(1), p.min_kernel_self_integral()]
     results.append(_size(StarPotential([p, PiecewisePolynomial.zero()])))
     assert not any(np.isfinite(results)), results
+
+
+# -- evaluate against the masked implementation it replaced ---------------
+
+
+def _masked_evaluate(p, x):
+    """The per-point oracle: clip each point inside the closed span to its
+    piece, the last breakpoint to the last one, and leave zero elsewhere."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.size)
+    bp = p.breakpoints
+    for i, xi in enumerate(x.ravel().tolist()):
+        if bp[0] <= xi <= bp[-1]:
+            j = min(int(np.searchsorted(bp, xi, side="right")) - 1, bp.size - 2)
+            out[i] = np.polynomial.polynomial.polyval(np.array([xi]) - bp[j], p.coefficients[j])[0]
+    return out.reshape(x.shape)
+
+
+def _probe_points(bp):
+    # every breakpoint and its float neighbours, the midpoints, points outside
+    # the span, and the special values
+    points = [bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf), (bp[1:] + bp[:-1]) / 2]
+    points.append([bp[0] - 1.0, bp[-1] + 1.0, np.nan, np.inf, -np.inf, 0.0, -0.0])
+    return np.concatenate(points)
+
+
+@exact
+@given(pieces=global_profiles())
+def test_evaluate_equals_the_masked_oracle_bit_for_bit(pieces):
+    p = PiecewisePolynomial.from_global_coeffs(pieces)
+    x = _probe_points(p.breakpoints)
+    assert p.evaluate(x).tobytes() == _masked_evaluate(p, x).tobytes()
+    # n-d input keeps its shape; a 0-d one gives a Python float
+    grid = np.stack([x, x[::-1]]).reshape(2, 1, -1)
+    got = p.evaluate(grid)
+    assert got.shape == grid.shape and got.tobytes() == _masked_evaluate(p, grid).tobytes()
+    for xi in x:
+        value = p.evaluate(np.float64(xi))
+        assert type(value) is float
+        assert np.array(value).tobytes() == _masked_evaluate(p, xi).tobytes()
+
+
+def test_evaluate_puts_the_last_breakpoint_in_the_last_piece():
+    p = PiecewisePolynomial([0.0, 0.5, 1.0], [[1.0], [2.0, 4.0]])
+    assert p.evaluate(1.0) == 4.0
+    assert p.evaluate(np.nextafter(1.0, 2.0)) == 0.0
+    assert p.evaluate([0.0, 0.5, 1.0]).tolist() == [1.0, 2.0, 4.0]
