@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ResonantWithZeroA
 from .graph import ScalingFunction, StarPotential, constants_B_Pi, coupling_beta
 from .piecewise import PiecewisePolynomial
 from .quadrature import QuadratureRule
@@ -272,8 +272,10 @@ def _check_derived(config):
         A, B = np.float64(config.potential.A), constants_B_Pi(theta)[0]
         if not all(math.isfinite(value) for value in (*theta, A, B)):
             raise ConfigError("potential: theta, A or B is not finite")
-        beta = coupling_beta(scaling, A)
-        lam0 = np.float64(scaling.resolve_lambda0(A))
+        try:
+            beta, lam0 = coupling_beta(scaling, A), np.float64(scaling.resolve_lambda0(A))
+        except ResonantWithZeroA as exc:
+            raise ConfigError(f"scaling: {exc}") from exc
         finite = {
             "beta = 1/(lambda1 A^2)": beta,
             "lambda0": lam0,

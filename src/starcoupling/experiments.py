@@ -143,11 +143,11 @@ HS_PANEL_ORDER = 16
 
 def _hs_grid(profile, eps, kappa, L):
     """One edge's nodes and weights: Gauss panels on the scaled support
-    [0, a], split at the scaled breakpoints (none for a zero profile, a = 0),
-    and an anchor node at a weighted by the integral of e^{-2 kappa (x - a)}
-    over [a, L]."""
-    a = 0.0 if profile.is_zero() else eps * profile.support[1]
-    breaks = merge_breaks(0.0, a, eps * profile.breakpoints)[:, None]
+    [0, a], split at the breakpoints merged unscaled, then scaled (the same
+    panels at every eps; none for a zero profile, a = 0), and an anchor node
+    at a weighted by the integral of e^{-2 kappa (x - a)} over [a, L]."""
+    hi = 0.0 if profile.is_zero() else profile.support[1]
+    a, breaks = eps * hi, eps * merge_breaks(0.0, hi, profile.breakpoints)[:, None]
     x, w = QuadratureRule(order=HS_PANEL_ORDER).points(breaks[:-1], breaks[1:])
     anchor = -math.expm1(-2.0 * kappa * (L - a)) / (2.0 * kappa)
     return np.append(x.ravel(), a), np.append(w.ravel(), anchor)
@@ -169,8 +169,10 @@ def hs_distance(ops, kappa):
     ``ops`` is one member, or an iterable of members on one potential and
     scaling (a ladder) for a list of (distance, tail) pairs. Each member's
     kernel (zeta and factor rows), grids and tail are formed before the next
-    member is asked for; then each edge pair's grids of all members with
-    equal grid sizes at once, on a leading member axis, one member per slice.
+    member is asked for; then each edge pair's grids of all members at once,
+    on a leading member axis (an edge's grid has one size at every eps). The
+    kernel grids are subtracted first: their free parts cancel, and zeta f f,
+    O(V^2), is not rounded against O(1) kernel values.
 
     The distance scales like sqrt(eps), not eps: the limit kernel jumps at
     the vertex while the finite-eps kernel is continuous there, so an O(1)
@@ -179,11 +181,11 @@ def hs_distance(ops, kappa):
     E_ij e^{-kappa(x+y)} with a coefficient matrix E that is O(eps).
     """
     L = 1.0 + 8.0 / kappa
-    zetas, rows, tails, sizes = [], [], [], {}
+    zetas, rows, tails = [], [], []
     for op in [ops] if isinstance(ops, EpsOperator) else ops:
+        if not zetas:  # they do not depend on eps: one per call
+            lim_kernel, free = LimitKernel(op.constants, kappa), FreeKernel(op.n, kappa)
         eps_kernel = EpsKernel(op, kappa)
-        key = (LimitKernel, op.scaling, kappa)  # it does not depend on eps: one per command
-        lim_kernel = op.potential.shared(key, lambda: LimitKernel(op.constants, kappa))
         grids = [_hs_grid(p, op.eps, kappa, L) for p in op.potential.profiles]
         rows.append([(x, w, eps_kernel.factor(e, x)) for e, (x, w) in enumerate(grids, start=1)])
         # far-field coefficients are exact: diff = E_ij e^{-kappa(x+y)} there
@@ -192,19 +194,15 @@ def hs_distance(ops, kappa):
         tail_sq = float(np.sum(E**2)) * math.exp(-2.0 * kappa * L) / (2.0 * kappa**2)
         tails.append(tail_sq * 1.001)  # headroom over the 1e-10-certified quadrature factors
         zetas.append(eps_kernel.zeta)
-        sizes.setdefault(tuple(x.size for x, _ in grids), []).append(len(zetas) - 1)
-
-    free, total = FreeKernel(lim_kernel.n, kappa), np.zeros(len(zetas))
-    for members in sizes.values():
-        zeta = np.array(zetas)[members, None, None]
-        # per edge: its nodes, weights and factor rows, each of shape (member, point)
-        stacked = [np.stack(edge, axis=1) for edge in zip(*(rows[r] for r in members))]
-        for i, (x, wx, fx) in enumerate(stacked, start=1):
-            for j, (y, wy, fy) in enumerate(stacked[i - 1 :], start=i):
-                eps_grid = free.on_grid(i, j, x, y) - zeta * (fx[..., :, None] * fy[..., None, :])
-                diff = eps_grid - lim_kernel.on_grid(i, j, x, y)
-                pair = np.sum(wx[..., :, None] * wy[..., None, :] * diff**2, axis=(-2, -1))
-                total[members] += pair if i == j else 2.0 * pair
+    zeta, total = np.array(zetas)[:, None, None], np.zeros(len(zetas))
+    # per edge: its nodes, weights and factor rows, each of shape (member, point)
+    stacked = [np.stack(edge, axis=1) for edge in zip(*rows)]
+    for i, (x, wx, fx) in enumerate(stacked, start=1):
+        for j, (y, wy, fy) in enumerate(stacked[i - 1 :], start=i):
+            kernels = free.on_grid(i, j, x, y) - lim_kernel.on_grid(i, j, x, y)
+            diff = kernels - zeta * (fx[:, :, None] * fy[:, None, :])
+            pair = np.sum(wx[:, :, None] * wy[:, None, :] * diff**2, axis=(-2, -1))
+            total += pair if i == j else 2.0 * pair
     distances = [(math.sqrt(t), tail) for t, tail in zip(total.tolist(), tails)]
     return distances[0] if isinstance(ops, EpsOperator) else distances
 
@@ -365,8 +363,8 @@ def cmd_converge(config, parallel=1):
     for name, base, k in quantities:
         rows = [r for r in report.rows if r["quantity"] == base and r["k"] == k]
         errors = [r["error"] for r in rows]
-        if min(errors) <= 1e-14:
-            # identically vanishing distances (e.g. zero potential): no rate
+        if min(errors) < np.finfo(float).tiny:
+            # zero or subnormal distances (e.g. zero potential): no rate
             fits.append({"quantity": name, "degenerate": True, "max_error": max(errors)})
         else:
             fits.append(fit_rate(name, [r["epsilon"] for r in rows], errors)._asdict())

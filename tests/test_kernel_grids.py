@@ -215,10 +215,11 @@ class TestHSDistance:
         assert sizes[1e-3] == sizes[1.0] == sizes[30.0]
         assert sizes[1.0] == [(17, 17), (17, 17), (17, 1), (17, 17), (17, 1), (1, 1)]
 
-    def test_ladder_of_unequal_grid_sizes_equals_single_members(self, lam_neg):
-        # a piece of width 1e-11 at the support's end is a panel of its own at eps = 1/2, but
-        # within BREAK_MARGIN of the scaled end at eps = 2^-12: the ladder stacks the members
-        # of each grid size apart and still returns each member's values in ladder order
+    def test_ladder_of_a_tiny_end_piece_equals_single_members(self, lam_neg):
+        # a piece of width 1e-11 at the support's end is a panel of its own at every eps, also
+        # where its scaled width is below BREAK_MARGIN (eps = 2^-12): the breakpoints are merged
+        # unscaled, so the ladder's grids keep one size, and its one stacked pass returns each
+        # member's values in ladder order
         def potential():
             pieces = [((0.0, 1.0 - 1e-11), [1.0]), ((1.0 - 1e-11, 1.0), [2.0])]
             profiles = [PiecewisePolynomial.from_global_coeffs(pieces)]
@@ -228,10 +229,31 @@ class TestHSDistance:
         ladder = [0.5, 2**-12, 0.3, 2**-13]
         shared = potential()
         sizes = [ex._hs_grid(shared.profiles[0], eps, 1.0, 9.0)[0].size for eps in ladder]
-        assert sizes == [33, 17, 33, 17]
+        assert sizes == [33, 33, 33, 33]
         members = [sc.EpsOperator(shared, lam_neg, eps) for eps in ladder]
         single = [sc.hs_distance(sc.EpsOperator(potential(), lam_neg, eps), 1.0) for eps in ladder]
         assert np.array_equal(sc.hs_distance(members, 1.0), single)
+
+    def test_ladder_builds_one_limit_kernel(self, vstar, lam_neg, monkeypatch):
+        # the limit kernel does not depend on eps: one per call, and one on_grid call per
+        # edge pair i <= j covers every rung
+        built, grids = [], []
+
+        class Spy(LimitKernel):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+            def on_grid(self, i, j, xs, ys):
+                grids.append(np.shape(xs))
+                return super().on_grid(i, j, xs, ys)
+
+        monkeypatch.setattr(ex, "LimitKernel", Spy)
+        ladder = [2**-3, 2**-4, 2**-5, 2**-6]
+        sc.hs_distance([sc.EpsOperator(vstar, lam_neg, eps) for eps in ladder], 1.0)
+        assert len(built) == 1
+        assert len(grids) == vstar.n * (vstar.n + 1) // 2
+        assert all(shape[0] == len(ladder) for shape in grids)
 
     def test_memory_bounded_at_small_kappa(self, vstar, lam_neg):
         # the grids cover the scaled support only, whatever L = 1 + 8/kappa

@@ -104,6 +104,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             sc.load_config(write_config(tmp_path, {"scaling": bad}))
 
+    def test_resonant_with_vanishing_A_rejected(self, tmp_path):
+        # lambda0 = 1/A and beta = 1/(lambda1 A^2) are undefined: a ConfigError, not the
+        # construction's own ResonantWithZeroA
+        pot = [[{"interval": [0, 1], "coeffs": [0.0]}], [], []]
+        raw = json.loads(write_config(tmp_path, {"potential": pot}).read_text())
+        with pytest.raises(ConfigError, match="^scaling: "):
+            parse_config(raw)
+
     def test_non_resonant_needs_lambda0(self, tmp_path):
         bad = {"resonant": False, "lambda1": 1.0}
         with pytest.raises(ConfigError):

@@ -16,11 +16,17 @@ Through the CLI, ``converge`` on the three shipped configs scaled by
 s = 2^-20 and 2^20 must write the unscaled run's CSV byte for byte, and a
 shipped config of amplitude 1e-155, whose products V V are subnormal, must
 run ``converge``, ``spectrum`` and ``oracle`` to exit 0.
+
+With lambda unchanged, V -> s V is weak coupling: the resolvent difference
+is of order s^2, and ``converge`` on vstar_nonresonant at s = 1e-8 and
+1e-12 must write nonzero Hilbert-Schmidt distances in that ratio and fit
+every rate.
 """
 
 import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +37,7 @@ from hypothesis import strategies as st
 import starcoupling as sc
 from conftest import coefficient
 from starcoupling.cli import run
+from starcoupling.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ["vstar_resonant_neg", "vstar_resonant_pos", "vstar_nonresonant"]
@@ -181,3 +188,32 @@ def test_a_subnormal_pairing_is_checked_at_the_potential_scale(tmp_path, command
     raw["potential"][1][0]["coeffs"] = [-1e-155]
     code, _ = _run(tmp_path, command, raw, command)
     assert code == 0
+
+
+@pytest.fixture(scope="module")
+def weak_coupling():
+    # converge on vstar_nonresonant with its coefficients times s and lambda unchanged
+    reports = {}
+    for s in (1e-8, 1e-12):
+        raw = json.loads((CONFIG_DIR / "vstar_nonresonant.json").read_text())
+        for edge in raw["potential"]:
+            for piece in edge:
+                piece["coeffs"] = [s * c for c in piece["coeffs"]]
+        reports[s] = sc.cmd_converge(parse_config(raw))
+    return reports
+
+
+def test_weak_coupling_hs_distance_scales_like_s_squared(weak_coupling):
+    cells = {
+        s: np.array([r["value"] for r in report.rows if r["quantity"] == "hs_distance"])
+        for s, report in weak_coupling.items()
+    }
+    assert np.all(cells[1e-8] > 0) and np.all(cells[1e-12] > 0)
+    assert np.allclose(cells[1e-12], 1e-8 * cells[1e-8], rtol=1e-12, atol=0.0)
+
+
+def test_weak_coupling_rates_are_fitted(weak_coupling):
+    # every distance halves per rung: a normal positive number, not a degenerate fit
+    fits = weak_coupling[1e-8].summary["rate_fits"]
+    assert not any(fit.get("degenerate") for fit in fits)
+    assert all(math.isfinite(fit["slope"]) and 0.9 < fit["slope"] < 1.1 for fit in fits)
