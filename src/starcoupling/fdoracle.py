@@ -35,7 +35,9 @@ between the two arithmetic routes; the eigenvalues keep the symmetric one.
 
 Each matrix is assembled once, in final form: S as CSC arrays, T by scaling
 S's data in the product order of W^{-1/2} S W^{-1/2}, and each shift written
-over the diagonal slots of one copy. The trapezoid weights are stated once,
+over the diagonal slots of the matrix it shifts, with no copy: T's in the
+secular root, S's in a column or scattering solve, which writes S's diagonal
+back once SuperLU returns. The trapezoid weights are stated once,
 in ``DiscreteStarGraph.weights``. The secular root factorizes T - mu I at
 shifts mu <= -TAU_EIGEN < 0, all of one sparsity pattern: only at the shifts
 whose value it reads, 8 to 16 per grid on the shipped spectrum ladders
@@ -87,9 +89,10 @@ if TYPE_CHECKING:
 
 #: maximal admissible step
 MAX_STEP = 1e-2
-#: largest admissible number of unknowns 1 + n m; the secular root (assembly,
-#: symmetrization and its SuperLU factorizations) peaks at about 250 bytes
-#: per unknown (1.17 M unknowns), so one grid stays near 0.5 GiB
+#: largest admissible number of unknowns 1 + n m; on a 614,398-unknown grid,
+#: each in a fresh process, the secular root (assembly, symmetrization and its
+#: SuperLU factorizations) raised the peak RSS by 240 bytes per unknown and a
+#: resolvent column by 198, so one grid stays near 0.5 GiB
 MAX_UNKNOWNS = 2**21
 #: minimal admissible truncation length
 MIN_LENGTH = 2.0
@@ -213,14 +216,20 @@ class DiscreteOperator:
         """Solve (S + shift W + c m m^T) u = rhs for one or several columns.
 
         S + shift W is factorized once; the rank-one term is applied by
-        Sherman-Morrison, unless m = 0 (the free operator).
+        Sherman-Morrison, unless m = 0 (the free operator). The diagonal of
+        the stiffness is borrowed for the factorization: the shift is written
+        over it and S's diagonal written back, also when SuperLU fails.
         """
-        K = self.stiffness.copy()
-        K.data[_diagonal_slots(K)] += shift * self.weights
+        K = self.stiffness
+        slots = _diagonal_slots(K)
+        diagonal = K.data[slots]
+        K.data[slots] = diagonal + shift * self.weights
         try:
             lu = splu(K, panel_size=1)
         except RuntimeError as exc:
             raise SingularSystem(f"FD solve failed at shift = {shift}") from exc
+        finally:
+            K.data[slots] = diagonal
         mvec = self.weighted_vector
         base = lu.solve(rhs)
         if not np.any(mvec):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from starcoupling.fdoracle import (
     aligned_grid,
     build_discrete_operator,
     discrete_eigenvalue,
+    discrete_resolvent_column,
     discrete_smatrix,
 )
 
@@ -174,7 +176,8 @@ class TestAssemblyBitIdentity:
         factorized = []
 
         def recording_splu(A, **kwargs):
-            factorized.append(A)
+            # a copy: solve writes S's diagonal back over A once SuperLU returns
+            factorized.append(A.copy())
             return splu(A, **kwargs)
 
         monkeypatch.setattr(fd_mod, "splu", recording_splu)
@@ -191,6 +194,51 @@ class TestAssemblyBitIdentity:
                 assert np.array_equal(u, expected)
             else:
                 np.testing.assert_allclose(u, expected, rtol=0, atol=1e-14 * np.abs(u).max())
+
+    @pytest.mark.parametrize("k", [None, 1.0])
+    def test_solve_restores_the_borrowed_diagonal(self, op_eig, k):
+        # the shift is written over S's diagonal for the factorization only:
+        # the real Dirichlet and the complex Robin stiffness come back bit
+        # for bit
+        disc = build_discrete_operator(op_eig, L=2.0, h=1e-2, k=k)
+        before = disc.stiffness.copy()
+        rhs = np.zeros(disc.weights.size)
+        rhs[7] = 1.0
+        disc.solve(4.0 if k is None else -(k**2), rhs)
+        _assert_same_csc(disc.stiffness, before)
+
+    @pytest.mark.parametrize("k", [None, 1.0])
+    def test_failed_factorization_restores_the_borrowed_diagonal(self, op_eig, k, monkeypatch):
+        disc = build_discrete_operator(op_eig, L=2.0, h=1e-2, k=k)
+        before = disc.stiffness.copy()
+
+        def failing_splu(A, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(fd_mod, "splu", failing_splu)
+        with pytest.raises(sc.SingularSystem, match="FD solve failed"):
+            disc.solve(4.0, np.ones(disc.weights.size))
+        _assert_same_csc(disc.stiffness, before)
+
+
+class TestResolventColumnMemory:
+    def test_numpy_peak_per_unknown(self):
+        # tracemalloc sees numpy's arrays but not SuperLU's own workspace: on
+        # the 47,998-unknown grid the column's arrays peak near 116 bytes per
+        # unknown; a copy of the stiffness per solve would lift it to 144
+        config = sc.load_config(BUNDLE_DIR / "vstar_resonant_neg.json")
+        op = sc.EpsOperator(
+            potential=config.build_potential(), scaling=config.build_scaling(), eps=0.05
+        )
+        tracemalloc.start()
+        try:
+            col = discrete_resolvent_column(op, 2.0, EdgeCoordinate(1, 0.7), L=40.0, h=2.5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unknowns = 1 + op.n * (col.x.size - 2)
+        assert unknowns == 47_998
+        assert peak / unknowns <= 125.0
 
 
 class TestSecularRootMemory:
