@@ -24,7 +24,6 @@ from .errors import (
     AtPole,
     ConfigError,
     DegenerateTheta,
-    FredholmSingular,
     GridTooCoarse,
     MeanViolation,
     QuadratureNotConverged,
@@ -79,8 +78,6 @@ from .quadrature import QuadratureRule
 from .scattering import (
     assemble_F,
     assemble_W,
-    fredholm,
-    fredholm_D_direct,
     scattering_solution,
     scattering_solution_deriv,
     scattering_solution_eval,

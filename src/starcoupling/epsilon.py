@@ -433,19 +433,34 @@ def inner_RV_V(kappa, op):
     return _pairing(op, 1j * kappa, op.quad)
 
 
-def zeta(op, kappa):
-    """The scalar strength of the rank-one resolvent correction.
+def denominator(op, k):
+    """d(k) = eps^3/lambda(eps) + P(k), the one denominator of the rank-one
+    algebra at Im k >= 0, k != 0: zeta = 1/d(i kappa), and the S-matrix
+    divides by d at real k (``scattering``). A 1-d k gives one entry each.
 
-    Raises AtPole when the denominator eps^3/lambda + P cancels to within
-    TOL_POLE of the size of its two terms. The bound is relative: on a
-    resonant ladder both terms scale like |V|^2 and the denominator, where
-    1/lambda0 + P_1(0) cancels, like eps^4 |V|^2, so a bound in absolute
-    units of eps^3 would fire on any small enough potential."""
+    Raises AtPole where d cancels to within TOL_POLE of the size of its two
+    terms. The bound is relative: on a resonant ladder both terms scale like
+    |V|^2 and d, where 1/lambda0 + P_1(0) cancels, like eps^4 |V|^2, so a
+    bound in absolute units of eps^3 would fire on any small enough
+    potential."""
+    if not np.all((np.imag(k) >= 0) & (k != 0)):
+        raise ValueError("the denominator is defined for Im k >= 0 and k != 0")
     lead = op.eps**3 / op.lambda_value
-    denom = pole_equation(op, kappa)
-    if abs(denom) <= TOL_POLE * (abs(lead) + abs(denom - lead)):
-        raise AtPole(f"zeta denominator {denom:.3e} at kappa = {kappa}")
-    return 1.0 / denom
+    d = lead + _pairing(op, k, op.quad)
+    cancelled = np.abs(d) <= TOL_POLE * (abs(lead) + np.abs(d - lead))
+    if np.any(cancelled):
+        first = np.argmax(cancelled)
+        at, value = np.ravel(k)[first], np.ravel(d)[first]
+        if at.real == 0:
+            raise AtPole(f"zeta denominator {value:.3e} at kappa = {at.imag}")
+        raise AtPole(f"S-matrix denominator {value:.3e} at k = {at}")
+    return d
+
+
+def zeta(op, kappa):
+    """The scalar strength 1/d(i kappa) of the rank-one resolvent correction;
+    raises AtPole at a pole (``denominator``)."""
+    return 1.0 / denominator(op, 1j * kappa)
 
 
 def rank_one_factor(op, kappa, edge, xs):
@@ -502,7 +517,9 @@ class EpsKernel:
 
 
 def pole_equation(op, kappa):
-    """eps^3/lambda(eps) + <R0 V_eps, V_eps>; the resolvent pole is its zero."""
+    """d(i kappa) = eps^3/lambda(eps) + <R0 V_eps, V_eps> without the pole
+    check of ``denominator``: the pole search reads its sign, and the
+    resolvent pole is its zero."""
     return op.eps**3 / op.lambda_value + inner_RV_V(kappa, op)
 
 
@@ -527,7 +544,7 @@ def pole_asymptotic(op):
     return predicted if math.isfinite(predicted) else None
 
 
-def find_pole(op, bracket=None):
+def find_pole(op):
     """Bracketed search for the unique positive root of the pole equation.
 
     The pole equation g(kappa) = eps^3/lambda(eps) + P(i kappa) is strictly
@@ -545,19 +562,15 @@ def find_pole(op, bracket=None):
     QuadratureNotConverged (as it does for a pairing that is not finite),
     the signs of g at TOL_KAPPA and kappa_max decide, and brentq searches
     [TOL_KAPPA, lo] or [hi, kappa_max] (all of [TOL_KAPPA, kappa_max] after
-    a raise); a raise at TOL_KAPPA or kappa_max propagates. The default
-    bracket comes from the asymptotic predictor when that is positive,
-    otherwise (negative, or None) it is [TOL_KAPPA, 10].
+    a raise); a raise at TOL_KAPPA or kappa_max propagates. The bracket is
+    [max(TOL_KAPPA, p/2), 2p + 1] for a positive asymptotic predictor p,
+    otherwise (negative, or None) [TOL_KAPPA, 10].
     """
-    if bracket is None:
-        predicted = pole_asymptotic(op)
-        if predicted is not None and predicted > 0:
-            bracket = (max(TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0)
-        else:
-            bracket = (TOL_KAPPA, 10.0)
-    lo, hi = bracket
-    if lo <= 0 or hi <= lo:
-        raise ValueError("bracket endpoints must be positive and increasing")
+    predicted = pole_asymptotic(op)
+    if predicted is not None and predicted > 0:
+        lo, hi = max(TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0
+    else:
+        lo, hi = TOL_KAPPA, 10.0
     if op.lambda_value > 0:
         return None
     values = {}

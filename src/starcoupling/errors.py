@@ -47,7 +47,8 @@ class DegenerateTheta(StarCouplingError):
 
 
 class AtPole(StarCouplingError):
-    """Evaluation requested at (or too close to) a resolvent pole."""
+    """Evaluation requested at (or too close to) a zero of a denominator:
+    a resolvent pole, or a real momentum where the S-matrix's vanishes."""
 
     exit_code = 3
 
@@ -68,22 +69,6 @@ class RootSearchFailed(StarCouplingError):
     """A bracketed root search met a NaN value or ran out of iterations."""
 
     exit_code = 3
-
-
-class FredholmSingular(StarCouplingError):
-    """The scattering Fredholm denominator 1 - D vanished (resonance).
-
-    Carries the offending momentum in ``k``.
-    """
-
-    exit_code = 3
-
-    def __init__(self, k: float, denominator: complex):
-        self.k = k
-        self.denominator = denominator
-        super().__init__(
-            f"Fredholm denominator 1-D = {denominator:.3e} too small at k={k}"
-        )
 
 
 class GridTooCoarse(StarCouplingError):

@@ -124,9 +124,7 @@ def lambda_matrix(kappa, cc):
     denom = 1.0 - kappa * cc.beta * cc.B
     if abs(denom) <= TOL_POLE:
         raise AtPole(f"1 - kappa beta B = {denom:.3e} at kappa = {kappa}")
-    # beta * (1/denom) rounds as numpy's complex quotient does, which the
-    # stored benchmark references were recorded with
-    return (cc.beta * (1.0 / denom)) * cc.Pi
+    return (cc.beta / denom) * cc.Pi
 
 
 def lambda_matrix_direct(kappa, bp):

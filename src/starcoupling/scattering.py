@@ -16,13 +16,13 @@ routines the finite-eps resolvent uses at k = i kappa:
     W(x; k) = -(lambda/eps^3) f(x; k),     D(k) = -(lambda/eps^3) P(k),
     N_i(k)  = -2i eps ( Im m_i(k) + (i/n) sum_j m_j(k) ).
 
-Substituting the solution into the Kirchhoff conditions gives the
-scattering amplitudes S_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j
-+ 2/n - delta_ij. All integrals are evaluated exactly at finite eps after
-rescaling to [0,1]; the small-eps forms of N and D serve only as test
-predictors. The interior integrals are written with upper limit eps, which
-equals the infinite upper limit because the scaled potential is supported
-in [0, eps].
+So 1 - D = (lambda/eps^3) d(k), d = eps^3/lambda + P the one denominator
+of ``epsilon.denominator`` (the resolvent's too), and the Kirchhoff
+conditions give S_ij = N_i N_j/(2ik d(k)) + 2/n - delta_ij. All integrals
+are evaluated exactly at finite eps after rescaling to [0,1]; the small-eps
+forms of N and D serve only as test predictors. The interior integrals are
+written with upper limit eps, which equals the infinite upper limit
+because the scaled potential is supported in [0, eps].
 """
 
 from __future__ import annotations
@@ -31,17 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epsilon import _edge_moments, _factor, _moment_sum, _pairing
-from .errors import FredholmSingular
+from .epsilon import _edge_moments, _factor, _moment_sum, denominator
 from .graph import EdgeCoordinate
 from .limit import SMatrix
 from .quadrature import converged_value, merge_breaks
 
-#: relative floor for |1 - D| below which the solve is a resonance
-TOL_FREDHOLM = 1e-12
 #: smallest scattering momentum, the floor of kappa as well: far below it
-#: the amplitude factor lambda/(2ik eps^3) overflows (from k ~ 1e-307 on)
-#: and S comes out NaN
+#: the amplitude factor 1/(2ik d(k)) overflows and S comes out NaN
 MOMENTUM_MIN = 1e-6
 
 
@@ -88,49 +84,22 @@ def assemble_W(op, k, j, x):
     return -(op.lambda_value / op.eps**3) * _factor(op, k, [j], np.array([x]), op.quad)[0, 0]
 
 
-def fredholm_D_direct(op, k):
-    """The Fredholm denominator D = -(lambda/eps^3) P(k) of every solve, from
-    the pairing P of ``epsilon``; k, a momentum or a 1-d array of them, may
-    be complex with Im k >= 0 and |k| >= MOMENTUM_MIN.
-    """
-    if not np.all(np.abs(k) >= MOMENTUM_MIN):
-        raise ValueError(f"|k| must be at least {MOMENTUM_MIN:g}")
-    return -(op.lambda_value / op.eps**3) * _pairing(op, k, op.quad)
+def numerators(op, k):
+    """The numerators N_i of every incoming edge i, a row per momentum of a 1-d k.
 
-
-def fredholm(op, k):
-    """The numerators N_i of every incoming edge i and the one denominator D.
-
-    N_i = sum_j int_0^eps F V_eps from the verified edge moments and D =
-    sum_j int_0^eps W V_eps from the verified pairing, a row of N and an entry
-    of D per momentum of a 1-d k; the unknown is <psi_i, V_eps> = N_i/(1 - D).
+    N_i = sum_j int_0^eps F V_eps, from the verified edge moments; the unknown
+    is <psi_i, V_eps> = N_i/(1 - D) = (eps^3/lambda) N_i/d(k).
     """
     if not np.all(np.asarray(k) >= MOMENTUM_MIN):
         raise ValueError(f"scattering momentum must be at least {MOMENTUM_MIN:g}")
     r = _edge_moments(op, k, op.quad)
-    N = -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r)[..., None])
-    return N, fredholm_D_direct(op, k)
-
-
-def _solve(N, D, k):
-    denom = 1.0 - D
-    singular = np.abs(denom) <= TOL_FREDHOLM * np.maximum(1.0, np.abs(D))
-    if np.any(singular):
-        first = np.argmax(singular)
-        raise FredholmSingular(float(np.ravel(k)[first]), complex(np.ravel(denom)[first]))
-    return N / denom
-
-
-def _amplitudes(op, k, inner, N):
-    # S_ij + delta_ij = (lambda <psi_i, V_eps>/(2ik eps^3)) N_j + 2/n, with k,
-    # inner and N broadcast to the entries wanted
-    return op.lambda_value * inner / (2j * k * op.eps**3) * N + 2.0 / op.n
+    return -2j * op.eps * (r.imag + (1j / op.n) * _moment_sum(op, r)[..., None])
 
 
 def smatrix_eps(op, k):
-    """On-shell S-matrix of the finite-eps operator from n Fredholm solves.
+    """On-shell S-matrix of the finite-eps operator, S = N N^T/(2ik d(k)) + 2/n - I.
 
-    Row i uses the exact amplitude formula
+    Entry by entry this is the exact amplitude formula
 
         S_ij = (lambda <psi_i, V_eps>/(k eps^3)) [ -int V_eps(y_j) sin k y_j dy
                + (1/(i n)) sum_l int V_eps(y_l) e^{i k y_l} dy ] + 2/n - delta_ij,
@@ -140,17 +109,17 @@ def smatrix_eps(op, k):
     each checked on its own, for a stack of S-matrices; a number is a batch of one.
     """
     k = np.asarray(k, dtype=float)
-    N, D = fredholm(op, k)
-    inner = _solve(N, np.expand_dims(D, -1), k)[..., None]
-    entries = _amplitudes(op, k[..., None, None], inner, N[..., None, :]) - np.eye(op.n)
-    return SMatrix(k=k if k.ndim else float(k), entries=entries)
+    N = numerators(op, k)
+    d = denominator(op, k)[..., None, None]
+    entries = N[..., :, None] * N[..., None, :] / (2j * k[..., None, None] * d)
+    return SMatrix(k=k if k.ndim else float(k), entries=entries + 2.0 / op.n - np.eye(op.n))
 
 
 def scattering_solution(op, i, k):
     """Solve the scattering problem for one incoming edge."""
-    N, D = fredholm(op, k)
-    inner = _solve(N[i - 1], D, k)
-    amplitudes = _amplitudes(op, k, inner, N) - np.eye(op.n)[i - 1]
+    N, d = numerators(op, k), denominator(op, k)
+    inner = (op.eps**3 / op.lambda_value) * N[i - 1] / d
+    amplitudes = N[i - 1] * N / (2j * k * d) + 2.0 / op.n - np.eye(op.n)[i - 1]
     return ScatteringSolution(op=op, incoming=i, k=k, inner_v=inner, amplitudes=amplitudes)
 
 

@@ -20,6 +20,7 @@ from starcoupling import (
 import starcoupling.epsilon as eps_mod
 from conftest import coefficient
 from starcoupling.config import parse_config
+from starcoupling.epsilon import denominator
 from starcoupling.quadrature import converged_value, merge_breaks
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -113,24 +114,23 @@ class TestInnerRVV:
 
     @pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
     def test_node_values_match_direct_evaluation(self, request, potential, lam_neg):
-        # the pairing, D and the edge moments read the profiles from a table
-        # of node values; evaluating them inside the integrand, in the same
-        # products, must give the same bits at real c and for the moments.
-        # D at real k is the running-integral sweep: the 2-d rule on the
-        # complex form, profiles evaluated in place, agrees to rounding
+        # the pairing, the denominator and the edge moments read the profiles
+        # from a table of node values; evaluating them inside the integrand,
+        # in the same products, must give the same bits at real c and for
+        # the moments. The pairing at real k is the running-integral sweep:
+        # the 2-d rule on the complex form, profiles evaluated in place,
+        # agrees to rounding
         op = sc.EpsOperator(
             potential=request.getfixturevalue(potential), scaling=lam_neg, eps=0.1
         )
         rule = op.quad
-        strength = op.lambda_value / op.eps**3
+        lead = op.eps**3 / op.lambda_value
         for kappa in (0.7, 3.0):
             direct = converged_value(lambda r: _direct_pairing(op, kappa, r), rule)
             assert sc.inner_RV_V(kappa, op) == direct
         for k in (0.5, 5.0):
-            direct = -strength * converged_value(
-                lambda r: _direct_pairing(op, -1j * k, r), rule
-            )
-            assert abs(sc.fredholm_D_direct(op, k) - direct) <= 1e-13 * abs(direct)
+            direct = converged_value(lambda r: _direct_pairing(op, -1j * k, r), rule)
+            assert abs(denominator(op, k) - (lead + direct)) <= 1e-13 * abs(direct)
         for k, a in ((0.7j, 0.7), (3.0j, 3.0), (0.5, -0.5j), (5.0, -5.0j)):
             direct = converged_value(lambda r: _direct_moments(op, a, r), rule)
             assert np.array_equal(eps_mod._edge_moments(op, k, rule), direct)
@@ -217,7 +217,7 @@ def test_real_k_pairing_trig_count(monkeypatch, vstar, lam_neg):
     # of each cell: 2 profiles x 2m at m = 32 and at the doubled 64, where
     # the 2-d rule took m^2 + 2m per triangle (10,624 values) and the
     # min/max form 3 m^2 (30,720)
-    sc.fredholm_D_direct(sc.EpsOperator(vstar, lam_neg, 0.1), 1.0)  # rule caches warm
+    denominator(sc.EpsOperator(vstar, lam_neg, 0.1), 1.0)  # rule caches warm
     counted = []
     for name in ("sin", "cos"):
 
@@ -228,7 +228,7 @@ def test_real_k_pairing_trig_count(monkeypatch, vstar, lam_neg):
         monkeypatch.setattr(np, name, counting)
     fresh = sc.StarPotential.from_constants([1.0, -1.0, 0.0])
     op = sc.EpsOperator(fresh, lam_neg, 0.1, sc.QuadratureRule(order=32))
-    sc.fredholm_D_direct(op, 1.0)
+    denominator(op, 1.0)
     assert sum(counted) == 2 * (2 * 32 + 2 * 64) == 384
 
 
@@ -410,13 +410,14 @@ class TestFindPole:
         op = sc.EpsOperator(potential=vstar, scaling=lam, eps=0.1)
         assert sc.find_pole(op) is None
 
-    def test_explicit_bracket(self, op_factory):
-        pole = sc.find_pole(op_factory(0.01), bracket=(0.5, 1.5))
+    def test_bracket_from_another_predictor(self, op_factory, monkeypatch):
+        # a predictor of 1 gives the bracket (0.5, 3), around the root
+        op = op_factory(0.01)
+        expected = sc.find_pole(op).kappa
+        monkeypatch.setattr(eps_mod, "pole_asymptotic", lambda op: 1.0)
+        pole = sc.find_pole(op)
         assert abs(pole.kappa - 8.0 / 9.0) <= 0.05
-
-    def test_invalid_bracket(self, op_factory):
-        with pytest.raises(ValueError):
-            sc.find_pole(op_factory(0.01), bracket=(-1.0, 1.0))
+        assert pole.kappa == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["vstar_resonant_neg", "vstar_nonresonant"])
     def test_default_search_bisects_with_scalar_calls(self, name, monkeypatch):
@@ -490,12 +491,22 @@ class TestFindPole:
 
     def test_root_above_the_predictor_bracket(self, op_factory, monkeypatch):
         # a bracket below the root: g(hi) > 0, and the root is searched on
-        # [hi, kappa_max]; a raising bracket searches [TOL_KAPPA, kappa_max]
+        # [hi, kappa_max]; a raising bracket searches [TOL_KAPPA, kappa_max].
+        # The bracket (5, 21) of a predictor of 10 lies below the root 63.650
+        # of lambda1 = -300 at eps 0.125
+        raw = json.loads((CONFIG_DIR / "vstar_resonant_neg.json").read_text())
+        raw["scaling"]["lambda1"] = -300.0
+        config = parse_config(raw)
+        far = sc.EpsOperator(config.build_potential(), config.build_scaling(), 0.125)
+        far_root = sc.find_pole(far).kappa
+        with monkeypatch.context() as patch:
+            patch.setattr(eps_mod, "pole_asymptotic", lambda op: 10.0)
+            assert far_root > 21.0
+            assert sc.find_pole(far).kappa == pytest.approx(far_root, rel=1e-12)
         op = op_factory(2**-3)
         # ||V||^2 = 2 for the +1, -1, 0 potential
         assert eps_mod.kappa_max(op) == math.sqrt(2.0 * abs(op.lambda_value)) / op.eps
         expected = sc.find_pole(op).kappa
-        assert sc.find_pole(op, bracket=(0.1, 0.5)).kappa == pytest.approx(expected, rel=1e-12)
         pole_equation = eps_mod.pole_equation
 
         def raising_above(op, kappa):
@@ -503,9 +514,11 @@ class TestFindPole:
                 raise QuadratureNotConverged("above the bracket")
             return pole_equation(op, kappa)
 
+        # the bracket (0.25, 2) of a predictor of 0.5 raises at its top
         monkeypatch.setattr(eps_mod, "pole_equation", raising_above)
         monkeypatch.setattr(eps_mod, "kappa_max", lambda op: 1.0)
-        assert sc.find_pole(op, bracket=(0.1, 2.0)).kappa == pytest.approx(expected, rel=1e-12)
+        monkeypatch.setattr(eps_mod, "pole_asymptotic", lambda op: 0.5)
+        assert sc.find_pole(op).kappa == pytest.approx(expected, rel=1e-12)
 
     def test_eigenvalue_error_halves_with_eps(self, op_factory):
         limit_ev = -64.0 / 81.0
@@ -535,7 +548,7 @@ def _drawn_cubic(seed=3):
 
 
 def _default_grid(op):
-    # the 65 points of find_pole's default bracket
+    # the 65 points of find_pole's bracket
     predicted = sc.pole_asymptotic(op)
     if predicted is not None and predicted > 0:
         lo, hi = max(eps_mod.TOL_KAPPA, 0.5 * predicted), 2.0 * predicted + 1.0
@@ -807,7 +820,7 @@ class TestPoleAsymptotic:
         op = sc.EpsOperator(potential=vstar, scaling=lam, eps=0.05)
         assert sc.pole_asymptotic(op) > 0
 
-    def test_vanishing_B_gives_no_predictor(self, lam_neg):
+    def test_vanishing_B_gives_no_predictor(self, lam_neg, monkeypatch):
         # equal first moments on both active edges: B = 0 but A != 0, the
         # Kirchhoff limit; the pole search falls back to [TOL_KAPPA, 10]
         same = PiecewisePolynomial.constant(1.0)
@@ -818,7 +831,15 @@ class TestPoleAsymptotic:
         op = sc.EpsOperator(potential=V, scaling=lam_neg, eps=0.1)
         assert op.constants.B_vanishes
         assert sc.pole_asymptotic(op) is None
-        assert sc.find_pole(op) == sc.find_pole(op, bracket=(eps_mod.TOL_KAPPA, 10.0))
+        pole_equation, searched = eps_mod.pole_equation, []
+
+        def recording(op, kappa):
+            searched.append(kappa)
+            return pole_equation(op, kappa)
+
+        monkeypatch.setattr(eps_mod, "pole_equation", recording)
+        assert sc.find_pole(op) is not None
+        assert searched[:2] == [eps_mod.TOL_KAPPA, 10.0]
 
     def test_predictor_that_is_not_finite_is_none(self):
         # size 1e-100 under lambda0 = -1e-54, lambda1 = -1: lambda1/lambda0^2

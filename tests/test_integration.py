@@ -12,6 +12,8 @@ import pytest
 import starcoupling as sc
 from conftest import pairing_of_W_with_potential
 from starcoupling import EdgeCoordinate
+from starcoupling.epsilon import denominator
+from starcoupling.scattering import numerators
 
 
 @pytest.fixture(scope="module")
@@ -86,25 +88,28 @@ def test_eps_kernel_pointwise_limit(bumpy_potential, bumpy_scaling, bumpy_cc):
 
 def test_fredholm_identity_holds(bumpy_potential, bumpy_scaling):
     op = sc.EpsOperator(potential=bumpy_potential, scaling=bumpy_scaling, eps=0.05)
-    N, D = sc.fredholm(op, 1.3)
+    N, d = numerators(op, 1.3), denominator(op, 1.3)
+    lead = op.eps**3 / op.lambda_value
     for i in (1, 2):
         inner = sc.scattering_solution(op, i, 1.3).inner_v
-        assert abs(inner * (1.0 - D) - N[i - 1]) <= 1e-12
-    assert D == pytest.approx(pairing_of_W_with_potential(op, 1.3), abs=1e-10)
+        assert abs(inner * d / lead - N[i - 1]) <= 1e-12
+    want = lead * (1.0 - pairing_of_W_with_potential(op, 1.3))
+    assert abs(d - want) <= 1e-10 * abs(lead)
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 5.0])
 @pytest.mark.parametrize("potential", ["vstar", "bumpy_potential", "shifted_potential"])
 def test_denominator_matches_adaptive_pairing(request, potential, k):
-    # D of every solve against sum_j int W_j V_eps integrated by scipy's
-    # adaptive quadrature from the public W columns
+    # d = (eps^3/lambda)(1 - D) of every solve against D = sum_j int W_j V_eps
+    # integrated by scipy's adaptive quadrature from the public W columns
     op = sc.EpsOperator(
         potential=request.getfixturevalue(potential),
         scaling=sc.ScalingFunction(lambda1=-1.0, resonant=True),
         eps=0.05,
     )
-    _, D = sc.fredholm(op, k)
-    assert pairing_of_W_with_potential(op, k) == pytest.approx(D, rel=1e-10, abs=1e-10)
+    lead = op.eps**3 / op.lambda_value
+    D = pairing_of_W_with_potential(op, k)
+    assert abs(denominator(op, k) - lead * (1.0 - D)) <= abs(lead) * max(1e-10 * abs(D), 1e-10)
 
 
 def test_shifted_support_profile_pipeline(shifted_potential):

@@ -1526,7 +1526,6 @@ class TestCli:
             "DegenerateTheta": 2,
             "ResonantWithZeroA": 2,
             "QuadratureNotConverged": 3,
-            "FredholmSingular": 3,
             "SingularSystem": 3,
             "AtPole": 3,
             "GridTooCoarse": 3,

@@ -65,9 +65,10 @@ class TestLambdaMatrix:
             np.testing.assert_allclose(closed, direct, atol=1e-10)
 
     def test_real_and_equal_to_complex_quotient(self):
-        # the closed form is real at k = i kappa, and gives the bits of the
-        # complex quotient beta Pi / (1 + ik beta B) with k the resolvent-sheet
-        # root of -kappa^2
+        # the closed form is real at k = i kappa, and gives the complex
+        # quotient beta Pi / (1 + ik beta B), k the resolvent-sheet root of
+        # -kappa^2, to rounding: formed as (beta/denom) Pi in real arithmetic,
+        # it differs from numpy's complex quotient by up to 1.9 ulps here
         rng = np.random.default_rng(8)
         for _ in range(500):
             n = int(rng.integers(2, 6))
@@ -84,7 +85,7 @@ class TestLambdaMatrix:
             lam = sc.lambda_matrix(kappa, cc)
             assert lam.dtype == np.float64
             assert np.all(quotient.imag == 0.0)
-            assert np.array_equal(lam, quotient.real)
+            np.testing.assert_allclose(lam, quotient.real, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_rank_at_most_one(self, cc_pos):
         lam = sc.lambda_matrix(1.5, cc_pos)

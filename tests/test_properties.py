@@ -4,11 +4,12 @@ Potentials have n = 2..6 edges, each zero or 1-3 cubic pieces on [0, 1]
 (interior breakpoints put tensor cells into the pairing's double
 integrals), shifted to total mean zero. At eps in 2^-3..2^-8 and k in
 (0, 20] the finite-eps S-matrix must be unitary and symmetric, and the
-Fredholm denominator D must match a complex exp/expm1 evaluation of its
-bilinear form; below MOMENTUM_MIN both refuse the momentum. The pairing
-at real c, on the ordered nodes of ``double_integral``, must equal the
-symmetric min/max integrand summed cell by cell, bit for bit; at real k,
-swept as running integrals, it must agree with that 2-d oracle to 1e-13
+denominator d = eps^3/lambda + P must match a complex exp/expm1 evaluation
+of the pairing P; below MOMENTUM_MIN the S-matrix and the numerators refuse
+the momentum. The pairing at real c, on the ordered nodes of
+``double_integral``, must equal the symmetric min/max integrand summed
+cell by cell, bit for bit; at real k, swept as running integrals, it
+must agree with that 2-d oracle to 1e-13
 relative, on supports away from the vertex too and at eps up to 1. A
 batch of momenta, with duplicates and k eps met by an earlier batch, must
 give each momentum's S-matrix to 1e-13 relative, and under a coarse rule
@@ -35,7 +36,8 @@ import starcoupling as sc
 import starcoupling.epsilon as eps_mod
 from conftest import coefficient, symmetric_pairing_raw
 from starcoupling.cli import run
-from starcoupling.scattering import MOMENTUM_MIN
+from starcoupling.epsilon import denominator
+from starcoupling.scattering import MOMENTUM_MIN, numerators
 
 
 @st.composite
@@ -86,8 +88,8 @@ momenta = st.floats(0.0, 20.0, exclude_min=True)
 examples = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
-def _D_oracle(op, k):
-    # D = -(lambda/eps^3) (eps^2/2a) [ sum_j II V_j V_j (e^{-c|u-v|} - e^{-c(u+v)})
+def _P_oracle(op, k):
+    # P = (eps^2/2a) [ sum_j II V_j V_j (e^{-c|u-v|} - e^{-c(u+v)})
     #     + (2/n) (sum_j int V_j e^{-cv})^2 ],  a = -ik, c = a eps,
     # in complex arithmetic at the order the verified pairing returns
     rule = op.quad.doubled()
@@ -105,7 +107,7 @@ def _D_oracle(op, k):
             p.breakpoints,
         )
     bracket = diag + (2.0 / op.n) * moments**2
-    return -(op.lambda_value / op.eps**3) * (op.eps**2 / (2.0 * a)) * bracket
+    return (op.eps**2 / (2.0 * a)) * bracket
 
 
 @examples
@@ -123,14 +125,15 @@ def test_smatrix_eps_is_unitary_and_symmetric(potential, scaling, eps, k):
 
 @examples
 @given(potential=potentials(), scaling=scalings, eps=epsilons, k=momenta)
-def test_fredholm_D_matches_the_complex_form(potential, scaling, eps, k):
+def test_denominator_matches_the_complex_form(potential, scaling, eps, k):
     op = sc.EpsOperator(potential=potential, scaling=scaling, eps=eps)
     if k < MOMENTUM_MIN:
         with pytest.raises(ValueError):
-            sc.fredholm_D_direct(op, k)
+            numerators(op, k)
         return
-    want = _D_oracle(op, k)
-    assert abs(sc.fredholm_D_direct(op, k) - want) <= 1e-12 * abs(want)
+    want = _P_oracle(op, k)
+    lead = op.eps**3 / op.lambda_value
+    assert abs(denominator(op, k) - (lead + want)) <= 1e-12 * abs(want)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

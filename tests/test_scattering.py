@@ -1,14 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import starcoupling as sc
+import starcoupling.epsilon as eps_mod
+import truth_vstar
 from conftest import pairing_of_W_with_potential
 from starcoupling import (
+    AtPole,
     EdgeCoordinate,
-    FredholmSingular,
     PiecewisePolynomial,
     StarPotential,
 )
+from starcoupling.epsilon import denominator
+from starcoupling.scattering import numerators
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -52,21 +60,22 @@ class TestAssembleW:
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_pairing_with_potential_matches_bilinear_form(self, op_small):
-        # D from the bilinear form against sum_j int W V_eps integrated
-        # adaptively from the W columns
-        _, D = sc.fredholm(op_small, 1.0)
-        assert D == pytest.approx(pairing_of_W_with_potential(op_small, 1.0), abs=1e-10)
+        # d = (eps^3/lambda)(1 - D) from the bilinear form against D = sum_j
+        # int W V_eps integrated adaptively from the W columns
+        lead = op_small.eps**3 / op_small.lambda_value
+        want = lead * (1.0 - pairing_of_W_with_potential(op_small, 1.0))
+        assert abs(denominator(op_small, 1.0) - want) <= 1e-10 * abs(lead)
 
 
 class TestFredholm:
     def test_zero_potential(self, op_zero):
-        N, D = sc.fredholm(op_zero, 1.0)
-        assert np.all(N == 0.0) and D == 0.0
+        N, d = numerators(op_zero, 1.0), denominator(op_zero, 1.0)
+        assert np.all(N == 0.0) and d == op_zero.eps**3 / op_zero.lambda_value
 
     def test_numerator_asymptotics(self, vstar, lam_neg):
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=1e-3)
         k, i = 1.0, 1
-        N = sc.fredholm(op, k)[0][i - 1]
+        N = numerators(op, k)[i - 1]
         theta = op.constants.theta
         weights = np.full(3, 1.0 / 3.0)
         weights[i - 1] -= 1.0
@@ -76,18 +85,20 @@ class TestFredholm:
     def test_denominator_asymptotics(self, vstar, lam_neg):
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=1e-3)
         k = 1.0
-        _, D = sc.fredholm(op, k)
+        D = 1.0 - op.lambda_value / op.eps**3 * denominator(op, k)
         cc = op.constants
         predicted = op.lambda_value * (cc.A + 1j * k * op.eps * cc.B)
         assert abs(D / predicted - 1.0) <= 0.01
 
     def test_one_denominator_serves_every_incoming_edge(self, op_small):
-        # every edge's solve divides by the one D of the bilinear form
-        N, D = sc.fredholm(op_small, 1.0)
-        assert D == sc.fredholm_D_direct(op_small, 1.0)
+        # every edge's solve, and every row of S, divides by the one d
+        N, d = numerators(op_small, 1.0), denominator(op_small, 1.0)
+        strength = op_small.lambda_value / op_small.eps**3
         for i in (1, 3):
             inner = sc.scattering_solution(op_small, i, 1.0).inner_v
-            assert abs(inner * (1.0 - D) - N[i - 1]) <= 1e-12
+            assert abs(strength * inner * d - N[i - 1]) <= 1e-12
+        want = N[:, None] * N[None, :] / (2j * 1.0 * d) + 2.0 / 3.0 - np.eye(3)
+        assert np.array_equal(sc.smatrix_eps(op_small, 1.0).entries, want)
 
 
 class TestFredholmSolve:
@@ -95,32 +106,29 @@ class TestFredholmSolve:
         assert sc.scattering_solution(op_zero, 1, 1.0).inner_v == 0.0
 
     def test_fredholm_identity(self, op_small):
+        # <psi, V_eps> (1 - D) = N with 1 - D = (lambda/eps^3) d
         inner = sc.scattering_solution(op_small, 1, 1.0).inner_v
-        N, D = sc.fredholm(op_small, 1.0)
-        assert abs(inner * (1.0 - D) - N[0]) <= 1e-12
+        N, d = numerators(op_small, 1.0), denominator(op_small, 1.0)
+        assert abs(op_small.lambda_value * inner * d / op_small.eps**3 - N[0]) <= 1e-12
 
     def test_denominator_vanishes_at_resolvent_pole(self, vstar, lam_neg):
-        # continue D to k = i kappa: 1 - D then equals (lambda/eps^3) times
-        # the pole equation, so it changes sign across the bound state
+        # continued to k = i kappa, d is the pole equation bit for bit, so it
+        # changes sign across the bound state
         op = sc.EpsOperator(potential=vstar, scaling=lam_neg, eps=0.05)
         pole = sc.find_pole(op)
-        g = lambda kappa: (1.0 - sc.fredholm_D_direct(op, 1j * kappa)).real
+        g = lambda kappa: denominator(op, 1j * kappa)
         assert g(pole.kappa - 1e-3) * g(pole.kappa + 1e-3) < 0
-        scale = op.lambda_value / op.eps**3
         for kappa in (0.5, pole.kappa + 0.1):
-            lhs = 1.0 - sc.fredholm_D_direct(op, 1j * kappa)
-            rhs = scale * sc.pole_equation(op, kappa)
-            assert lhs.real == pytest.approx(rhs, rel=1e-9)
-            assert abs(lhs.imag) <= 1e-9 * abs(rhs)
+            assert g(kappa) == sc.pole_equation(op, kappa)
 
     def test_singular_denominator_raises(self, op_small, monkeypatch):
-        import starcoupling.scattering as scat
-
-        monkeypatch.setattr(scat, "fredholm", lambda op, k: (np.ones(op.n), 1.0))
-        with pytest.raises(FredholmSingular):
+        # a pairing that cancels eps^3/lambda exactly: d = 0 at every k
+        cancel = lambda op, k, rule: np.full(np.shape(k), -op.eps**3 / op.lambda_value + 0j)
+        monkeypatch.setattr(eps_mod, "_pairing", cancel)
+        with pytest.raises(AtPole, match="S-matrix denominator .* at k = 1.0"):
             sc.scattering_solution(op_small, 1, 1.0)
-        with pytest.raises(FredholmSingular):
-            sc.smatrix_eps(op_small, 1.0)
+        with pytest.raises(AtPole, match="S-matrix denominator .* at k = 2.0"):
+            sc.smatrix_eps(op_small, [2.0, 3.0])
 
 
 class TestSMatrixEps:
@@ -168,10 +176,10 @@ class TestScatteringSolution:
             assert got == pytest.approx(expected, abs=1e-14)
 
     def test_fredholm_identity_of_pieces(self, op_small):
-        N, D = sc.fredholm(op_small, 1.0)
+        N, d = numerators(op_small, 1.0), denominator(op_small, 1.0)
         sol = sc.scattering_solution(op_small, 1, 1.0)
         inner = sol.inner_v
-        assert abs(inner * (1.0 - D) - N[0]) <= 1e-12
+        assert abs(op_small.lambda_value * inner * d / op_small.eps**3 - N[0]) <= 1e-12
         # the pieces reproduce the solution pointwise inside the support
         for j, x in [(1, 0.004), (2, 0.008)]:
             lhs = sc.scattering_solution_eval(sol, EdgeCoordinate(j, x))
@@ -243,3 +251,35 @@ class TestScatteringSolution:
             ) / (2.0 * h)
             exact = sc.scattering_solution_deriv(sol, EdgeCoordinate(j, x))
             assert fd == pytest.approx(exact, rel=1e-5, abs=1e-6)
+
+
+class TestClosedFormTruth:
+    # ``truth_vstar``: the S-matrix of the shipped constant profiles at 40 digits
+
+    def test_smatrix_eps_on_the_shipped_triples(self):
+        # every entry on all 42 shipped (config, eps, k), each rung's momenta one
+        # batch as ``converge`` forms them; 7.4e-14 at worst, 8.8e-14 through 1 - D
+        rungs = {}
+        for name, amplitudes, lam, eps, k in truth_vstar.shipped_triples():
+            truth = truth_vstar.smatrix_eps(amplitudes, lam, eps, k)
+            rungs.setdefault((name, eps), []).append((k, [list(map(complex, r)) for r in truth]))
+        assert sum(map(len, rungs.values())) == 42
+        for (name, eps), cells in rungs.items():
+            config = sc.load_config(CONFIG_DIR / f"{name}.json")
+            rule = sc.QuadratureRule(order=config.quad_order)
+            op = sc.EpsOperator(config.build_potential(), config.build_scaling(), eps, rule)
+            got = sc.smatrix_eps(op, np.array([k for k, _ in cells])).entries
+            assert np.abs(got - np.array([s for _, s in cells])).max() <= 1e-12
+
+    def test_truth_tends_to_the_limit_at_rate_one(self, vstar):
+        # the closed form against the limit's own closed form: the gap halves
+        # with eps, as S_eps - S_lim = eps S_1 + O(eps^2)
+        for scaling in ({"resonant": True, "lambda1": -1.0}, {"resonant": True, "lambda1": 1.0}):
+            cc = sc.coupling_constants(vstar, sc.ScalingFunction(**scaling))
+            limit = sc.smatrix_limit(1.0, cc).entries
+            gaps = []
+            for eps in (2.0**-12, 2.0**-13):
+                lam = truth_vstar.lambda_value(scaling, [1.0, -1.0, 0.0], eps)
+                truth = truth_vstar.smatrix_eps([1.0, -1.0, 0.0], lam, eps, 1.0)
+                gaps.append(np.abs(np.array([list(map(complex, r)) for r in truth]) - limit).max())
+            assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=1e-2)
